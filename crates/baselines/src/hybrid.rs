@@ -147,7 +147,7 @@ impl LabellingStrategy for Hybrid {
         let mut agent = SelectionAgent::new(
             self.dqn.clone(),
             &Exploration::Ucb { scale: 1.0 },
-            crowdrl_core::DecideConfig::default(),
+            crowdrl_core::DecideMode::default(),
             None,
             rng,
         )?;

@@ -10,7 +10,7 @@
 use criterion::{black_box, Criterion};
 use crowdrl_core::agent::SelectionAgent;
 use crowdrl_core::features::StateSnapshot;
-use crowdrl_core::{Ablation, CrowdRlConfig, DecideConfig, DecideMode, DecideStats, Exploration};
+use crowdrl_core::{Ablation, CrowdRlConfig, DecideMode, DecideStats, Exploration};
 use crowdrl_rl::DqnConfig;
 use crowdrl_serve::ExecMode;
 use crowdrl_service::{ProjectSpec, Service, ServiceConfig, ServiceOutcome};
@@ -147,10 +147,7 @@ fn decide_agent(mode: DecideMode) -> SelectionAgent {
     SelectionAgent::new(
         DqnConfig::default(),
         &Exploration::Ucb { scale: 0.1 },
-        DecideConfig {
-            mode,
-            shortlist: 64,
-        },
+        mode,
         None,
         &mut rng,
     )
@@ -159,7 +156,7 @@ fn decide_agent(mode: DecideMode) -> SelectionAgent {
 
 /// Benchmark one `select` call per iteration at each pool size, in both
 /// modes, and return the pruned twin's stat deltas over the timed
-/// iterations (scored fraction and cache hit rate for the report).
+/// iterations (the scored fraction for the report).
 fn bench_decide(c: &mut Criterion) -> Vec<(usize, DecideStats)> {
     let mut deltas = Vec::new();
     let mut group = c.benchmark_group("service");
@@ -168,8 +165,8 @@ fn bench_decide(c: &mut Criterion) -> Vec<(usize, DecideStats)> {
         for mode in [DecideMode::Exhaustive, DecideMode::Pruned] {
             let mut agent = decide_agent(mode);
             let mut rng = seeded(9);
-            // Warm: accrue UCB counts and fill the activation cache, the
-            // steady state of a serve loop between parameter refreshes.
+            // Warm: accrue UCB counts, the steady state of a serve loop
+            // between parameter refreshes.
             for _ in 0..3 {
                 agent.select(
                     &f.candidates,
@@ -324,7 +321,7 @@ fn render_json(
     // candidates, pruned vs exhaustive, at growing pool sizes. Both
     // modes pick bit-identical panels (pinned by tests/decide_equiv.rs);
     // the series reports how much of the annotator dimension the pruned
-    // path avoided scoring and how often the activation cache hit.
+    // path avoided scoring.
     let _ = writeln!(
         out,
         "  \"decide\": {{\n    \"candidates\": {DECIDE_OBJECTS}, \"slots\": 3, \"batch\": 8,\n    \
@@ -350,12 +347,9 @@ fn render_json(
             out,
             "      {{ \"pool\": {pool}, \"exhaustive_ms\": {exhaustive_ms:.3}, \
              \"pruned_ms\": {pruned_ms:.3}, \"speedup\": {:.2}, \
-             \"scored_fraction\": {:.4}, \"cache_hit_rate\": {:.4}, \
-             \"full_row_fallbacks\": {} }}{comma}",
+             \"scored_fraction\": {:.4} }}{comma}",
             exhaustive_ms / pruned_ms,
             d.scored_pairs as f64 / d.total_pairs as f64,
-            d.cache_hits as f64 / (d.cache_hits + d.cache_misses).max(1) as f64,
-            d.full_row_fallbacks,
         );
     }
     out.push_str("    ]\n  }\n}\n");

@@ -13,10 +13,10 @@
 //! ranking with uniform-random feasible annotators.
 
 use crate::config::{Ablation, Exploration};
-use crate::decide::{AnnotatorCache, DecideConfig, DecideMode, DecideStats, LazyPairScores};
+use crate::decide::{self, ClassScores, DecideMode, DecideStats, Panel};
 use crate::features::{
     embed_annotator_specific, embed_object_part, embed_run_part, ObjectFeatures, StateSnapshot,
-    ANNOTATOR_SPECIFIC_DIM, FEATURE_DIM, OBJECT_PART_DIM,
+    ANNOTATOR_SPECIFIC_DIM, FEATURE_DIM,
 };
 use crowdrl_rl::{topk, DqnAgent, DqnConfig, DqnSnapshot, EpsilonGreedy, Transition, UcbExplorer};
 use crowdrl_types::rng::sample_indices;
@@ -45,72 +45,8 @@ pub struct SelectionAgent {
     dqn: DqnAgent,
     ucb: Option<UcbExplorer>,
     eps: Option<EpsilonGreedy>,
-    decide: DecideConfig,
-    cache: AnnotatorCache,
+    decide: DecideMode,
     stats: DecideStats,
-}
-
-/// One greedy panel-fill attempt (see [`fill_panel`]).
-struct FillAttempt {
-    /// Chosen annotator positions, best first.
-    picks: Vec<usize>,
-    /// The walk reached an entry at or below `stop_below` before the
-    /// panel filled — an unscored annotator could rank from here on, so
-    /// the attempt is not trustworthy.
-    hit_barrier: bool,
-}
-
-/// Walk `ranked` best-first and greedily fill a panel of up to `k`
-/// annotators under the panel constraints (at most one expert, running
-/// allowance, free concurrency slots). Pure: the caller commits the
-/// picks (allowance, `picked`, UCB counts) only once the attempt is
-/// accepted. `stop_below` is the pruned path's barrier — entries at or
-/// below it abort the walk (`NEG_INFINITY` disables the barrier; ranked
-/// lists never contain `-inf` entries).
-#[allow(clippy::too_many_arguments)]
-fn fill_panel(
-    ranked: &[usize],
-    score_of: &dyn Fn(usize) -> f64,
-    active: &[&AnnotatorProfile],
-    slots: Option<&HashMap<AnnotatorId, usize>>,
-    picked: &[usize],
-    mut allowance: f64,
-    k: usize,
-    stop_below: f64,
-) -> FillAttempt {
-    let mut picks = Vec::with_capacity(k);
-    let mut has_expert = false;
-    for &ai in ranked {
-        if picks.len() == k {
-            break;
-        }
-        if score_of(ai) <= stop_below {
-            return FillAttempt {
-                picks,
-                hit_barrier: true,
-            };
-        }
-        let profile = active[ai];
-        if profile.is_expert() && has_expert {
-            continue;
-        }
-        if profile.cost > allowance {
-            continue;
-        }
-        if let Some(slots) = slots {
-            let free = slots.get(&profile.id).copied().unwrap_or(usize::MAX);
-            if picked[ai] >= free {
-                continue; // all concurrency slots spoken for
-            }
-        }
-        allowance -= profile.cost;
-        has_expert |= profile.is_expert();
-        picks.push(ai);
-    }
-    FillAttempt {
-        picks,
-        hit_barrier: false,
-    }
 }
 
 /// Checkpointable state of a [`SelectionAgent`]: the Q-network (weights,
@@ -130,7 +66,7 @@ impl SelectionAgent {
     pub fn new<R: Rng + ?Sized>(
         mut dqn: DqnConfig,
         exploration: &Exploration,
-        decide: DecideConfig,
+        decide: DecideMode,
         pretrained: Option<&[f32]>,
         rng: &mut R,
     ) -> Result<Self> {
@@ -152,7 +88,6 @@ impl SelectionAgent {
             ucb,
             eps,
             decide,
-            cache: AnnotatorCache::new(),
             stats: DecideStats::default(),
         })
     }
@@ -162,8 +97,8 @@ impl SelectionAgent {
         &self.dqn
     }
 
-    /// The decide-path configuration in effect.
-    pub fn decide_config(&self) -> DecideConfig {
+    /// The decide-path scoring strategy in effect.
+    pub fn decide_mode(&self) -> DecideMode {
         self.decide
     }
 
@@ -171,19 +106,6 @@ impl SelectionAgent {
     /// [`DecideStats::delta_since`] to scope them to one call).
     pub fn decide_stats(&self) -> DecideStats {
         self.stats
-    }
-
-    /// Number of annotators with a cached first-layer activation partial.
-    pub fn cached_annotators(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Drop one annotator's cached activation partial (quarantine
-    /// entry/release, profile retirement). Dirty-set hygiene only: cache
-    /// entries are also keyed by parameter generation and feature bits,
-    /// so a stale hit is structurally impossible without this call.
-    pub fn invalidate_annotator(&mut self, index: usize) {
-        self.cache.invalidate(index);
     }
 
     /// Export the full learning state for a checkpoint.
@@ -281,8 +203,8 @@ impl SelectionAgent {
         // annotator/run-level suffix (`features::OBJECT_PART_DIM`), so the
         // Q-network's first layer is evaluated once per object part and
         // once per annotator part instead of once per pair. The suffix
-        // splits again into an annotator-specific block (cacheable across
-        // refreshes) and a run-level block shared by the whole pool.
+        // splits again into an annotator-specific block and a run-level
+        // block shared by the whole pool.
         let embed_span = crowdrl_obs::span("decide.embed");
         let num_classes = candidates[0].1.len();
         debug_assert!(candidates.iter().all(|(_, p)| p.len() == num_classes));
@@ -299,12 +221,20 @@ impl SelectionAgent {
             .map(|profile| embed_annotator_specific(profile, snapshot, num_classes))
             .collect();
 
-        // Pair-level mask: already-answered pairs (§IV-B). Cost and slot
-        // infeasibility were already removed at the annotator level.
+        // Pair-level mask: already-answered pairs (§IV-B), from each
+        // object's answer list. Cost and slot infeasibility were already
+        // removed at the annotator level.
+        let position: HashMap<AnnotatorId, usize> = active
+            .iter()
+            .enumerate()
+            .map(|(ai, p)| (p.id, ai))
+            .collect();
         let mut masked = vec![false; c * w];
         for (ci, (object, _)) in candidates.iter().enumerate() {
-            for (ai, profile) in active.iter().enumerate() {
-                masked[ci * w + ai] = answers.has_answered(*object, profile.id);
+            for (annotator, _) in answers.answers_for(*object) {
+                if let Some(&ai) = position.get(annotator) {
+                    masked[ci * w + ai] = true;
+                }
             }
         }
 
@@ -335,117 +265,89 @@ impl SelectionAgent {
         // paths: masked pairs are the only exclusions either way.
         let skip_scoring = random_selection && random_assignment;
 
-        // Exhaustive mode: one factored batched forward over every
-        // (candidate, active annotator) pair, UCB-adjusted, masked.
         // UCB counts are tracked per *annotator*, not per pair: a pair is
         // masked after one answer, so pair-level counts never
         // differentiate anything. What exploration must cover is the
         // annotator dimension — "have we tried routing work to w_j
         // lately?".
         let mut dense: Option<Vec<f64>> = None;
-        // Pruned mode: cached first-layer partials per annotator, resumed
-        // with the run block and bias, wrapped in a lazily-scored grid
-        // with column deduplication and sound per-column score upper
-        // bounds (see `decide`).
-        let mut grid: Option<LazyPairScores> = None;
-        if !skip_scoring && self.decide.mode == DecideMode::Pruned {
+        let mut classes: Option<ClassScores> = None;
+        if !skip_scoring {
             let _grid_span = crowdrl_obs::span("decide.grid");
-            let generation = self.dqn.params_generation();
-            let net = self.dqn.online_network();
-            let first = net.first_layer();
-            let mut rp = Vec::with_capacity(w);
-            for (ai, profile) in active.iter().enumerate() {
-                let mut row = self.cache.partial_for(
-                    net,
-                    generation,
-                    profile.id.index(),
-                    &specifics[ai],
-                    &mut self.stats,
-                );
-                first.accumulate_partial(
-                    &mut row,
-                    &run_part,
-                    OBJECT_PART_DIM + ANNOTATOR_SPECIFIC_DIM,
-                );
-                for (v, b) in row.iter_mut().zip(first.bias()) {
-                    *v += b;
+            // One factored batched forward of every candidate against
+            // annotator suffixes (specific block ++ run block).
+            let forward = |blocks: &[[f32; ANNOTATOR_SPECIFIC_DIM]]| {
+                let annotator_parts: Vec<Vec<f32>> = blocks
+                    .iter()
+                    .map(|s| {
+                        let mut part = s.to_vec();
+                        part.extend_from_slice(&run_part);
+                        part
+                    })
+                    .collect();
+                self.dqn.q_values_outer(&object_parts, &annotator_parts)
+            };
+            match self.decide {
+                // Forward the distinct blocks only, rank by class (see
+                // `decide`).
+                DecideMode::Pruned => {
+                    let (column_of, blocks) = decide::columns(&specifics);
+                    let q = forward(&blocks);
+                    self.stats.scored_pairs += q.len() as u64;
+                    classes = Some(ClassScores::new(
+                        &q,
+                        blocks.len(),
+                        &column_of,
+                        &active,
+                        self.ucb.as_ref(),
+                    ));
                 }
-                rp.push(row);
-            }
-            let keys: Vec<u64> = active.iter().map(|p| p.id.index() as u64).collect();
-            let lazy = LazyPairScores::new(
-                net,
-                &object_parts,
-                rp,
-                masked.clone(),
-                keys,
-                self.ucb.as_ref(),
-            );
-            // Column dedup is the pruning workhorse. When the pool is
-            // mostly distinct (a long-profiled pool where every annotator
-            // carries its own quality estimate), the lazy grid's per-pair
-            // overhead outweighs its savings — score densely instead.
-            // Both backends produce bit-identical selections, so this is
-            // purely a cost choice.
-            if 2 * lazy.column_count() <= w {
-                grid = Some(lazy);
-            }
-        }
-        if !skip_scoring && grid.is_none() {
-            // Exhaustive mode, or the pruned grid declined: one factored
-            // batched forward over every (candidate, active annotator)
-            // pair, UCB-adjusted, masked.
-            let annotator_parts: Vec<Vec<f32>> = specifics
-                .iter()
-                .map(|s| {
-                    let mut part = s.to_vec();
-                    part.extend_from_slice(&run_part);
-                    part
-                })
-                .collect();
-            let q_raw = self.dqn.q_values_outer(&object_parts, &annotator_parts);
-            self.stats.scored_pairs += (c * w) as u64;
-            let mut scores = vec![f64::NEG_INFINITY; c * w];
-            for ci in 0..c {
-                for (ai, profile) in active.iter().enumerate() {
-                    let idx = ci * w + ai;
-                    if masked[idx] {
-                        continue; // masked: Q = -inf (§IV-B)
+                // Every (candidate, active annotator) pair, UCB-adjusted,
+                // masked.
+                DecideMode::Exhaustive => {
+                    let q_raw = forward(&specifics);
+                    self.stats.scored_pairs += q_raw.len() as u64;
+                    let mut scores = vec![f64::NEG_INFINITY; c * w];
+                    for ci in 0..c {
+                        for (ai, profile) in active.iter().enumerate() {
+                            let idx = ci * w + ai;
+                            if masked[idx] {
+                                continue; // masked: Q = -inf (§IV-B)
+                            }
+                            let q = q_raw[idx] as f64;
+                            scores[idx] = match &self.ucb {
+                                Some(ucb) => ucb.score_soft(q, profile.id.index() as u64),
+                                None => q,
+                            };
+                        }
                     }
-                    let q = q_raw[idx] as f64;
-                    scores[idx] = match &self.ucb {
-                        Some(ucb) => ucb.score_soft(q, profile.id.index() as u64),
-                        None => q,
-                    };
+                    dense = Some(scores);
                 }
             }
-            dense = Some(scores);
         }
 
         let _rank_span = crowdrl_obs::span("decide.rank");
-        // Rank objects by top-k score sums (exact in both modes: the
-        // pruned grid extends its scored prefix until every object's
-        // k-th best strictly clears the best unscored bound).
+        let row = |ci: usize| ci * w..(ci + 1) * w;
+        // Rank objects by top-k score sums.
         let chosen_objects: Vec<usize> = if random_selection {
             // M1 / exploration: uniform-random among candidates with at
             // least one feasible pair.
             let feasible: Vec<usize> = (0..c)
-                .filter(|&ci| (0..w).any(|ai| !masked[ci * w + ai]))
+                .filter(|&ci| masked[row(ci)].iter().any(|&m| !m))
                 .collect();
             sample_indices(rng, feasible.len(), batch)
                 .into_iter()
                 .map(|i| feasible[i])
                 .collect()
         } else {
-            let sums: Vec<f64> = match (&dense, &mut grid) {
+            let sums: Vec<f64> = match (&dense, &classes) {
                 (Some(scores), _) => (0..c)
-                    .map(|ci| topk::top_k_sum(&scores[ci * w..(ci + 1) * w], k))
+                    .map(|ci| topk::top_k_sum(&scores[row(ci)], k))
                     .collect(),
-                (None, Some(g)) => {
-                    g.ensure_exact_sums(k, self.decide.shortlist, &mut self.stats);
-                    g.exact_sums(k)
-                }
-                (None, None) => unreachable!("scored selection requires a scoring backend"),
+                (None, Some(classes)) => (0..c)
+                    .map(|ci| classes.top_k_sum(ci, &masked[row(ci)], k))
+                    .collect(),
+                (None, None) => unreachable!("scored selection requires scores"),
             };
             topk::top_k_indices(&sums, batch)
         };
@@ -459,107 +361,36 @@ impl SelectionAgent {
             // Greedy panel fill: best-scored first, at most one expert,
             // each pick charged against the iteration allowance and the
             // annotator's free concurrency slots.
-            let attempt = if random_assignment {
+            let mut panel = Panel::new(&active, slots, &picked, allowance, k);
+            if random_assignment {
                 // M2 / exploration: uniform-random feasible annotators.
                 let feasible: Vec<usize> = (0..w).filter(|&ai| !masked[ci * w + ai]).collect();
                 let ranked: Vec<usize> = sample_indices(rng, feasible.len(), feasible.len())
                     .into_iter()
                     .map(|i| feasible[i])
                     .collect();
-                fill_panel(
-                    &ranked,
-                    &|_| 0.0,
-                    &active,
-                    slots,
-                    &picked,
-                    allowance,
-                    k,
-                    f64::NEG_INFINITY,
-                )
+                panel.fill_ranked(&ranked);
             } else if let Some(scores) = &dense {
-                let row = &scores[ci * w..(ci + 1) * w];
-                let ranked = topk::top_k_indices(row, w);
-                fill_panel(
-                    &ranked,
-                    &|ai| row[ai],
-                    &active,
-                    slots,
-                    &picked,
-                    allowance,
-                    k,
-                    f64::NEG_INFINITY,
-                )
-            } else {
-                let g = grid.as_mut().expect("scored assignment requires the grid");
-                if random_selection {
-                    // The object was chosen at random, so its row may be
-                    // entirely unscored — score it outright.
-                    g.score_full_row(ci, &mut self.stats);
-                    let ranked = g.ranked_scored(ci);
-                    fill_panel(
-                        &ranked,
-                        &|ai| g.score_at(ci, ai),
-                        &active,
-                        slots,
-                        &picked,
-                        allowance,
-                        k,
-                        f64::NEG_INFINITY,
-                    )
-                } else {
-                    // Walk the scored entries; the barrier aborts the
-                    // moment an unscored annotator could outrank the rest
-                    // of the walk. An attempt that ends early (barrier
-                    // hit, or panel unfilled with annotators unscored)
-                    // falls back to scoring the whole row — pruning never
-                    // changes the outcome, only the work.
-                    let beta = g.barrier();
-                    let ranked = g.ranked_scored(ci);
-                    let first = fill_panel(
-                        &ranked,
-                        &|ai| g.score_at(ci, ai),
-                        &active,
-                        slots,
-                        &picked,
-                        allowance,
-                        k,
-                        beta,
-                    );
-                    if !g.fully_scored() && (first.hit_barrier || first.picks.len() < k) {
-                        self.stats.full_row_fallbacks += 1;
-                        g.score_full_row(ci, &mut self.stats);
-                        let ranked = g.ranked_scored(ci);
-                        fill_panel(
-                            &ranked,
-                            &|ai| g.score_at(ci, ai),
-                            &active,
-                            slots,
-                            &picked,
-                            allowance,
-                            k,
-                            f64::NEG_INFINITY,
-                        )
-                    } else {
-                        first
-                    }
-                }
-            };
-            if attempt.picks.is_empty() {
+                panel.fill_ranked(&topk::top_k_indices(&scores[row(ci)], w));
+            } else if let Some(classes) = &classes {
+                panel.fill_walk(classes.walk(ci, &masked[row(ci)]));
+            }
+            let Panel {
+                picks,
+                allowance: left,
+                ..
+            } = panel;
+            if picks.is_empty() {
                 continue;
             }
-            // Commit the accepted attempt: replay the allowance and slot
-            // charges in pick order (bit-identical to charging during the
-            // walk), then record and emit.
-            for &ai in &attempt.picks {
-                allowance -= active[ai].cost;
+            allowance = left;
+            for &ai in &picks {
                 picked[ai] += 1;
             }
-            let annotators: Vec<AnnotatorId> =
-                attempt.picks.iter().map(|&ai| active[ai].id).collect();
+            let annotators: Vec<AnnotatorId> = picks.iter().map(|&ai| active[ai].id).collect();
             // Reassemble the full replay embeddings for the few chosen
             // pairs only — the concatenation is exactly `embed_with`.
-            let chosen_embeddings: Vec<Vec<f32>> = attempt
-                .picks
+            let chosen_embeddings: Vec<Vec<f32>> = picks
                 .iter()
                 .map(|&ai| {
                     let mut e = object_parts[ci].clone();
@@ -663,10 +494,10 @@ mod tests {
     }
 
     fn agent(seed: u64) -> SelectionAgent {
-        agent_with(seed, DecideConfig::default())
+        agent_with(seed, DecideMode::default())
     }
 
-    fn agent_with(seed: u64, decide: DecideConfig) -> SelectionAgent {
+    fn agent_with(seed: u64, decide: DecideMode) -> SelectionAgent {
         let mut rng = seeded(seed);
         SelectionAgent::new(
             DqnConfig::default(),
@@ -859,7 +690,7 @@ mod tests {
         let mut agent = SelectionAgent::new(
             config,
             &Exploration::Ucb { scale: 0.1 },
-            DecideConfig::default(),
+            DecideMode::default(),
             None,
             &mut rng,
         )
@@ -887,7 +718,7 @@ mod tests {
         let mut agent = SelectionAgent::new(
             config.clone(),
             &Exploration::Ucb { scale: 0.1 },
-            DecideConfig::default(),
+            DecideMode::default(),
             None,
             &mut rng,
         )
@@ -905,7 +736,7 @@ mod tests {
         let mut other = SelectionAgent::new(
             config,
             &Exploration::Ucb { scale: 0.1 },
-            DecideConfig::default(),
+            DecideMode::default(),
             None,
             &mut rng,
         )
@@ -922,7 +753,7 @@ mod tests {
                 end: 0.1,
                 decay_steps: 100,
             },
-            DecideConfig::default(),
+            DecideMode::default(),
             None,
             &mut rng,
         )
@@ -936,7 +767,7 @@ mod tests {
         let donor = SelectionAgent::new(
             DqnConfig::default(),
             &Exploration::Ucb { scale: 0.0 },
-            DecideConfig::default(),
+            DecideMode::default(),
             None,
             &mut rng,
         )
@@ -945,7 +776,7 @@ mod tests {
         let recipient = SelectionAgent::new(
             DqnConfig::default(),
             &Exploration::Ucb { scale: 0.0 },
-            DecideConfig::default(),
+            DecideMode::default(),
             Some(&params),
             &mut rng,
         )
@@ -956,23 +787,11 @@ mod tests {
 
     #[test]
     fn pruned_and_exhaustive_selections_are_bit_identical() {
-        use crate::decide::DecideMode;
-        // Small shortlist forces real pruning even at this pool size.
+        // 20 workers and 3 experts at one quality collapse to two
+        // columns, so the pruned twin scores a fraction of the pairs.
         for seed in [31u64, 32, 33] {
-            let mut pruned = agent_with(
-                seed,
-                DecideConfig {
-                    mode: DecideMode::Pruned,
-                    shortlist: 4,
-                },
-            );
-            let mut exhaustive = agent_with(
-                seed,
-                DecideConfig {
-                    mode: DecideMode::Exhaustive,
-                    shortlist: 4,
-                },
-            );
+            let mut pruned = agent_with(seed, DecideMode::Pruned);
+            let mut exhaustive = agent_with(seed, DecideMode::Exhaustive);
             let profiles = profiles(20, 3);
             let mut answers = AnswerSet::new(12);
             answers
@@ -1072,45 +891,46 @@ mod tests {
     }
 
     #[test]
-    fn activation_cache_hits_across_refreshes_and_invalidates() {
-        let mut agent = agent(51);
-        let profiles = profiles(6, 1);
-        let answers = AnswerSet::new(8);
-        let labelled = LabelledSet::new(8);
-        let run = |agent: &mut SelectionAgent, seed: u64| {
-            let mut rng = seeded(seed);
-            agent.select(
-                &candidates(8),
-                &profiles,
-                None,
-                &answers,
-                &labelled,
-                &snapshot(7),
-                100.0,
-                2,
-                2,
-                Ablation::default(),
+    fn nan_q_values_fail_the_same_way_in_both_modes() {
+        // A parameter vector with a NaN output bias makes every Q-value
+        // NaN; both modes must reject it as `topk` does, rather than the
+        // pruned path dropping the pairs.
+        let mut rng = seeded(61);
+        let mut params = agent(61).dqn().export_params();
+        *params.last_mut().unwrap() = f32::NAN;
+        for mode in [DecideMode::Pruned, DecideMode::Exhaustive] {
+            let mut agent = SelectionAgent::new(
+                DqnConfig::default(),
+                &Exploration::Ucb { scale: 0.1 },
+                mode,
+                Some(&params),
                 &mut rng,
-            );
-        };
-        run(&mut agent, 1);
-        let first = agent.decide_stats();
-        assert_eq!(first.cache_misses, 7); // cold: every annotator computed
-        assert_eq!(first.cache_hits, 0);
-        run(&mut agent, 2);
-        let second = agent.decide_stats().delta_since(&first);
-        // No training in between and the same snapshot: all hits. (UCB
-        // counts changed, but they adjust scores, not the cached DQN
-        // partial.)
-        assert_eq!(second.cache_misses, 0);
-        assert_eq!(second.cache_hits, 7);
-        assert_eq!(agent.cached_annotators(), 7);
-        agent.invalidate_annotator(3);
-        assert_eq!(agent.cached_annotators(), 6);
-        let before = agent.decide_stats();
-        run(&mut agent, 3);
-        let third = agent.decide_stats().delta_since(&before);
-        assert_eq!(third.cache_misses, 1); // only the invalidated one
-        assert_eq!(third.cache_hits, 6);
+            )
+            .unwrap();
+            let profiles = profiles(6, 1);
+            let answers = AnswerSet::new(4);
+            let labelled = LabelledSet::new(4);
+            let failure = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                agent.select(
+                    &candidates(4),
+                    &profiles,
+                    None,
+                    &answers,
+                    &labelled,
+                    &snapshot(7),
+                    100.0,
+                    2,
+                    2,
+                    Ablation::default(),
+                    &mut seeded(62),
+                )
+            }))
+            .expect_err("a NaN Q-value must not be selected around");
+            let message = failure
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| failure.downcast_ref::<String>().cloned());
+            assert_eq!(message.as_deref(), Some("NaN score in top-k"), "{mode:?}");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Configuration for the CrowdRL workflow.
 
-use crate::decide::DecideConfig;
+use crate::decide::DecideMode;
 use crowdrl_inference::{EngineConfig, JointConfig};
 use crowdrl_nn::ClassifierConfig;
 use crowdrl_rl::DqnConfig;
@@ -128,11 +128,11 @@ pub struct CrowdRlConfig {
     /// Optional pre-trained Q-network parameters (the paper's offline
     /// "cross-training": train on other datasets, deploy here, §VI-A.4).
     pub pretrained_dqn: Option<Vec<f32>>,
-    /// Decide-path scoring strategy (pruned vs exhaustive) and shortlist
-    /// width. Selections are bit-identical across modes, so this knob is
-    /// excluded from [`CrowdRlConfig::fingerprint`] — checkpoints taken
-    /// under one mode restore under the other.
-    pub decide: DecideConfig,
+    /// Decide-path scoring strategy (pruned vs exhaustive). Selections
+    /// are bit-identical across modes, so this knob is excluded from
+    /// [`CrowdRlConfig::fingerprint`] — checkpoints taken under one mode
+    /// restore under the other.
+    pub decide: DecideMode,
 }
 
 impl CrowdRlConfig {
@@ -162,7 +162,7 @@ impl CrowdRlConfig {
         // checkpoint written under pruned decide restores under
         // exhaustive and vice versa).
         let mut canonical = self.clone();
-        canonical.decide = DecideConfig::default();
+        canonical.decide = DecideMode::default();
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for byte in format!("{canonical:?}").bytes() {
             hash ^= byte as u64;
@@ -241,11 +241,6 @@ impl CrowdRlConfig {
                 }
             }
         }
-        if self.decide.shortlist == 0 {
-            return Err(Error::InvalidParameter(
-                "decide.shortlist must be positive".into(),
-            ));
-        }
         self.classifier.validate()?;
         self.engine.validate()?;
         Ok(())
@@ -293,7 +288,7 @@ impl Default for CrowdRlConfigBuilder {
                 },
                 dqn: DqnConfig::default(),
                 pretrained_dqn: None,
-                decide: DecideConfig::default(),
+                decide: DecideMode::default(),
             },
         }
     }
@@ -423,8 +418,8 @@ impl CrowdRlConfigBuilder {
         self
     }
 
-    /// Set the decide-path configuration (scoring strategy + shortlist).
-    pub fn decide(mut self, decide: DecideConfig) -> Self {
+    /// Set the decide-path scoring strategy.
+    pub fn decide(mut self, decide: DecideMode) -> Self {
         self.config.decide = decide;
         self
     }
@@ -475,14 +470,11 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_decide_mode() {
-        use crate::decide::{DecideConfig, DecideMode};
+        use crate::decide::DecideMode;
         let pruned = CrowdRlConfig::builder().budget(100.0).build().unwrap();
         let exhaustive = CrowdRlConfig::builder()
             .budget(100.0)
-            .decide(DecideConfig {
-                mode: DecideMode::Exhaustive,
-                shortlist: 8,
-            })
+            .decide(DecideMode::Exhaustive)
             .build()
             .unwrap();
         // Decide mode never changes selections, so checkpoints must be
@@ -537,13 +529,6 @@ mod tests {
             .engine(EngineConfig {
                 warm_max_iters: 0,
                 ..EngineConfig::default()
-            })
-            .build()
-            .is_err());
-        assert!(base()
-            .decide(crate::decide::DecideConfig {
-                shortlist: 0,
-                ..Default::default()
             })
             .build()
             .is_err());

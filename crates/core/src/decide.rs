@@ -1,94 +1,61 @@
-//! Decide-path pruning: cached annotator activations and exact top-slot
-//! shortlists for [`SelectionAgent::select`](crate::agent::SelectionAgent).
+//! Decide-path scoring for
+//! [`SelectionAgent::select`](crate::agent::SelectionAgent): work once per
+//! distinct annotator state, not once per annotator.
 //!
 //! `serve.decide` is the service hot path: every refresh scores each
-//! candidate object against the whole annotator pool, so its cost is
-//! O(objects × pool) Q-network forwards and dominates wall time at
-//! thousands of annotators (DESIGN.md §13). Three mechanisms cut the
-//! annotator dimension without changing a single selection:
+//! candidate object against the whole annotator pool and ranks the pool
+//! per object, so done densely it costs O(objects × pool) Q-network
+//! forwards plus O(objects × pool) ranking work (DESIGN.md §13.1). Two
+//! mechanisms shrink the annotator dimension to the number of distinct
+//! annotator states without changing a single selection:
 //!
-//! 1. **Activation cache** ([`AnnotatorCache`]): the annotator-specific
-//!    block of the embedding suffix (quality/cost/kind/load — see
-//!    [`ANNOTATOR_SPECIFIC_DIM`]) has its first-layer partial
-//!    pre-activation computed once and reused across refreshes. Entries
-//!    are keyed on the DQN's parameter generation plus the exact bit
-//!    pattern of the feature block, so a gradient step, a parameter
-//!    import/restore, or any profile/quality/load change forces a
-//!    recompute — a stale partial can never be served. Each refresh
-//!    resumes the cached partial with the run-level block and the bias,
-//!    reproducing the full matmul row bit-for-bit
-//!    (`Dense::accumulate_partial`).
+//! 1. **Columns** (`columns`): annotators enter the Q-network only
+//!    through the annotator-specific block of the embedding
+//!    ([`ANNOTATOR_SPECIFIC_DIM`] floats: quality, cost, kind, load); the
+//!    run-level block is shared by the whole pool. Annotators with
+//!    bit-identical blocks produce bit-identical Q-values for every
+//!    object — in a large pool the overwhelming majority, since every
+//!    annotator the inference engine has not yet profiled sits at the
+//!    same prior quality, zero load and one of a handful of cost tiers.
+//!    The exhaustive path's factored forward runs once over the distinct
+//!    blocks instead of the whole pool; every forward is row-independent,
+//!    so each (object, column) output is the one the exhaustive forward
+//!    computes for every member of the column.
 //!
-//! 2. **Column deduplication** ([`LazyPairScores`]): annotators enter the
-//!    Q-network only through their first-layer suffix row, a function of
-//!    the 4-float specific block. Annotators whose rows are bit-identical
-//!    — in a large pool the overwhelming majority, since every annotator
-//!    the inference engine has not yet profiled sits at the same prior
-//!    quality, zero load, and one of a handful of cost tiers — provably
-//!    produce bit-identical Q-values for every object. Each distinct
-//!    column is forwarded once and shared; per-annotator identity
-//!    (UCB bonus, answered-pair mask, index tie-break) is restored at
-//!    expansion with the exact floating-point expression exhaustive
-//!    scoring uses (`score_soft(q, a) == q + bonus_soft(a)`). This is
-//!    what makes decide sublinear in the pool size in practice: tail
-//!    cost scales with *distinct annotator states*, not pool size.
+//! 2. **Classes** (`Walk`): a class is a set of annotators sharing a
+//!    column, UCB bonus bits and cost bits (kind is part of the column),
+//!    so every member has the same adjusted score on every object and
+//!    the same standing under the panel rules. An object's annotators,
+//!    best first, are a k-way merge of class heads — score descending,
+//!    then active position ascending, masked members skipped — which is
+//!    exactly the order `topk::top_k_indices` gives the dense row, ties
+//!    included. The top-k sum adds the first `k` walk scores; the panel
+//!    fill (`Panel::fill_walk`) walks the same merge and drops a whole
+//!    class when a kind or cost rule excludes one of its members.
 //!
-//! 3. **Exact shortlist**: per-column upper bounds on the adjusted score
-//!    — interval propagation of the candidate set's first-layer envelope
-//!    through the network tail (`Network::tail_forward_interval`), plus
-//!    the best member bonus, both sound in f32/f64 by monotonicity of
-//!    correctly-rounded arithmetic — let each object score only a top-M
-//!    prefix of columns ordered by bound. The prefix grows until every
-//!    object's current k-th best *strictly* exceeds the best unscored
-//!    bound (ties must extend: an unscored annotator with an equal score
-//!    and a lower index could displace a pick under `topk`'s tie-break),
-//!    and panel fill falls back to scoring an object's full row whenever
-//!    it would have to dig below the barrier. Interval bounds through a
-//!    deep tail are loose, so this engages mainly when bonus spread or a
-//!    trained policy separates the pool — dedup is the workhorse, the
-//!    barrier an extra exact cutoff. Pruning is therefore a pure
-//!    optimization: selections, sums and traces are bit-identical to
-//!    exhaustive scoring, which `tests/decide_equiv.rs` pins across pool
-//!    sizes and thread widths.
+//! A call costs O(w) to group the `w` active annotators, O(c · classes)
+//! for the `c` objects' sums, and one heap walk per chosen object.
+//! Selections, sums and traces are bit-identical to
+//! [`DecideMode::Exhaustive`], which `tests/decide_equiv.rs` and
+//! `tests/property_decide.rs` pin.
 
-use crate::features::{ANNOTATOR_SPECIFIC_DIM, OBJECT_PART_DIM};
-use crowdrl_linalg::Matrix;
-use crowdrl_nn::Network;
-use crowdrl_rl::{topk, UcbExplorer};
-use std::collections::HashMap;
+use crate::features::ANNOTATOR_SPECIFIC_DIM;
+use crowdrl_rl::UcbExplorer;
+use crowdrl_types::{AnnotatorId, AnnotatorProfile};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 
 /// How `select` scores the (object × annotator) candidate grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Selections are bit-identical across modes; only the work differs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DecideMode {
-    /// Cached annotator activations, column deduplication, and exact
-    /// bound-driven shortlists. Bit-identical selections to
-    /// [`DecideMode::Exhaustive`], sublinear in the pool size in
-    /// practice.
+    /// Score once per distinct annotator state: column-deduplicated
+    /// forwards and class-merged ranking (see the module docs).
+    #[default]
     Pruned,
-    /// Score every pair with one factored batched forward (the reference
-    /// path).
+    /// Score every pair with one factored batched forward and rank the
+    /// dense rows (the reference path).
     Exhaustive,
-}
-
-/// Decide-path configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecideConfig {
-    /// Scoring strategy.
-    pub mode: DecideMode,
-    /// Initial shortlist width M: how many top-bound score columns are
-    /// scored up front before the bound test starts extending. Must be
-    /// at least 1; pools no wider than M degrade gracefully to
-    /// exhaustive scoring.
-    pub shortlist: usize,
-}
-
-impl Default for DecideConfig {
-    fn default() -> Self {
-        Self {
-            mode: DecideMode::Pruned,
-            shortlist: 64,
-        }
-    }
 }
 
 /// Cumulative decide-path statistics (monotone counters).
@@ -99,13 +66,6 @@ pub struct DecideStats {
     pub total_pairs: u64,
     /// Pairs actually forwarded through the Q-network.
     pub scored_pairs: u64,
-    /// Annotator partials served from the activation cache.
-    pub cache_hits: u64,
-    /// Annotator partials recomputed (absent, stale generation, or
-    /// changed features).
-    pub cache_misses: u64,
-    /// Panel fills that had to fall back to scoring an object's full row.
-    pub full_row_fallbacks: u64,
     /// Annotators that reached embedding/scoring after the feasibility
     /// pre-filter.
     pub forwarded_annotators: u64,
@@ -120,458 +80,352 @@ impl DecideStats {
         DecideStats {
             total_pairs: self.total_pairs - earlier.total_pairs,
             scored_pairs: self.scored_pairs - earlier.scored_pairs,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            full_row_fallbacks: self.full_row_fallbacks - earlier.full_row_fallbacks,
             forwarded_annotators: self.forwarded_annotators - earlier.forwarded_annotators,
             filtered_annotators: self.filtered_annotators - earlier.filtered_annotators,
         }
     }
 }
 
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    /// `DqnAgent::params_generation` the partial was computed under.
-    params_generation: u64,
-    /// Exact bit pattern of the annotator-specific feature block.
-    key: [u32; ANNOTATOR_SPECIFIC_DIM],
-    /// First-layer partial pre-activation of the block (no bias).
-    partial: Vec<f32>,
+/// Group annotators on the bit pattern of their annotator-specific
+/// block: each annotator's column, and each column's block, in order of
+/// first appearance.
+pub(crate) fn columns(
+    specifics: &[[f32; ANNOTATOR_SPECIFIC_DIM]],
+) -> (Vec<usize>, Vec<[f32; ANNOTATOR_SPECIFIC_DIM]>) {
+    let mut column_of_bits: HashMap<[u32; ANNOTATOR_SPECIFIC_DIM], usize> = HashMap::new();
+    let mut blocks = Vec::new();
+    let column_of = specifics
+        .iter()
+        .map(|block| {
+            *column_of_bits
+                .entry(block.map(f32::to_bits))
+                .or_insert_with(|| {
+                    blocks.push(*block);
+                    blocks.len() - 1
+                })
+        })
+        .collect();
+    (column_of, blocks)
 }
 
-/// Per-annotator cache of first-layer activation partials.
-///
-/// Keying on (parameter generation, feature bit pattern) makes staleness
-/// structurally impossible: any weight update or feature change produces
-/// a key mismatch and a recompute. [`invalidate`](AnnotatorCache::invalidate)
-/// exists for explicit dirty-set discipline (quarantine transitions) and
-/// memory hygiene; correctness never depends on it being called.
-#[derive(Debug, Clone, Default)]
-pub struct AnnotatorCache {
-    entries: HashMap<usize, CacheEntry>,
-}
-
-impl AnnotatorCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached annotator partials.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drop one annotator's entry (quarantine entry/release, profile
-    /// retirement).
-    pub fn invalidate(&mut self, annotator: usize) {
-        self.entries.remove(&annotator);
-    }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// The first-layer partial for one annotator's specific feature
-    /// block, from cache when the generation and feature bits match,
-    /// recomputed (and stored) otherwise.
-    pub fn partial_for(
-        &mut self,
-        net: &Network,
-        params_generation: u64,
-        annotator: usize,
-        specific: &[f32; ANNOTATOR_SPECIFIC_DIM],
-        stats: &mut DecideStats,
-    ) -> Vec<f32> {
-        let key = specific.map(f32::to_bits);
-        if let Some(e) = self.entries.get(&annotator) {
-            if e.params_generation == params_generation && e.key == key {
-                stats.cache_hits += 1;
-                return e.partial.clone();
-            }
-        }
-        stats.cache_misses += 1;
-        let first = net.first_layer();
-        let mut partial = vec![0.0f32; first.output_dim()];
-        first.accumulate_partial(&mut partial, specific, OBJECT_PART_DIM);
-        self.entries.insert(
-            annotator,
-            CacheEntry {
-                params_generation,
-                key,
-                partial: partial.clone(),
-            },
-        );
-        partial
-    }
-}
-
-/// Lazily-scored (object × annotator) grid with column deduplication and
-/// exact per-column score upper bounds.
-///
-/// Adjusted scores are `NaN` until their column is computed, `-inf` for
-/// masked (already-answered) pairs, and otherwise the UCB-adjusted
-/// Q-value — bit-identical to what exhaustive scoring produces: every
-/// forward is row-independent, the cached/resumed first-layer rows
-/// replicate the kernel's exact operation sequence, annotators sharing a
-/// bit-identical suffix row share one forwarded Q-column, and the UCB
-/// adjustment is re-applied per annotator with the identical
-/// floating-point expression (`UcbExplorer::bonus_soft`).
-pub struct LazyPairScores<'n> {
-    net: &'n Network,
-    /// Object-part first-layer partials, `c × h1`.
-    lp: Matrix,
-    /// Distinct biased annotator-suffix first-layer rows (one per score
-    /// column).
-    rp: Vec<Vec<f32>>,
-    /// Annotator position → score column.
-    group_of: Vec<usize>,
-    /// Sound upper bound on each column's adjusted score over all
-    /// candidate objects and member annotators.
-    ub: Vec<f64>,
-    /// Sound upper bound on each column's raw Q over all candidates
-    /// (debug invariant checking).
-    q_hi: Vec<f64>,
-    /// Columns ordered by bound (descending, index-ascending on ties).
-    order: Vec<usize>,
-    /// Length of the scored prefix of `order`.
-    prefix: usize,
-    /// `c × g` raw Q-values; `NaN` = not yet scored.
+/// Q-values of every candidate object against every distinct annotator
+/// column, with the active annotators grouped into score classes.
+pub(crate) struct ClassScores {
+    /// `c × g` raw Q-values, object-major.
     q: Vec<f64>,
-    /// `c × w` already-answered mask.
-    masked: Vec<bool>,
-    /// Per-annotator additive UCB bonus (`None` when the explorer is
+    /// Number of distinct columns.
+    g: usize,
+    /// Score column of each class.
+    column: Vec<usize>,
+    /// Additive UCB bonus of each class (`None` when the explorer is
     /// absent or inactive and `score_soft` would return `q` unchanged).
     bonus: Option<Vec<f64>>,
-    c: usize,
-    w: usize,
-    g: usize,
+    /// Members of each class, by ascending active position.
+    members: Vec<Vec<usize>>,
 }
 
-impl<'n> LazyPairScores<'n> {
-    /// Build the grid: computes object partials, deduplicates identical
-    /// suffix rows into score columns, assembles bound envelopes, and
-    /// derives every column's score upper bound. No column is scored yet.
-    pub fn new(
-        net: &'n Network,
-        object_parts: &[Vec<f32>],
-        rp_rows: Vec<Vec<f32>>,
-        masked: Vec<bool>,
-        keys: Vec<u64>,
+impl ClassScores {
+    /// Scores from the `c × g` object-major Q-values `q` of every
+    /// candidate against every column, with annotator `ai` of `active`
+    /// in column `column_of[ai]`.
+    pub(crate) fn new(
+        q: &[f32],
+        g: usize,
+        column_of: &[usize],
+        active: &[&AnnotatorProfile],
         ucb: Option<&UcbExplorer>,
     ) -> Self {
-        let c = object_parts.len();
-        let w = rp_rows.len();
-        debug_assert_eq!(masked.len(), c * w);
-        debug_assert_eq!(keys.len(), w);
-        let first = net.first_layer();
-        let h1 = first.output_dim();
-        let mut left = Matrix::zeros(c, OBJECT_PART_DIM);
-        for (i, part) in object_parts.iter().enumerate() {
-            left.row_mut(i).copy_from_slice(part);
-        }
-        let lp = first.partial_matmul(&left, 0);
-
-        // Deduplicate suffix rows by exact bit pattern: bit-identical
-        // rows produce bit-identical Q-values for every object, so they
-        // share one score column.
-        let mut column_of: HashMap<Vec<u32>, usize> = HashMap::new();
-        let mut rp: Vec<Vec<f32>> = Vec::new();
-        let mut group_of = Vec::with_capacity(w);
-        for row in rp_rows {
-            let bits: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
-            let col = *column_of.entry(bits).or_insert_with(|| {
-                rp.push(row);
-                rp.len() - 1
-            });
-            group_of.push(col);
-        }
-        let g = rp.len();
-
-        // The UCB adjustment is additive and per-annotator
+        debug_assert_eq!(column_of.len(), active.len());
+        // The UCB adjustment is additive and per annotator
         // (`score_soft(q, a) == q + bonus_soft(a)`, the identical f64
         // expression), except when the explorer is inactive and
         // `score_soft` returns `q` untouched — mirror that exactly.
         let bonus: Option<Vec<f64>> = match ucb {
-            Some(u) if u.total() > 0 && u.scale != 0.0 => {
-                Some(keys.iter().map(|&key| u.bonus_soft(key)).collect())
-            }
+            Some(u) if u.total() > 0 && u.scale != 0.0 => Some(
+                active
+                    .iter()
+                    .map(|p| u.bonus_soft(p.id.index() as u64))
+                    .collect(),
+            ),
             _ => None,
         };
+        let costs: Vec<f64> = active.iter().map(|p| p.cost).collect();
+        let q = q.iter().map(|&v| v as f64).collect();
+        Self::group(q, g, column_of, bonus.as_deref(), &costs)
+    }
 
-        // Column envelope of the object partials: for each hidden unit,
-        // the min/max left contribution over the candidate set.
-        let mut env_lo = vec![f32::INFINITY; h1];
-        let mut env_hi = vec![f32::NEG_INFINITY; h1];
-        for i in 0..c {
-            for (h, &v) in lp.row(i).iter().enumerate() {
-                env_lo[h] = env_lo[h].min(v);
-                env_hi[h] = env_hi[h].max(v);
-            }
+    /// Group annotators into classes of equal (column, bonus bits, cost
+    /// bits), given each annotator's column, bonus and cost by active
+    /// position.
+    fn group(
+        q: Vec<f64>,
+        g: usize,
+        column_of: &[usize],
+        bonus: Option<&[f64]>,
+        costs: &[f64],
+    ) -> Self {
+        let mut class_of: HashMap<(usize, u64, u64), usize> = HashMap::new();
+        let mut column = Vec::new();
+        let mut class_bonus = Vec::new();
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        for (ai, &col) in column_of.iter().enumerate() {
+            let b = bonus.map_or(0.0, |b| b[ai]);
+            let key = (col, b.to_bits(), costs[ai].to_bits());
+            let class = *class_of.entry(key).or_insert_with(|| {
+                column.push(col);
+                class_bonus.push(b);
+                members.push(Vec::new());
+                members.len() - 1
+            });
+            members[class].push(ai);
         }
-
-        // Per-column raw-Q bound: activation of the enveloped layer-0
-        // pre-activation, propagated through the tail as an interval.
-        let act = first.activation();
-        let mut q_hi = Vec::with_capacity(g);
-        let mut lo_buf = vec![0.0f32; h1];
-        let mut hi_buf = vec![0.0f32; h1];
-        for rp_row in &rp {
-            for h in 0..h1 {
-                lo_buf[h] = act.apply(env_lo[h] + rp_row[h]);
-                hi_buf[h] = act.apply(env_hi[h] + rp_row[h]);
-            }
-            let (_, t_hi) = net.tail_forward_interval(&lo_buf, &hi_buf);
-            q_hi.push(t_hi[0] as f64);
-        }
-
-        // Adjusted bound: raw bound plus the best member bonus (the
-        // adjustment is monotone, so this dominates every member's
-        // adjusted score).
-        let mut ub = q_hi.clone();
-        if let Some(b) = &bonus {
-            let mut best = vec![f64::NEG_INFINITY; g];
-            for (ai, &col) in group_of.iter().enumerate() {
-                best[col] = best[col].max(b[ai]);
-            }
-            for (u, &bb) in ub.iter_mut().zip(&best) {
-                // A column whose members are all masked everywhere still
-                // has finite q_hi; -inf best only if g had no members,
-                // which cannot happen.
-                *u += bb;
-            }
-        }
-
-        let mut order: Vec<usize> = (0..g).collect();
-        order.sort_by(|&a, &b| ub[b].partial_cmp(&ub[a]).unwrap().then(a.cmp(&b)));
-
         Self {
-            net,
-            lp,
-            rp,
-            group_of,
-            ub,
-            q_hi,
-            order,
-            prefix: 0,
-            q: vec![f64::NAN; c * g],
-            masked,
-            bonus,
-            c,
-            w,
+            q,
             g,
+            column,
+            bonus: bonus.map(|_| class_bonus),
+            members,
         }
     }
 
-    /// Number of distinct score columns after deduplication.
-    pub fn column_count(&self) -> usize {
-        self.g
-    }
-
-    /// The barrier: best upper bound among unscored columns (`-inf` once
-    /// everything is scored). Any unscored pair's true adjusted score is
-    /// `<=` this.
-    pub fn barrier(&self) -> f64 {
-        if self.prefix == self.g {
-            f64::NEG_INFINITY
-        } else {
-            self.ub[self.order[self.prefix]]
-        }
-    }
-
-    /// Whether every score column has been computed.
-    pub fn fully_scored(&self) -> bool {
-        self.prefix == self.g
-    }
-
-    /// The adjusted score of one pair: `NaN` if its column is not yet
-    /// scored, `-inf` if masked, the UCB-adjusted Q otherwise.
-    pub fn score_at(&self, ci: usize, ai: usize) -> f64 {
-        let qv = self.q[ci * self.g + self.group_of[ai]];
-        if qv.is_nan() {
-            return f64::NAN;
-        }
-        if self.masked[ci * self.w + ai] {
-            return f64::NEG_INFINITY;
-        }
+    /// The adjusted score every member of `class` has on object `ci`.
+    fn score(&self, ci: usize, class: usize) -> f64 {
+        let q = self.q[ci * self.g + self.column[class]];
         match &self.bonus {
-            Some(b) => qv + b[ai],
-            None => qv,
+            Some(b) => q + b[class],
+            None => q,
         }
     }
 
-    fn write_q(&mut self, ci: usize, col: usize, q: f32) {
-        debug_assert!(
-            (q as f64) <= self.q_hi[col],
-            "q {q} above its column bound {} (object {ci}, column {col})",
-            self.q_hi[col]
-        );
-        self.q[ci * self.g + col] = q as f64;
-    }
-
-    /// Score columns `order[prefix..target]` against every candidate
-    /// object in one batched layer-0 combine + tail forward.
-    fn extend_prefix(&mut self, target: usize, stats: &mut DecideStats) {
-        debug_assert!(target <= self.g);
-        if target <= self.prefix {
-            return;
-        }
-        let block: Vec<usize> = self.order[self.prefix..target].to_vec();
-        let first = self.net.first_layer();
-        let act = first.activation();
-        let h1 = first.output_dim();
-        let mut m = Matrix::zeros(self.c * block.len(), h1);
-        for (bi, &col) in block.iter().enumerate() {
-            let rp_row = &self.rp[col];
-            for ci in 0..self.c {
-                let lp_row = self.lp.row(ci);
-                let dst = m.row_mut(ci * block.len() + bi);
-                for h in 0..h1 {
-                    dst[h] = act.apply(lp_row[h] + rp_row[h]);
+    /// Object `ci`'s annotators, best first. `masked` is the object's
+    /// row of the already-answered mask, by active position.
+    ///
+    /// Panics on a NaN score, like `topk::top_k_indices` on the dense
+    /// row.
+    pub(crate) fn walk<'a>(&'a self, ci: usize, masked: &'a [bool]) -> Walk<'a> {
+        let mut walk = Walk {
+            members: &self.members,
+            masked,
+            cursor: vec![0; self.members.len()],
+            heap: BinaryHeap::new(),
+        };
+        let mut heads = Vec::with_capacity(self.members.len());
+        for class in 0..self.members.len() {
+            if let Some(position) = walk.next_unmasked(class) {
+                let score = self.score(ci, class);
+                assert!(!score.is_nan(), "NaN score in top-k");
+                // `-inf` entries are masked actions to `topk`: skipped.
+                if score != f64::NEG_INFINITY {
+                    heads.push(Head {
+                        score,
+                        position,
+                        class,
+                    });
                 }
             }
         }
-        let out = self.net.tail_forward_inference(&m);
-        stats.scored_pairs += (self.c * block.len()) as u64;
-        for (bi, &col) in block.iter().enumerate() {
-            for ci in 0..self.c {
-                let q = out.get(ci * block.len() + bi, 0);
-                self.write_q(ci, col, q);
-            }
-        }
-        self.prefix = target;
+        walk.heap = BinaryHeap::from(heads);
+        walk
     }
 
-    /// Score every still-uncomputed column for one object's row (the
-    /// panel-fill fallback).
-    pub fn score_full_row(&mut self, ci: usize, stats: &mut DecideStats) {
-        let pending: Vec<usize> = (0..self.g)
-            .filter(|&col| self.q[ci * self.g + col].is_nan())
-            .collect();
-        if pending.is_empty() {
-            return;
+    /// Sum of object `ci`'s `k` best adjusted scores, bit-identical to
+    /// `topk::top_k_sum` on the dense row (`-inf` when nothing
+    /// qualifies).
+    pub(crate) fn top_k_sum(&self, ci: usize, masked: &[bool], k: usize) -> f64 {
+        let mut walk = self.walk(ci, masked);
+        let mut best = Vec::with_capacity(k);
+        while best.len() < k {
+            let Some(head) = walk.pop() else { break };
+            best.push(head.score);
+            walk.resume(head);
         }
-        let first = self.net.first_layer();
-        let act = first.activation();
-        let h1 = first.output_dim();
-        let mut m = Matrix::zeros(pending.len(), h1);
-        let lp_row = self.lp.row(ci);
-        for (bi, &col) in pending.iter().enumerate() {
-            let rp_row = &self.rp[col];
-            let dst = m.row_mut(bi);
-            for h in 0..h1 {
-                dst[h] = act.apply(lp_row[h] + rp_row[h]);
+        if best.is_empty() {
+            f64::NEG_INFINITY
+        } else {
+            best.iter().sum()
+        }
+    }
+}
+
+/// One member offered by a [`Walk`]: its active position and adjusted
+/// score.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Head {
+    /// Active position of the member.
+    pub(crate) position: usize,
+    /// The member's (and its class's) adjusted score.
+    pub(crate) score: f64,
+    class: usize,
+}
+
+impl PartialEq for Head {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Head {}
+
+impl PartialOrd for Head {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Head {
+    /// Higher score first, then lower position: `topk`'s order. Scores
+    /// compare with `partial_cmp` as `topk` does, so `-0.0` and `0.0`
+    /// tie; NaN never enters a walk.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.score
+            .partial_cmp(&other.score)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| other.position.cmp(&self.position))
+    }
+}
+
+/// One object's annotators best first: a k-way merge of class heads.
+pub(crate) struct Walk<'a> {
+    members: &'a [Vec<usize>],
+    masked: &'a [bool],
+    /// Index of each class's next unvisited member.
+    cursor: Vec<usize>,
+    heap: BinaryHeap<Head>,
+}
+
+impl Walk<'_> {
+    /// The next unmasked member of `class`, advancing past it.
+    fn next_unmasked(&mut self, class: usize) -> Option<usize> {
+        let members = &self.members[class];
+        let cursor = &mut self.cursor[class];
+        while let Some(&position) = members.get(*cursor) {
+            *cursor += 1;
+            if !self.masked[position] {
+                return Some(position);
             }
         }
-        let out = self.net.tail_forward_inference(&m);
-        stats.scored_pairs += pending.len() as u64;
-        for (bi, &col) in pending.iter().enumerate() {
-            let q = out.get(bi, 0);
-            self.write_q(ci, col, q);
+        None
+    }
+
+    /// Take the best remaining member. Its class stays out of the walk
+    /// until [`resume`](Walk::resume) offers the class's next member.
+    pub(crate) fn pop(&mut self) -> Option<Head> {
+        self.heap.pop()
+    }
+
+    /// Offer the next unmasked member of `head`'s class.
+    pub(crate) fn resume(&mut self, head: Head) {
+        if let Some(position) = self.next_unmasked(head.class) {
+            self.heap.push(Head { position, ..head });
+        }
+    }
+}
+
+/// A panel under construction: the greedy fill's picks and the rules
+/// they obey — at most one expert, each pick within the running
+/// allowance, and no annotator past its free concurrency slots.
+pub(crate) struct Panel<'a> {
+    active: &'a [&'a AnnotatorProfile],
+    slots: Option<&'a HashMap<AnnotatorId, usize>>,
+    picked: &'a [usize],
+    k: usize,
+    /// Allowance left after the picks so far.
+    pub(crate) allowance: f64,
+    has_expert: bool,
+    /// Chosen active positions, best first.
+    pub(crate) picks: Vec<usize>,
+}
+
+impl<'a> Panel<'a> {
+    /// An empty panel of up to `k` picks. `picked` counts the batch's
+    /// earlier picks of each active annotator, checked against `slots`.
+    pub(crate) fn new(
+        active: &'a [&'a AnnotatorProfile],
+        slots: Option<&'a HashMap<AnnotatorId, usize>>,
+        picked: &'a [usize],
+        allowance: f64,
+        k: usize,
+    ) -> Self {
+        Self {
+            active,
+            slots,
+            picked,
+            k,
+            allowance,
+            has_expert: false,
+            picks: Vec::with_capacity(k),
         }
     }
 
-    /// The k-th largest finite scored adjusted entry of a row (`-inf`
-    /// when fewer than `k` finite entries are scored).
-    fn kth_largest_scored(&self, ci: usize, k: usize) -> f64 {
-        let mut top: Vec<f64> = Vec::with_capacity(k + 1);
-        for ai in 0..self.w {
-            let s = self.score_at(ci, ai);
-            if s.is_nan() || s == f64::NEG_INFINITY {
+    /// Whether the kind or cost rule excludes `ai`. Both depend only on
+    /// the annotator's kind and cost, and only tighten as the panel
+    /// fills, so they exclude `ai`'s whole class for the rest of the
+    /// fill.
+    fn excludes(&self, ai: usize) -> bool {
+        let profile = self.active[ai];
+        (profile.is_expert() && self.has_expert) || profile.cost > self.allowance
+    }
+
+    /// Whether `ai`'s free concurrency slots are all spoken for.
+    fn slot_exhausted(&self, ai: usize) -> bool {
+        self.slots.is_some_and(|slots| {
+            let free = slots
+                .get(&self.active[ai].id)
+                .copied()
+                .unwrap_or(usize::MAX);
+            self.picked[ai] >= free
+        })
+    }
+
+    fn take(&mut self, ai: usize) {
+        let profile = self.active[ai];
+        self.allowance -= profile.cost;
+        self.has_expert |= profile.is_expert();
+        self.picks.push(ai);
+    }
+
+    /// Fill from a ranked list of active positions, best first.
+    pub(crate) fn fill_ranked(&mut self, ranked: &[usize]) {
+        for &ai in ranked {
+            if self.picks.len() == self.k {
+                break;
+            }
+            if !self.excludes(ai) && !self.slot_exhausted(ai) {
+                self.take(ai);
+            }
+        }
+    }
+
+    /// Fill from a class walk: the same picks as
+    /// [`fill_ranked`](Panel::fill_ranked) over the walk's full order,
+    /// dropping a class at its first excluded member.
+    pub(crate) fn fill_walk(&mut self, mut walk: Walk<'_>) {
+        while self.picks.len() < self.k {
+            let Some(head) = walk.pop() else { break };
+            if self.excludes(head.position) {
                 continue;
             }
-            let pos = top.partition_point(|&t| t >= s);
-            if pos < k {
-                top.insert(pos, s);
-                top.truncate(k);
+            walk.resume(head);
+            if !self.slot_exhausted(head.position) {
+                self.take(head.position);
             }
         }
-        if top.len() < k {
-            f64::NEG_INFINITY
-        } else {
-            top[k - 1]
-        }
-    }
-
-    /// Grow the scored prefix until every object's top-`k` sum is
-    /// provably exact: each row's k-th best scored entry must *strictly*
-    /// exceed the best unscored bound. Strictness matters — an unscored
-    /// annotator with an equal score and a lower index would displace a
-    /// pick under `topk`'s lower-index tie-break.
-    pub fn ensure_exact_sums(&mut self, k: usize, shortlist: usize, stats: &mut DecideStats) {
-        let mut target = shortlist.max(1).min(self.g);
-        loop {
-            self.extend_prefix(target, stats);
-            if self.prefix == self.g {
-                return;
-            }
-            let beta = self.barrier();
-            let mut min_tau = f64::INFINITY;
-            for ci in 0..self.c {
-                let tau = self.kth_largest_scored(ci, k);
-                if tau <= beta {
-                    min_tau = min_tau.min(tau);
-                }
-            }
-            if min_tau == f64::INFINITY {
-                return; // every object strictly clears the barrier
-            }
-            // Extend past every unscored column whose bound reaches the
-            // weakest row's threshold (always at least one step).
-            let mut t = self.prefix + 1;
-            while t < self.g && self.ub[self.order[t]] >= min_tau {
-                t += 1;
-            }
-            target = t;
-        }
-    }
-
-    /// Exact top-`k` score sums per object. Only valid after
-    /// [`ensure_exact_sums`](LazyPairScores::ensure_exact_sums) — the
-    /// barrier guarantees unscored entries cannot reach any row's top-k,
-    /// so substituting `-inf` for them leaves both the top-k set and the
-    /// summation order identical to a fully-scored row.
-    pub fn exact_sums(&self, k: usize) -> Vec<f64> {
-        let mut row_buf = vec![f64::NEG_INFINITY; self.w];
-        (0..self.c)
-            .map(|ci| {
-                for (ai, dst) in row_buf.iter_mut().enumerate() {
-                    let s = self.score_at(ci, ai);
-                    *dst = if s.is_nan() { f64::NEG_INFINITY } else { s };
-                }
-                topk::top_k_sum(&row_buf, k)
-            })
-            .collect()
-    }
-
-    /// Scored finite entries of a row, ranked exactly as
-    /// `topk::top_k_indices(row, w)` would rank them (score descending,
-    /// index ascending on ties, masked entries excluded).
-    pub fn ranked_scored(&self, ci: usize) -> Vec<usize> {
-        let mut scored: Vec<(usize, f64)> = (0..self.w)
-            .filter_map(|ai| {
-                let s = self.score_at(ci, ai);
-                s.is_finite().then_some((ai, s))
-            })
-            .collect();
-        scored.sort_by(|&(a, sa), &(b, sb)| sb.partial_cmp(&sa).unwrap().then(a.cmp(&b)));
-        scored.into_iter().map(|(ai, _)| ai).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdrl_nn::Activation;
+    use crate::features::OBJECT_PART_DIM;
+    use crowdrl_linalg::Matrix;
+    use crowdrl_nn::{Activation, Network};
+    use crowdrl_rl::topk;
     use crowdrl_types::rng::seeded;
+    use crowdrl_types::AnnotatorKind;
     use rand::Rng;
 
+    /// A network, random object parts, and random annotator suffixes
+    /// (specific block ++ one run block shared by all) sized for it.
     fn fixture(seed: u64, c: usize, w: usize) -> (Network, Vec<Vec<f32>>, Vec<Vec<f32>>) {
         let mut rng = seeded(seed);
         let net = Network::mlp(&[OBJECT_PART_DIM + 8, 16, 8, 1], Activation::Relu, &mut rng);
@@ -581,219 +435,319 @@ mod tests {
                 .collect()
         };
         let objects = part(c, OBJECT_PART_DIM);
-        let suffixes = part(w, 8);
+        let run = part(1, 8 - ANNOTATOR_SPECIFIC_DIM).remove(0);
+        let suffixes = part(w, ANNOTATOR_SPECIFIC_DIM)
+            .into_iter()
+            .map(|mut s| {
+                s.extend_from_slice(&run);
+                s
+            })
+            .collect();
         (net, objects, suffixes)
     }
 
-    /// Biased first-layer rows for full annotator suffixes, the way the
-    /// agent assembles them (cache partial + run resume + bias).
-    fn rp_rows(net: &Network, suffixes: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let first = net.first_layer();
-        suffixes
-            .iter()
-            .map(|s| {
-                let mut cache = AnnotatorCache::new();
-                let mut stats = DecideStats::default();
-                let specific: [f32; ANNOTATOR_SPECIFIC_DIM] =
-                    s[..ANNOTATOR_SPECIFIC_DIM].try_into().unwrap();
-                let mut r = cache.partial_for(net, 0, 0, &specific, &mut stats);
-                first.accumulate_partial(
-                    &mut r,
-                    &s[ANNOTATOR_SPECIFIC_DIM..],
-                    OBJECT_PART_DIM + ANNOTATOR_SPECIFIC_DIM,
-                );
-                for (v, b) in r.iter_mut().zip(first.bias()) {
-                    *v += b;
-                }
-                r
+    fn workers(w: usize) -> Vec<AnnotatorProfile> {
+        (0..w)
+            .map(|i| AnnotatorProfile::new(AnnotatorId(i), AnnotatorKind::Worker, 1.0).unwrap())
+            .collect()
+    }
+
+    /// Q-values of every object against every suffix through the
+    /// factored outer forward, object-major.
+    fn outer(net: &Network, objects: &[Vec<f32>], suffixes: &[Vec<f32>]) -> Vec<f32> {
+        let stack = |rows: &[Vec<f32>]| {
+            let mut m = Matrix::zeros(rows.len(), rows[0].len());
+            for (i, r) in rows.iter().enumerate() {
+                m.row_mut(i).copy_from_slice(r);
+            }
+            m
+        };
+        let out = net.forward_inference_outer(&stack(objects), &stack(suffixes));
+        (0..out.rows()).map(|r| out.get(r, 0)).collect()
+    }
+
+    /// The dense reference: every pair forwarded, UCB-adjusted with
+    /// `score_soft`, masked to `-inf`.
+    fn dense_rows(
+        net: &Network,
+        objects: &[Vec<f32>],
+        suffixes: &[Vec<f32>],
+        masked: &[bool],
+        ucb: Option<&UcbExplorer>,
+    ) -> Vec<f64> {
+        let w = suffixes.len();
+        outer(net, objects, suffixes)
+            .into_iter()
+            .enumerate()
+            .map(|(r, q)| match (masked[r], ucb) {
+                (true, _) => f64::NEG_INFINITY,
+                (false, Some(u)) => u.score_soft(q as f64, (r % w) as u64),
+                (false, None) => q as f64,
             })
             .collect()
     }
 
-    fn exhaustive_reference(
+    /// Class scores the way the agent builds them: forward the distinct
+    /// blocks only.
+    fn class_scores(
         net: &Network,
         objects: &[Vec<f32>],
         suffixes: &[Vec<f32>],
-    ) -> Vec<f64> {
-        let mut left = Matrix::zeros(objects.len(), OBJECT_PART_DIM);
-        for (i, o) in objects.iter().enumerate() {
-            left.row_mut(i).copy_from_slice(o);
-        }
-        let mut right = Matrix::zeros(suffixes.len(), 8);
-        for (i, s) in suffixes.iter().enumerate() {
-            right.row_mut(i).copy_from_slice(s);
-        }
-        let out = net.forward_inference_outer(&left, &right);
-        (0..out.rows()).map(|r| out.get(r, 0) as f64).collect()
+        ucb: Option<&UcbExplorer>,
+    ) -> ClassScores {
+        let profiles = workers(suffixes.len());
+        let active: Vec<&AnnotatorProfile> = profiles.iter().collect();
+        let specifics: Vec<[f32; ANNOTATOR_SPECIFIC_DIM]> = suffixes
+            .iter()
+            .map(|s| s[..ANNOTATOR_SPECIFIC_DIM].try_into().unwrap())
+            .collect();
+        let (column_of, blocks) = columns(&specifics);
+        let run = &suffixes[0][ANNOTATOR_SPECIFIC_DIM..];
+        let distinct: Vec<Vec<f32>> = blocks.iter().map(|b| [&b[..], run].concat()).collect();
+        let q = outer(net, objects, &distinct);
+        ClassScores::new(&q, blocks.len(), &column_of, &active, ucb)
     }
 
-    #[test]
-    fn lazy_scores_match_exhaustive_bitwise() {
-        for seed in [1u64, 2, 3] {
-            let (net, objects, suffixes) = fixture(seed, 6, 40);
-            let (c, w) = (objects.len(), suffixes.len());
-            let reference = exhaustive_reference(&net, &objects, &suffixes);
-            let rp = rp_rows(&net, &suffixes);
-            let keys: Vec<u64> = (0..w as u64).collect();
-            let mut grid = LazyPairScores::new(&net, &objects, rp, vec![false; c * w], keys, None);
-            let mut stats = DecideStats::default();
-            grid.ensure_exact_sums(3, 8, &mut stats);
-            // Force everything scored so every pair can be compared.
-            for ci in 0..c {
-                grid.score_full_row(ci, &mut stats);
-            }
-            for ci in 0..c {
-                for ai in 0..w {
-                    let got = grid.score_at(ci, ai);
-                    let want = reference[ci * w + ai];
-                    assert_eq!(got.to_bits(), want.to_bits(), "pair ({ci},{ai})");
-                }
-            }
+    /// The walk's full order on one object.
+    fn walk_order(scores: &ClassScores, ci: usize, masked: &[bool]) -> Vec<(usize, u64)> {
+        let mut walk = scores.walk(ci, masked);
+        let mut out = Vec::new();
+        while let Some(head) = walk.pop() {
+            out.push((head.position, head.score.to_bits()));
+            walk.resume(head);
         }
+        out
     }
 
-    #[test]
-    fn exact_sums_match_full_scoring_without_scoring_everything() {
-        for seed in [7u64, 8, 9, 10] {
-            let (net, objects, suffixes) = fixture(seed, 5, 120);
-            let (c, w) = (objects.len(), suffixes.len());
-            let reference = exhaustive_reference(&net, &objects, &suffixes);
-            let want: Vec<f64> = (0..c)
-                .map(|ci| topk::top_k_sum(&reference[ci * w..(ci + 1) * w], 3))
+    /// Assert the walk order and top-k sums match `topk` on the dense
+    /// rows bit for bit, for every object and `k` up to past the pool.
+    fn assert_matches_dense(scores: &ClassScores, dense: &[f64], masked: &[bool], w: usize) {
+        for ci in 0..dense.len() / w {
+            let row = &dense[ci * w..(ci + 1) * w];
+            let row_mask = &masked[ci * w..(ci + 1) * w];
+            let want: Vec<(usize, u64)> = topk::top_k_indices(row, w)
+                .into_iter()
+                .map(|ai| (ai, row[ai].to_bits()))
                 .collect();
-            let rp = rp_rows(&net, &suffixes);
-            let keys: Vec<u64> = (0..w as u64).collect();
-            let mut grid = LazyPairScores::new(&net, &objects, rp, vec![false; c * w], keys, None);
-            let mut stats = DecideStats::default();
-            grid.ensure_exact_sums(3, 16, &mut stats);
-            let got = grid.exact_sums(3);
-            for ci in 0..c {
-                assert_eq!(got[ci].to_bits(), want[ci].to_bits(), "object {ci}");
+            assert_eq!(walk_order(scores, ci, row_mask), want, "object {ci}");
+            for k in 0..=w + 1 {
+                assert_eq!(
+                    scores.top_k_sum(ci, row_mask, k).to_bits(),
+                    topk::top_k_sum(row, k).to_bits(),
+                    "object {ci}, k {k}"
+                );
             }
-            assert!(
-                stats.scored_pairs <= (c * w) as u64,
-                "scored {} of {}",
-                stats.scored_pairs,
-                c * w
-            );
         }
     }
 
     #[test]
-    fn duplicate_suffix_rows_share_one_forwarded_column() {
-        // 90 annotators but only 6 distinct suffixes: tail work must
-        // scale with the distinct count while every expanded score stays
-        // bit-identical to the exhaustive reference.
+    fn walk_matches_dense_topk_bitwise() {
+        for seed in [1u64, 2, 3] {
+            let (net, objects, base) = fixture(seed, 6, 7);
+            // 40 annotators over 7 distinct blocks, some pairs masked.
+            let w = 40;
+            let suffixes: Vec<Vec<f32>> = (0..w).map(|i| base[i % 7].clone()).collect();
+            let mut masked = vec![false; objects.len() * w];
+            for i in (0..masked.len()).step_by(5) {
+                masked[i] = true;
+            }
+            let mut ucb = UcbExplorer::new(0.5);
+            for a in 0..30u64 {
+                ucb.record(a % 11);
+            }
+            for ucb in [None, Some(&ucb)] {
+                let scores = class_scores(&net, &objects, &suffixes, ucb);
+                assert_eq!(scores.g, 7);
+                let dense = dense_rows(&net, &objects, &suffixes, &masked, ucb);
+                assert_matches_dense(&scores, &dense, &masked, w);
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_blocks_share_one_forwarded_column() {
+        // 90 annotators but only 6 distinct blocks: the forward covers 6
+        // columns, and every class score matches the dense reference
+        // over all 90.
         let (net, objects, base) = fixture(23, 5, 6);
-        let w = 90usize;
-        let c = objects.len();
-        let suffixes: Vec<Vec<f32>> = (0..w).map(|i| base[i % base.len()].clone()).collect();
-        let reference = exhaustive_reference(&net, &objects, &suffixes);
-        let rp = rp_rows(&net, &suffixes);
-        let keys: Vec<u64> = (0..w as u64).collect();
-        let mut ucb = UcbExplorer::new(0.5);
-        for a in 0..40u64 {
-            ucb.record(a % 13);
-        }
-        let mut grid =
-            LazyPairScores::new(&net, &objects, rp, vec![false; c * w], keys, Some(&ucb));
-        assert_eq!(grid.column_count(), base.len());
-        let mut stats = DecideStats::default();
-        grid.ensure_exact_sums(2, 4, &mut stats);
-        for ci in 0..c {
-            grid.score_full_row(ci, &mut stats);
-        }
-        // All columns scored, yet tail work is bounded by distinct rows.
-        assert!(grid.fully_scored());
-        assert!(
-            stats.scored_pairs <= (c * base.len()) as u64,
-            "scored {} pairs for {} distinct columns",
-            stats.scored_pairs,
-            base.len()
+        let w = 90;
+        let suffixes: Vec<Vec<f32>> = (0..w).map(|i| base[i % 6].clone()).collect();
+        let scores = class_scores(&net, &objects, &suffixes, None);
+        assert_eq!(scores.g, 6);
+        assert_eq!(scores.members.len(), 6);
+        let masked = vec![false; objects.len() * w];
+        let dense = dense_rows(&net, &objects, &suffixes, &masked, None);
+        assert_matches_dense(&scores, &dense, &masked, w);
+    }
+
+    /// Hand-built classes over explicit Q-values: `q[ci][col]`, each
+    /// annotator's column, bonus and cost.
+    fn hand_built(
+        q: &[&[f64]],
+        column_of: &[usize],
+        bonus: Option<&[f64]>,
+        costs: &[f64],
+    ) -> (ClassScores, Vec<f64>) {
+        let g = q[0].len();
+        let flat: Vec<f64> = q.iter().flat_map(|row| row.iter().copied()).collect();
+        let scores = ClassScores::group(flat.clone(), g, column_of, bonus, costs);
+        let dense = (0..q.len())
+            .flat_map(|ci| {
+                column_of.iter().enumerate().map(move |(ai, &col)| {
+                    let v = q[ci][col];
+                    bonus.map_or(v, |b| v + b[ai])
+                })
+            })
+            .collect();
+        (scores, dense)
+    }
+
+    fn masked_dense(dense: &[f64], masked: &[bool]) -> Vec<f64> {
+        dense
+            .iter()
+            .zip(masked)
+            .map(|(&s, &m)| if m { f64::NEG_INFINITY } else { s })
+            .collect()
+    }
+
+    #[test]
+    fn rounded_ties_and_masked_heads_follow_topk_order() {
+        // Two classes whose `q + bonus` round to the same f64 (1.0 + 1e-17
+        // and 1.0 + 2e-17 are both 1.0), with interleaved members: the
+        // lower position must come first whichever class it is in. A
+        // third class sits below them, and its head is masked on
+        // object 0.
+        let column_of = [0, 0, 0, 0, 1, 1];
+        let bonus = [1e-17, 2e-17, 1e-17, 2e-17, 0.0, 0.0];
+        let costs = [1.0; 6];
+        let (scores, dense) = hand_built(
+            &[&[1.0, 0.5], &[1.0, 1.0]],
+            &column_of,
+            Some(&bonus),
+            &costs,
         );
-        for ci in 0..c {
-            for ai in 0..w {
-                let got = grid.score_at(ci, ai);
-                let want = ucb.score_soft(reference[ci * w + ai], ai as u64);
-                assert_eq!(got.to_bits(), want.to_bits(), "pair ({ci},{ai})");
-            }
-        }
+        assert_eq!(scores.members.len(), 3);
+        assert_eq!(dense[0], dense[1]);
+        let mut masked = vec![false; 12];
+        masked[4] = true; // object 0: the third class's head
+        masked[6 + 1] = true; // object 1: a tied member
+        let dense = masked_dense(&dense, &masked);
+        assert_eq!(
+            walk_order(&scores, 0, &masked[..6])
+                .iter()
+                .map(|&(ai, _)| ai)
+                .collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 5]
+        );
+        assert_matches_dense(&scores, &dense, &masked, 6);
     }
 
     #[test]
-    fn cache_hits_on_same_generation_and_features_only() {
-        let (net, _, suffixes) = fixture(11, 1, 1);
-        let mut cache = AnnotatorCache::new();
-        let mut stats = DecideStats::default();
-        let specific: [f32; ANNOTATOR_SPECIFIC_DIM] =
-            suffixes[0][..ANNOTATOR_SPECIFIC_DIM].try_into().unwrap();
+    fn nan_and_infinite_scores_follow_topk() {
+        // A `-inf` class is skipped like a masked action; `+inf` ranks
+        // first.
+        let (scores, dense) = hand_built(
+            &[&[f64::NEG_INFINITY, f64::INFINITY, 0.0]],
+            &[0, 1, 2, 0],
+            None,
+            &[1.0; 4],
+        );
+        let masked = vec![false; 4];
+        assert_matches_dense(&scores, &dense, &masked, 4);
+        // A NaN fails exactly as `topk` does, unless every member of its
+        // class is masked.
+        let (nan, _) = hand_built(&[&[f64::NAN, 1.0]], &[0, 1], None, &[1.0; 2]);
+        assert_eq!(nan.top_k_sum(0, &[true, false], 1), 1.0);
+        let panic = std::panic::catch_unwind(|| nan.top_k_sum(0, &[false, false], 1))
+            .expect_err("NaN must fail");
+        let message = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned());
+        assert_eq!(message.as_deref(), Some("NaN score in top-k"));
+    }
 
-        let a = cache.partial_for(&net, 0, 5, &specific, &mut stats);
-        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
-        let b = cache.partial_for(&net, 0, 5, &specific, &mut stats);
-        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
-        assert_eq!(a, b);
+    fn profile(i: usize, kind: AnnotatorKind, cost: f64) -> AnnotatorProfile {
+        AnnotatorProfile::new(AnnotatorId(i), kind, cost).unwrap()
+    }
 
-        // New parameter generation: miss.
-        let _ = cache.partial_for(&net, 1, 5, &specific, &mut stats);
-        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 2));
-
-        // Changed feature bits: miss.
-        let mut changed = specific;
-        changed[0] += 0.25;
-        let _ = cache.partial_for(&net, 1, 5, &changed, &mut stats);
-        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 3));
-
-        // Explicit invalidation: miss even with matching key.
-        cache.invalidate(5);
-        let _ = cache.partial_for(&net, 1, 5, &changed, &mut stats);
-        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 4));
-        assert_eq!(cache.len(), 1);
+    /// Fill one fresh panel from the dense ranking and one from the walk
+    /// of object 0, and assert identical picks and allowance.
+    fn assert_fills_match<'a>(
+        scores: &ClassScores,
+        dense: &[f64],
+        masked: &[bool],
+        panel: impl Fn() -> Panel<'a>,
+    ) -> Vec<usize> {
+        let mut dense_panel = panel();
+        dense_panel.fill_ranked(&topk::top_k_indices(dense, dense.len()));
+        let mut walk_panel = panel();
+        walk_panel.fill_walk(scores.walk(0, masked));
+        assert_eq!(walk_panel.picks, dense_panel.picks);
+        assert_eq!(
+            walk_panel.allowance.to_bits(),
+            dense_panel.allowance.to_bits()
+        );
+        walk_panel.picks
     }
 
     #[test]
-    fn bounds_dominate_scores_with_masks_and_ucb() {
-        let (net, objects, suffixes) = fixture(13, 4, 30);
-        let (c, w) = (objects.len(), suffixes.len());
-        let mut ucb = UcbExplorer::new(1.0);
-        for a in 0..10u64 {
-            ucb.record(a % 4);
-        }
-        let mut masked = vec![false; c * w];
-        masked[3] = true;
-        masked[w + 1] = true;
-        let rp = rp_rows(&net, &suffixes);
-        let keys: Vec<u64> = (0..w as u64).collect();
-        let mut grid = LazyPairScores::new(&net, &objects, rp, masked, keys, Some(&ucb));
-        let mut stats = DecideStats::default();
-        grid.ensure_exact_sums(2, 4, &mut stats);
-        for ci in 0..c {
-            grid.score_full_row(ci, &mut stats);
-        }
-        // write_q debug-asserts q <= q_hi on every write; reaching here
-        // means every raw Q respected its column bound (adjusted scores
-        // respect ub by construction: best member bonus). Spot-check the
-        // masked pairs.
-        assert_eq!(grid.score_at(0, 3), f64::NEG_INFINITY);
-        assert_eq!(grid.score_at(1, 1), f64::NEG_INFINITY);
+    fn panel_fill_drops_expert_and_over_allowance_classes_mid_walk() {
+        use AnnotatorKind::{Expert, Worker};
+        // Positions by descending score class: two expert classes
+        // (cost 5), then a cost-4 worker class, then cost-1 workers.
+        let profiles = [
+            profile(0, Expert, 5.0),
+            profile(1, Worker, 4.0),
+            profile(2, Expert, 5.0),
+            profile(3, Worker, 1.0),
+            profile(4, Expert, 5.0),
+            profile(5, Worker, 4.0),
+            profile(6, Worker, 1.0),
+            profile(7, Worker, 4.0),
+        ];
+        let active: Vec<&AnnotatorProfile> = profiles.iter().collect();
+        let column_of = [0, 2, 1, 3, 1, 2, 3, 2];
+        let costs: Vec<f64> = profiles.iter().map(|p| p.cost).collect();
+        let (scores, dense) = hand_built(&[&[4.0, 3.0, 2.0, 1.0]], &column_of, None, &costs);
+        let masked = vec![false; 8];
+        // Allowance 12: the first expert (0) is taken; the second expert
+        // class (2, 4) is dropped by the one-expert rule; one cost-4
+        // worker (1) fits, then 5 and 7 no longer do (3 left) and
+        // their class is dropped; the cost-1 workers fill the rest.
+        let picked = [0; 8];
+        let picks = assert_fills_match(&scores, &dense, &masked, || {
+            Panel::new(&active, None, &picked, 12.0, 4)
+        });
+        assert_eq!(picks, vec![0, 1, 3, 6]);
+        // k larger than the number of eligible members: the walk runs
+        // dry and both fills stop short.
+        let picks = assert_fills_match(&scores, &dense, &masked, || {
+            Panel::new(&active, None, &picked, 12.0, 8)
+        });
+        assert_eq!(picks, vec![0, 1, 3, 6]);
     }
 
     #[test]
-    fn ranked_scored_matches_topk_order() {
-        let (net, objects, suffixes) = fixture(17, 3, 25);
-        let (c, w) = (objects.len(), suffixes.len());
-        let rp = rp_rows(&net, &suffixes);
-        let keys: Vec<u64> = (0..w as u64).collect();
-        let mut masked = vec![false; c * w];
-        masked[2] = true;
-        let mut grid = LazyPairScores::new(&net, &objects, rp, masked, keys, None);
-        let mut stats = DecideStats::default();
-        for ci in 0..c {
-            grid.score_full_row(ci, &mut stats);
-        }
-        for ci in 0..c {
-            let row: Vec<f64> = (0..w).map(|ai| grid.score_at(ci, ai)).collect();
-            assert_eq!(grid.ranked_scored(ci), topk::top_k_indices(&row, w));
-        }
+    fn panel_fill_skips_slot_exhausted_members_one_at_a_time() {
+        // One class of five workers: members 0 and 2 have used up their
+        // slots this batch, 3 has one slot left, 1 and 4 are unbounded.
+        let profiles = workers(5);
+        let active: Vec<&AnnotatorProfile> = profiles.iter().collect();
+        let (scores, dense) = hand_built(&[&[0.5]], &[0; 5], None, &[1.0; 5]);
+        let slots: HashMap<AnnotatorId, usize> = [
+            (AnnotatorId(0), 1),
+            (AnnotatorId(2), 2),
+            (AnnotatorId(3), 2),
+        ]
+        .into();
+        let picked = [1, 0, 2, 1, 0];
+        let mut masked = vec![false; 5];
+        masked[4] = true;
+        let dense = masked_dense(&dense, &masked);
+        let picks = assert_fills_match(&scores, &dense, &masked, || {
+            Panel::new(&active, Some(&slots), &picked, 10.0, 3)
+        });
+        assert_eq!(picks, vec![1, 3]);
     }
 }

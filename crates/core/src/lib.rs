@@ -44,6 +44,6 @@ pub mod workflow;
 
 pub use config::{Ablation, CrowdRlConfig, CrowdRlConfigBuilder, Exploration, InferenceModel};
 pub use crowdrl_inference::EngineConfig;
-pub use decide::{DecideConfig, DecideMode, DecideStats};
+pub use decide::{DecideMode, DecideStats};
 pub use outcome::{IterationStats, LabellingOutcome};
 pub use workflow::CrowdRl;

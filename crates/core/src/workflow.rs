@@ -854,7 +854,7 @@ mod tests {
         let probe_agent = SelectionAgent::new(
             crowdrl_rl::DqnConfig::default(),
             &Exploration::Ucb { scale: 1.0 },
-            crate::decide::DecideConfig::default(),
+            crate::decide::DecideMode::default(),
             None,
             &mut probe_rng,
         )

@@ -46,12 +46,9 @@ pub struct Dense {
     /// Which matmul kernels [`Dense::forward`]/[`Dense::backward`]/
     /// [`Dense::forward_inference`] dispatch to. `Reference` (the default)
     /// is the bit-pinned blocked kernel; `Fast` is the SIMD kernel with a
-    /// different (documented) reduction order. The decide-path entry
-    /// points — [`Dense::forward_inference_outer`]'s partial matmuls,
-    /// [`Dense::partial_matmul`], [`Dense::accumulate_partial`] and
-    /// [`Dense::forward_interval`] — stay on the exact reference op order
-    /// in *both* modes, preserving the first-layer prefix-cache bit
-    /// contract (see DESIGN.md §14).
+    /// different (documented) reduction order.
+    /// [`Dense::forward_inference_outer`]'s partial matmuls stay on the
+    /// exact reference op order in *both* modes (see DESIGN.md §14).
     mode: NumericMode,
 }
 
@@ -201,99 +198,6 @@ impl Dense {
             }
         }
         out
-    }
-
-    /// The bias vector (read-only). The factored decide path adds it to
-    /// resumed partial pre-activations exactly the way
-    /// [`forward_inference_outer`](Dense::forward_inference_outer) does.
-    #[inline]
-    pub fn bias(&self) -> &[f32] {
-        &self.b
-    }
-
-    /// The sub-matmul of [`Dense::forward_inference_outer`] for one input
-    /// block: weight rows `[col_offset, col_offset + x.cols())` are copied
-    /// into a dense block and multiplied — the identical op sequence the
-    /// outer forward runs for its `left`/`right` partials, so results are
-    /// bit-identical to that path. No bias, no activation.
-    pub fn partial_matmul(&self, x: &Matrix, col_offset: usize) -> Matrix {
-        assert!(
-            col_offset + x.cols() <= self.input_dim(),
-            "partial block exceeds layer input"
-        );
-        let h = self.output_dim();
-        let mut w_block = Matrix::zeros(x.cols(), h);
-        for r in 0..x.cols() {
-            w_block
-                .row_mut(r)
-                .copy_from_slice(self.w.row(col_offset + r));
-        }
-        x.matmul(&w_block)
-    }
-
-    /// Accumulate one input row's partial pre-activation into `acc`,
-    /// where `x` occupies input columns `[col_offset, col_offset +
-    /// x.len())`. Replicates the matmul kernel's per-element op sequence —
-    /// terms added in ascending-`k` order, `a == 0.0` terms skipped,
-    /// separate multiply then add-assign roundings — so accumulating a
-    /// row in two consecutive column blocks is bit-identical to one
-    /// `partial_matmul` over the concatenated row. This is what lets the
-    /// decide path cache the annotator-specific prefix of the first-layer
-    /// partial and resume with the run-level suffix later.
-    pub fn accumulate_partial(&self, acc: &mut [f32], x: &[f32], col_offset: usize) {
-        assert_eq!(acc.len(), self.output_dim(), "partial width mismatch");
-        assert!(
-            col_offset + x.len() <= self.input_dim(),
-            "partial block exceeds layer input"
-        );
-        for (k, &a) in x.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            let w_row = self.w.row(col_offset + k);
-            for (o, &b) in acc.iter_mut().zip(w_row) {
-                *o += a * b;
-            }
-        }
-    }
-
-    /// Interval forward: given elementwise bounds `lo[i] <= x[i] <= hi[i]`
-    /// on the input, return bounds on the output that are *sound in f32
-    /// arithmetic* against [`Dense::forward_inference`]'s kernel.
-    ///
-    /// Soundness argument: the kernel accumulates `acc += x[k] * w[k][o]`
-    /// in ascending-`k` order with correctly-rounded ops, and correctly
-    /// rounded `+`/`*` are monotone in each argument. Accumulating the
-    /// sign-selected endpoint (`hi` for positive weights, `lo` for
-    /// negative) in the same order therefore stays `>=` (resp. `<=`) the
-    /// true accumulation after every step, including steps the kernel
-    /// skips for `x[k] == 0.0` (skipping adds exact zero; the selected
-    /// endpoint's term has the sign of the bound being grown). Bias
-    /// addition and the (monotone) activation preserve the ordering.
-    pub fn forward_interval(&self, lo: &[f32], hi: &[f32]) -> (Vec<f32>, Vec<f32>) {
-        assert_eq!(lo.len(), self.input_dim(), "interval width mismatch");
-        assert_eq!(hi.len(), self.input_dim(), "interval width mismatch");
-        let h = self.output_dim();
-        let mut out_lo = vec![0.0f32; h];
-        let mut out_hi = vec![0.0f32; h];
-        for k in 0..lo.len() {
-            let w_row = self.w.row(k);
-            let (l, u) = (lo[k], hi[k]);
-            for o in 0..h {
-                let w = w_row[o];
-                let (tl, tu) = if w >= 0.0 { (l, u) } else { (u, l) };
-                out_lo[o] += tl * w;
-                out_hi[o] += tu * w;
-            }
-        }
-        let act = self.act;
-        for o in 0..h {
-            out_lo[o] += self.b[o];
-            out_hi[o] += self.b[o];
-            out_lo[o] = act.apply(out_lo[o]);
-            out_hi[o] = act.apply(out_hi[o]);
-        }
-        (out_lo, out_hi)
     }
 
     /// Backward pass: given `d_out = dL/dy`, accumulate `dL/dW`, `dL/db`

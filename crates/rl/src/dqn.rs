@@ -199,8 +199,7 @@ impl DqnAgent {
         self.params_generation
     }
 
-    /// The online network (read-only) — the decide path computes cached
-    /// partials and interval bounds against its first layer directly.
+    /// The online network (read-only).
     pub fn online_network(&self) -> &Network {
         &self.online
     }

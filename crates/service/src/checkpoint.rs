@@ -20,8 +20,8 @@
 //! service configuration and every submitted spec, with the
 //! observationally-neutral knobs canonicalized out first — [`ExecMode`]
 //! (checkpoints cross SingleThread↔WorkerPool), the service-wide
-//! [`DecideConfig`](crowdrl_core::DecideConfig) override (scoring
-//! strategy never changes selections), and the checkpoint cadence
+//! [`DecideMode`](crowdrl_core::DecideMode) override (scoring strategy
+//! never changes selections), and the checkpoint cadence
 //! itself. A mismatch is a typed
 //! [`ServiceError::ConfigMismatch`](crate::ServiceError), not a silent
 //! divergence.

@@ -1,7 +1,7 @@
 //! Service configuration: capacity, admission, sharding, scheduling
 //! cadence, and the shared-pool models every project runs against.
 
-use crowdrl_core::{CrowdRlConfig, DecideConfig};
+use crowdrl_core::{CrowdRlConfig, DecideMode};
 use crowdrl_serve::{ExecMode, QuarantineConfig};
 use crowdrl_sim::{CapacitySpec, DynamicsSpec, ServiceFaultPlan};
 use crowdrl_types::{Dataset, Error, Result};
@@ -96,7 +96,7 @@ pub struct ServiceConfig {
     /// between pruned and exhaustive scoring with one knob); `None`
     /// leaves each project's own setting untouched. Selections are
     /// bit-identical either way — this only trades scoring work.
-    pub decide: Option<DecideConfig>,
+    pub decide: Option<DecideMode>,
     /// Cut a [`ServiceCheckpoint`](crate::ServiceCheckpoint) every this
     /// many scheduling rounds (at the round boundary, after settlements
     /// merge and finished projects finalize). `0` disables checkpoints.
@@ -249,8 +249,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Override every project's decide-path configuration.
-    pub fn with_decide(mut self, decide: DecideConfig) -> Self {
+    /// Override every project's decide-path scoring strategy.
+    pub fn with_decide(mut self, decide: DecideMode) -> Self {
         self.decide = Some(decide);
         self
     }

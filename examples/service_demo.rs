@@ -16,7 +16,7 @@
 //! SERVICE_DEMO_DECIDE=exhaustive cargo run --release --example service_demo
 //! ```
 
-use crowdrl::core::{DecideConfig, DecideMode, InferenceModel};
+use crowdrl::core::{DecideMode, InferenceModel};
 use crowdrl::prelude::*;
 use crowdrl::types::rng::seeded;
 use std::time::Instant;
@@ -31,15 +31,11 @@ fn env_usize(name: &str, default: usize) -> usize {
 /// `SERVICE_DEMO_DECIDE=pruned|exhaustive` (default: the library default,
 /// pruned). The ci smoke gate runs the demo once per mode and diffs the
 /// output — the decide path must never change a selection.
-fn env_decide() -> DecideConfig {
-    let mode = match std::env::var("SERVICE_DEMO_DECIDE").as_deref() {
+fn env_decide() -> DecideMode {
+    match std::env::var("SERVICE_DEMO_DECIDE").as_deref() {
         Ok("exhaustive") => DecideMode::Exhaustive,
         Ok("pruned") | Err(_) => DecideMode::Pruned,
         Ok(other) => panic!("SERVICE_DEMO_DECIDE must be pruned|exhaustive, got {other:?}"),
-    };
-    DecideConfig {
-        mode,
-        ..DecideConfig::default()
     }
 }
 

@@ -130,20 +130,21 @@ service_chaos_smoke() {
 timed "service chaos smoke" service_chaos_smoke
 
 echo "== decide pruning equivalence smoke test =="
-# The decide-path pruning (cached annotator activations + exact
-# shortlists with column dedup) must be invisible end to end: the same
-# small service round in pruned and exhaustive mode must print the
-# identical outcome — labels, accuracies, rounds, budgets, sim time.
-# Only the wall-clock figures (the thing pruning is allowed to change)
-# are stripped before diffing.
+# The pruned decide path (one forward per distinct annotator block,
+# class-merged ranking and panel fill) must be invisible end to end: the
+# same small service round in pruned and exhaustive mode must print the
+# identical outcome — labels, accuracies, rounds, budgets, sim time. The
+# pool has 2,000 annotators, the `tenants` benchmark scale, where classes
+# are far fewer than annotators. Only the wall-clock figures (the thing
+# pruning is allowed to change) are stripped before diffing.
 decide_smoke() {
   local out_pruned out_exhaustive
   out_pruned=$(SERVICE_DEMO_PROJECTS=3 SERVICE_DEMO_OBJECTS=60 \
-    SERVICE_DEMO_ANNOTATORS=40 SERVICE_DEMO_DECIDE=pruned \
+    SERVICE_DEMO_ANNOTATORS=2000 SERVICE_DEMO_DECIDE=pruned \
     cargo run -q --release --offline --example service_demo |
     sed -E 's/wall [0-9.]+s( \([0-9.]+x\))?//')
   out_exhaustive=$(SERVICE_DEMO_PROJECTS=3 SERVICE_DEMO_OBJECTS=60 \
-    SERVICE_DEMO_ANNOTATORS=40 SERVICE_DEMO_DECIDE=exhaustive \
+    SERVICE_DEMO_ANNOTATORS=2000 SERVICE_DEMO_DECIDE=exhaustive \
     cargo run -q --release --offline --example service_demo |
     sed -E 's/wall [0-9.]+s( \([0-9.]+x\))?//')
   if [[ "$out_pruned" != "$out_exhaustive" ]]; then

@@ -1,12 +1,12 @@
-//! Decide-equivalence battery: the pruned decide path (cached annotator
-//! activations + exact bound-driven shortlists) must produce selections,
+//! Decide-equivalence battery: the pruned decide path (column-deduplicated
+//! scoring + class-merged ranking and panel fill) must produce selections,
 //! panels, traces and spend **bit-identical** to exhaustive scoring —
 //! across pool sizes, execution widths, and under fault injection with
-//! quarantine-driven cache invalidation mid-run. Pruning is a pure
+//! quarantine shrinking the live pool mid-run. Pruning is a pure
 //! optimization; any divergence here is a correctness bug, never an
 //! acceptable approximation.
 
-use crowdrl::core::{DecideConfig, DecideMode};
+use crowdrl::core::DecideMode;
 use crowdrl::prelude::*;
 use crowdrl::rl::DqnConfig;
 use crowdrl::serve::{AsyncRuntime, QuarantineConfig, TraceEvent};
@@ -28,7 +28,7 @@ fn scenario(pool_size: usize, objects: usize) -> (Dataset, AnnotatorPool) {
     (dataset, pool)
 }
 
-fn config(mode: DecideMode, shortlist: usize, objects: usize) -> CrowdRlConfig {
+fn config(mode: DecideMode, objects: usize) -> CrowdRlConfig {
     CrowdRlConfig::builder()
         .budget(2.75 * objects as f64)
         .candidate_cap(12)
@@ -38,21 +38,15 @@ fn config(mode: DecideMode, shortlist: usize, objects: usize) -> CrowdRlConfig {
             hidden: vec![32, 16],
             ..DqnConfig::default()
         })
-        .decide(DecideConfig { mode, shortlist })
+        .decide(mode)
         .build()
         .unwrap()
 }
 
-fn run(
-    pool_size: usize,
-    objects: usize,
-    mode: DecideMode,
-    shortlist: usize,
-    serve: ServeConfig,
-) -> AsyncOutcome {
+fn run(pool_size: usize, objects: usize, mode: DecideMode, serve: ServeConfig) -> AsyncOutcome {
     let (dataset, pool) = scenario(pool_size, objects);
     let mut rng = seeded(97);
-    AsyncRuntime::new(config(mode, shortlist, objects), serve)
+    AsyncRuntime::new(config(mode, objects), serve)
         .run(&dataset, &pool, &mut rng)
         .unwrap()
 }
@@ -92,18 +86,12 @@ fn assert_identical(a: &AsyncOutcome, b: &AsyncOutcome, what: &str) {
 
 #[test]
 fn pruned_matches_exhaustive_across_pool_sizes() {
-    // Shortlist 16 forces real pruning even at the 100-annotator pool;
-    // the larger pools prune most of their columns.
+    // The larger the pool, the more annotators share one column and
+    // class.
     for (pool_size, objects) in [(100usize, 30usize), (500, 24), (2_000, 16)] {
         let serve = ServeConfig::default();
-        let exhaustive = run(
-            pool_size,
-            objects,
-            DecideMode::Exhaustive,
-            16,
-            serve.clone(),
-        );
-        let pruned = run(pool_size, objects, DecideMode::Pruned, 16, serve);
+        let exhaustive = run(pool_size, objects, DecideMode::Exhaustive, serve.clone());
+        let pruned = run(pool_size, objects, DecideMode::Pruned, serve);
         assert_identical(
             &exhaustive,
             &pruned,
@@ -123,7 +111,6 @@ fn pruned_matches_exhaustive_across_exec_widths() {
         pool_size,
         objects,
         DecideMode::Exhaustive,
-        16,
         ServeConfig::default(),
     );
     for width in [1usize, 2, 4] {
@@ -136,7 +123,6 @@ fn pruned_matches_exhaustive_across_exec_widths() {
             pool_size,
             objects,
             DecideMode::Pruned,
-            16,
             ServeConfig::default().with_mode(mode),
         );
         assert_identical(&reference, &pruned, &format!("width {width}"));
@@ -146,10 +132,10 @@ fn pruned_matches_exhaustive_across_exec_widths() {
 #[test]
 fn pruned_matches_exhaustive_under_faults_and_quarantine() {
     // Two workers drift into spammers immediately; the breaker trips
-    // mid-run, shrinking the selectable pool and invalidating the
-    // drifted annotators' cached activations. Stochastic faults jitter
-    // the answer stream on top. The pool is small enough that the
-    // drifted annotators actually accrue `min_answers` and trip.
+    // mid-run, shrinking the selectable pool and shifting every later
+    // annotator's active position. Stochastic faults jitter the answer
+    // stream on top. The pool is small enough that the drifted
+    // annotators actually accrue `min_answers` and trip.
     let faulted = || {
         ServeConfig::default()
             .with_faults(FaultPlan {
@@ -174,28 +160,26 @@ fn pruned_matches_exhaustive_under_faults_and_quarantine() {
             })
     };
     let (pool_size, objects) = (16usize, 40usize);
-    // Shortlist 6 on a 16-strong pool: pruning stays engaged even as
-    // quarantine shrinks the live pool.
-    let exhaustive = run(pool_size, objects, DecideMode::Exhaustive, 6, faulted());
-    let pruned = run(pool_size, objects, DecideMode::Pruned, 6, faulted());
+    let exhaustive = run(pool_size, objects, DecideMode::Exhaustive, faulted());
+    let pruned = run(pool_size, objects, DecideMode::Pruned, faulted());
     assert_identical(&exhaustive, &pruned, "faulted + quarantined");
-    // The scenario must actually exercise quarantine-driven invalidation:
-    // at least one breaker has to trip while panels are still being cut.
+    // The scenario must actually exercise quarantine: at least one
+    // breaker has to trip while panels are still being cut.
     assert!(
         pruned
             .trace
             .iter()
             .any(|e| matches!(e, TraceEvent::Quarantined { .. })),
-        "no annotator was quarantined; the invalidation path went untested"
+        "no annotator was quarantined; the shrinking pool went untested"
     );
 }
 
+// The name predates the shortlist's removal; the test now pins a pool so
+// small that most annotators are classes of their own.
 #[test]
 fn tiny_shortlist_and_tiny_pool_degrade_gracefully() {
-    // Pool smaller than any sensible shortlist, and a shortlist of 1:
-    // the pruned path must clamp and still match.
     let serve = ServeConfig::default();
-    let exhaustive = run(12, 20, DecideMode::Exhaustive, 1, serve.clone());
-    let pruned = run(12, 20, DecideMode::Pruned, 1, serve);
-    assert_identical(&exhaustive, &pruned, "pool 12, shortlist 1");
+    let exhaustive = run(12, 20, DecideMode::Exhaustive, serve.clone());
+    let pruned = run(12, 20, DecideMode::Pruned, serve);
+    assert_identical(&exhaustive, &pruned, "pool 12");
 }

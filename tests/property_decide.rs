@@ -1,17 +1,18 @@
-//! Property-based staleness hunt for the decide-path pruning engine:
-//! twin agents — one pruned (cached annotator activations + exact
-//! shortlists), one exhaustive — are driven through arbitrary
-//! interleavings of profile updates (quality/load drift), quarantine
-//! and release, slot exhaustion, answer arrival, and online training.
-//! After **every** mutation both agents select from identical inputs
-//! and identically-seeded RNGs; any stale cached activation or unsound
-//! pruning bound shows up as a divergent panel or RNG stream.
+//! Property-based equivalence hunt for the pruned decide path: twin
+//! agents — one pruned (column-deduplicated scoring + class-merged
+//! ranking and panel fill), one exhaustive — are driven through
+//! arbitrary interleavings of profile updates (quality/load drift),
+//! quarantine and release, slot exhaustion, answer arrival, and online
+//! training. After **every** mutation both agents select from identical
+//! inputs and identically-seeded RNGs; any activation computed from a
+//! stale profile or weights, or any class that groups annotators it
+//! should not, shows up as a divergent panel or RNG stream.
 
 use std::collections::HashMap;
 
 use crowdrl::core::agent::SelectionAgent;
 use crowdrl::core::features::{StateSnapshot, FEATURE_DIM};
-use crowdrl::core::{Ablation, DecideConfig, DecideMode, Exploration};
+use crowdrl::core::{Ablation, DecideMode, Exploration};
 use crowdrl::prelude::*;
 use crowdrl::rl::DqnConfig;
 use crowdrl::types::rng::seeded;
@@ -25,7 +26,7 @@ fn dqn_config() -> DqnConfig {
     DqnConfig {
         hidden: vec![16, 8],
         // Tiny replay gate so the training op actually steps the
-        // parameters (and bumps the cache's params generation).
+        // parameters.
         min_replay: 4,
         batch_size: 4,
         ..DqnConfig::default()
@@ -37,7 +38,7 @@ fn twin(seed: u64, mode: DecideMode) -> SelectionAgent {
     SelectionAgent::new(
         dqn_config(),
         &Exploration::Ucb { scale: 0.1 },
-        DecideConfig { mode, shortlist: 4 },
+        mode,
         None,
         &mut rng,
     )
@@ -79,10 +80,10 @@ impl World {
             answers: AnswerSet::new(OBJECTS),
             // A few quality tiers, like a pool where the inference
             // engine has profiled some annotators and left the rest at
-            // the prior: enough sharing that column dedup engages (a
-            // fully-distinct pool makes the grid decline to dense — also
-            // correct, but then this property would be vacuous), while
-            // the mutation ops diversify it over the run.
+            // the prior: enough sharing that annotators share columns
+            // and classes (a fully-distinct pool scores every pair —
+            // also correct, but then this property would be vacuous),
+            // while the mutation ops diversify it over the run.
             qualities: (0..POOL).map(|i| 0.45 + 0.1 * (i % 3) as f64).collect(),
             loads: vec![0; POOL],
         }
@@ -117,16 +118,16 @@ impl World {
 fn apply(world: &mut World, op: u8, target: usize, value: u16) {
     let j = target % POOL;
     match op % 6 {
-        // Profile update: inferred quality drifts — the cached
-        // activation for j is keyed on these bits and must recompute.
+        // Profile update: inferred quality drifts — j moves to the
+        // column of its new annotator-specific block.
         0 => world.qualities[j] = 0.05 + (value % 90) as f64 / 100.0,
-        // Profile update: load changes (also part of the cache key).
+        // Profile update: load changes (also part of the block).
         1 => world.loads[j] = (value % 8) as usize,
-        // Quarantine: j leaves the live pool; serve invalidates its
-        // cache entry (dirty-set discipline).
+        // Quarantine: j leaves the live pool, shifting every later
+        // annotator's active position.
         2 => world.quarantined[j] = true,
         // Release from quarantine: j re-enters with whatever profile it
-        // has now — a stale pre-quarantine activation must not be used.
+        // has now — a pre-quarantine activation must not be used.
         3 => world.quarantined[j] = false,
         // Slot exhaustion / partial refill on the shared pool.
         4 => {
@@ -155,6 +156,9 @@ proptest! {
         max_shrink_iters: 64,
     })]
 
+    // The name predates the activation cache's removal; the property now
+    // pins that nothing computed from a stale profile or stale weights
+    // ever reaches a panel.
     #[test]
     fn no_interleaving_ever_serves_a_stale_cached_activation(
         ops in proptest::collection::vec((0u8..6, 0usize..64, 0u16..1024), 4..28),
@@ -174,12 +178,6 @@ proptest! {
 
         for (step, &(op, target, value)) in ops.iter().enumerate() {
             apply(&mut world, op, target, value);
-            if op % 6 == 2 || op % 6 == 3 {
-                // Mirror serve's quarantine hook on both twins so the
-                // comparison covers the invalidation path itself.
-                pruned.invalidate_annotator(target % POOL);
-                exhaustive.invalidate_annotator(target % POOL);
-            }
 
             let live = world.live();
             let snapshot = world.snapshot(step);
@@ -195,7 +193,7 @@ proptest! {
             );
             // Identical panels, identical embeddings (the Assignment
             // carries the full per-pick state-action vectors — a stale
-            // cached block would differ even if the argmax survived),
+            // annotator block would differ even if the argmax survived),
             // identical RNG consumption.
             prop_assert_eq!(&picks_p, &picks_e, "step {}: panels diverged", step);
             prop_assert_eq!(
@@ -209,7 +207,7 @@ proptest! {
             prop_assert!(stats.scored_pairs <= stats.total_pairs);
 
             // Periodically train both twins on the identical experience
-            // so the cache must survive parameter-generation bumps.
+            // so scoring must follow every parameter update.
             if step % train_every == train_every - 1 && !picks_p.is_empty() {
                 let rewards = vec![0.5; picks_p.len()];
                 let next = vec![vec![0.1; FEATURE_DIM]];
@@ -226,10 +224,9 @@ proptest! {
             }
         }
 
-        // Across the whole interleaving the shortlist must have pruned
-        // real work (column dedup across the tiered pool) and the
-        // activation cache must have been consulted — otherwise this
-        // property tested nothing.
+        // Across the whole interleaving column dedup must have pruned
+        // real work across the tiered pool — otherwise this property
+        // tested nothing.
         let stats = pruned.decide_stats();
         prop_assert!(stats.total_pairs > 0);
         prop_assert!(
@@ -238,6 +235,5 @@ proptest! {
             stats.scored_pairs,
             stats.total_pairs
         );
-        prop_assert!(stats.cache_hits + stats.cache_misses > 0);
     }
 }
