@@ -23,6 +23,8 @@
 //! [`CrowdRlStrategy`] adapter, so experiment harnesses can iterate over
 //! `Vec<Box<dyn LabellingStrategy>>`.
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod dalc;
 pub mod dlta;

@@ -20,6 +20,8 @@
 //! (`CROWDRL_SCALE=quick|small|paper`, default `quick`); see EXPERIMENTS.md
 //! for the mapping and the expected result shapes.
 
+#![forbid(unsafe_code)]
+
 pub mod figures;
 pub mod scale;
 

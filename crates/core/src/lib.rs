@@ -31,6 +31,8 @@
 //! ablations (Fig. 8): `M1` random task selection, `M2` random task
 //! assignment, `M3` PM inference instead of the joint model.
 
+#![forbid(unsafe_code)]
+
 pub mod agent;
 pub mod classifier_util;
 pub mod config;

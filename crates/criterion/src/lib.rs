@@ -14,6 +14,8 @@
 //! order-of-magnitude tracking the workspace needs, without upstream's
 //! statistical machinery.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::time::{Duration, Instant};
 

@@ -2,17 +2,13 @@
 //! crate.
 //!
 //! The build environment has no network access, so this workspace ships a
-//! small implementation of the `crossbeam 0.8` API surface the CrowdRL
-//! crates use:
-//!
-//! * [`channel::unbounded`] / [`channel::bounded`] — multi-producer
-//!   **multi-consumer** channels (the part `std::sync::mpsc` cannot do),
-//!   built on a `Mutex<VecDeque>` + `Condvar`. Fine for the coarse-grained
-//!   job queues used here; not a lock-free replacement.
-//! * [`scope`] — scoped threads with crossbeam's closure signature
-//!   (`|scope| ...` and `scope.spawn(|scope| ...)`), built on
-//!   [`std::thread::scope`], returning `Err` when any spawned thread
-//!   panicked instead of propagating the panic.
+//! small implementation of the one piece of the `crossbeam 0.8` API the
+//! CrowdRL crates use: [`channel::unbounded`], a multi-producer
+//! **multi-consumer** channel (the part `std::sync::mpsc` cannot do), built
+//! on a `Mutex<VecDeque>` + `Condvar`. It feeds the `crowdrl_linalg` pool's
+//! job queue; fine for that coarse-grained use, not a lock-free replacement.
+
+#![forbid(unsafe_code)]
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -27,9 +23,8 @@ pub mod channel {
 
     struct Shared<T> {
         state: Mutex<State<T>>,
-        /// Receivers wait here for data; senders wait here for capacity.
+        /// Receivers wait here for data.
         signal: Condvar,
-        capacity: Option<usize>,
     }
 
     /// Error returned by [`Sender::send`] when every receiver is gone;
@@ -54,15 +49,6 @@ pub mod channel {
         }
     }
 
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// Channel currently empty; senders still connected.
-        Empty,
-        /// Channel empty and every sender dropped.
-        Disconnected,
-    }
-
     /// The sending half; clonable for multi-producer use.
     pub struct Sender<T> {
         shared: Arc<Shared<T>>,
@@ -74,20 +60,11 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// Queue `msg`, blocking while a bounded channel is full. Fails only
-        /// when every receiver has been dropped.
+        /// Queue `msg`. Fails only when every receiver has been dropped.
         pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
             let mut state = self.shared.state.lock().expect("channel poisoned");
-            loop {
-                if state.receivers == 0 {
-                    return Err(SendError(msg));
-                }
-                match self.shared.capacity {
-                    Some(cap) if state.queue.len() >= cap => {
-                        state = self.shared.signal.wait(state).expect("channel poisoned");
-                    }
-                    _ => break,
-                }
+            if state.receivers == 0 {
+                return Err(SendError(msg));
             }
             state.queue.push_back(msg);
             drop(state);
@@ -103,9 +80,6 @@ pub mod channel {
             let mut state = self.shared.state.lock().expect("channel poisoned");
             loop {
                 if let Some(msg) = state.queue.pop_front() {
-                    drop(state);
-                    // A bounded sender may be waiting for the free slot.
-                    self.shared.signal.notify_all();
                     return Ok(msg);
                 }
                 if state.senders == 0 {
@@ -113,39 +87,6 @@ pub mod channel {
                 }
                 state = self.shared.signal.wait(state).expect("channel poisoned");
             }
-        }
-
-        /// Take the next message without blocking.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = self.shared.state.lock().expect("channel poisoned");
-            if let Some(msg) = state.queue.pop_front() {
-                drop(state);
-                self.shared.signal.notify_all();
-                return Ok(msg);
-            }
-            if state.senders == 0 {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
-            }
-        }
-
-        /// Iterate over messages until the channel disconnects.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { receiver: self }
-        }
-    }
-
-    /// Blocking iterator over received messages.
-    pub struct Iter<'a, T> {
-        receiver: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-
-        fn next(&mut self) -> Option<T> {
-            self.receiver.recv().ok()
         }
     }
 
@@ -189,7 +130,8 @@ pub mod channel {
         }
     }
 
-    fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
+    /// A channel with no capacity bound.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -197,7 +139,6 @@ pub mod channel {
                 receivers: 1,
             }),
             signal: Condvar::new(),
-            capacity,
         });
         (
             Sender {
@@ -206,57 +147,11 @@ pub mod channel {
             Receiver { shared },
         )
     }
-
-    /// A channel with no capacity bound.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        channel(None)
-    }
-
-    /// A channel holding at most `cap` queued messages; `send` blocks when
-    /// full. (`cap == 0` behaves as capacity 1 here, not as a rendezvous.)
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        channel(Some(cap.max(1)))
-    }
-}
-
-/// A scope for spawning threads that may borrow from the caller's stack.
-///
-/// Mirrors crossbeam's shape: the closure passed to [`scope`] and every
-/// closure passed to [`Scope::spawn`] receive a `&Scope`, so spawned threads
-/// can spawn further threads.
-#[derive(Clone, Copy)]
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a thread inside the scope; it is joined when the scope ends.
-    pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let scope = *self;
-        self.inner.spawn(move || f(&scope))
-    }
-}
-
-/// Run `f` with a thread scope; all spawned threads are joined before this
-/// returns. Returns `Err` (with the panic payload) when `f` or any spawned
-/// thread panicked.
-pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        std::thread::scope(|s| f(&Scope { inner: s }))
-    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn unbounded_multi_consumer_delivers_every_job() {
@@ -266,20 +161,19 @@ mod tests {
             tx.send(i).unwrap();
         }
         drop(tx);
-        scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let rx = rx.clone();
                 let out_tx = out_tx.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     while let Ok(v) = rx.recv() {
                         out_tx.send(v * 2).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         drop(out_tx);
-        let mut got: Vec<usize> = out_rx.iter().collect();
+        let mut got: Vec<usize> = std::iter::from_fn(|| out_rx.recv().ok()).collect();
         got.sort_unstable();
         assert_eq!(got, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
@@ -298,46 +192,7 @@ mod tests {
         tx.send(2).unwrap();
         drop(tx);
         assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.try_recv(), Ok(2));
+        assert_eq!(rx.recv(), Ok(2));
         assert_eq!(rx.recv(), Err(channel::RecvError));
-        assert_eq!(rx.try_recv(), Err(channel::TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn bounded_channel_applies_backpressure() {
-        let (tx, rx) = channel::bounded::<usize>(2);
-        let sent = AtomicUsize::new(0);
-        scope(|s| {
-            s.spawn(|_| {
-                for i in 0..50 {
-                    tx.send(i).unwrap();
-                    sent.fetch_add(1, Ordering::SeqCst);
-                }
-            });
-            s.spawn(|_| {
-                for want in 0..50 {
-                    assert_eq!(rx.recv(), Ok(want));
-                }
-            });
-        })
-        .unwrap();
-        assert_eq!(sent.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    fn scope_reports_thread_panics_as_err() {
-        let result = scope(|s| {
-            s.spawn(|_| panic!("boom"));
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn scope_returns_closure_value() {
-        let result = scope(|s| {
-            let h = s.spawn(|_| 21);
-            h.join().unwrap() * 2
-        });
-        assert_eq!(result.unwrap(), 42);
     }
 }

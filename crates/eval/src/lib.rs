@@ -7,12 +7,14 @@
 //!   labelling (the paper's three metrics, §VI-A.3), plus macro-averaged
 //!   variants for multi-class tasks;
 //! * [`runner`] — run a set of [`LabellingStrategy`]s over datasets and
-//!   seeds, in parallel via crossbeam scoped threads, aggregating
-//!   mean ± std across repetitions; includes the paper's offline
-//!   cross-training helper (§VI-A.4);
+//!   seeds, in parallel on the shared `crowdrl_linalg` pool, aggregating
+//!   mean ± std across repetitions in job order; includes the paper's
+//!   offline cross-training helper (§VI-A.4);
 //! * [`table`] — paper-style result rows and CSV output.
 //!
 //! [`LabellingStrategy`]: crowdrl_baselines::LabellingStrategy
+
+#![forbid(unsafe_code)]
 
 pub mod metrics;
 pub mod runner;

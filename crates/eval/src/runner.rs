@@ -1,13 +1,14 @@
 //! Experiment runner: strategies × datasets × seeds, in parallel.
 //!
-//! Every (strategy, dataset, repetition) cell gets its own RNG stream
-//! derived from the master seed, so results are reproducible regardless of
-//! thread scheduling; workers pull jobs from a shared queue over crossbeam
-//! channels.
+//! Every (strategy, dataset, repetition) job gets its own RNG stream
+//! derived from the master seed and runs as one chunk of the shared
+//! `crowdrl_linalg` pool; results are collected and averaged in job
+//! order, so every number is independent of thread count and scheduling.
 
 use crate::metrics::{evaluate_labels, Metrics};
 use crowdrl_baselines::{BaselineParams, LabellingStrategy};
 use crowdrl_core::{CrowdRl, CrowdRlConfig};
+use crowdrl_linalg::pool;
 use crowdrl_obs as obs;
 use crowdrl_sim::AnnotatorPool;
 use crowdrl_types::rng::{derive_seed, seeded};
@@ -49,7 +50,9 @@ pub struct ExperimentGrid {
     pub repetitions: usize,
     /// Master seed; every cell derives its own stream.
     pub master_seed: u64,
-    /// Worker threads (0 = available parallelism).
+    /// Pool width for the grid's jobs (0 = the pool default:
+    /// `CROWDRL_THREADS`, else available cores), capped at
+    /// `crowdrl_linalg::pool::MAX_THREADS`.
     pub threads: usize,
 }
 
@@ -84,103 +87,24 @@ impl ExperimentGrid {
                     .flat_map(move |c| (0..self.repetitions).map(move |r| (s, c, r)))
             })
             .collect();
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        } else {
-            self.threads
-        }
-        .min(jobs.len().max(1));
+        // One job per pool chunk, results in job order (rep order within
+        // a cell), so each cell's mean is summed in the same order at any
+        // width. Jobs' own parallel kernels run inline on their thread.
+        let results = pool::with_threads(self.threads, || {
+            pool::map_chunks(jobs.len(), 1, |range| {
+                let (si, ci, rep) = jobs[range.start];
+                self.run_job(&*strategies[si], &conditions[ci], (si, ci, rep))
+            })
+        });
+        drop(grid_span);
+        obs::checkpoint();
 
         // (strategy, condition) -> per-rep (metrics, spent)
         let mut collected: Vec<Vec<(Metrics, f64)>> =
             vec![Vec::new(); strategies.len() * conditions.len()];
-
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, usize, usize)>();
-        let (res_tx, res_rx) =
-            crossbeam::channel::unbounded::<Result<(usize, usize, Metrics, f64)>>();
-        for job in &jobs {
-            if job_tx.send(*job).is_err() {
-                return Err(Error::NumericalFailure(
-                    "experiment job queue disconnected".into(),
-                ));
-            }
+        for (&(si, ci, _), result) in jobs.iter().zip(results) {
+            collected[si * conditions.len() + ci].push(result?);
         }
-        drop(job_tx);
-
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                let job_rx = job_rx.clone();
-                let res_tx = res_tx.clone();
-                let master = self.master_seed;
-                scope.spawn(move |_| {
-                    while let Ok((si, ci, rep)) = job_rx.recv() {
-                        let condition = &conditions[ci];
-                        let stream = (si as u64) << 32 | (ci as u64) << 16 | rep as u64;
-                        let seed = derive_seed(master, stream);
-                        // A panicking strategy must not poison the whole
-                        // grid: trap the panic per job and surface it as an
-                        // `Err` naming the derived seed, so the failing run
-                        // is reproducible in isolation. The collector keeps
-                        // draining, so nothing hangs.
-                        let job_start = Instant::now();
-                        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut rng = seeded(seed);
-                            strategies[si]
-                                .run(
-                                    &condition.dataset,
-                                    &condition.pool,
-                                    &condition.params,
-                                    &mut rng,
-                                )
-                                .and_then(|outcome| {
-                                    evaluate_labels(&condition.dataset, &outcome.labels)
-                                        .map(|m| (si, ci, m, outcome.budget_spent))
-                                })
-                        }))
-                        .unwrap_or_else(|_| {
-                            Err(Error::NumericalFailure(format!(
-                                "experiment worker panicked on strategy {si}, \
-                                 condition {ci}, rep {rep} (seed {seed})"
-                            )))
-                        });
-                        if obs::enabled() {
-                            // Trace which derived seed each cell ran under
-                            // and how long the rep took, so a slow or
-                            // failing run can be replayed in isolation.
-                            let wall_s = job_start.elapsed().as_secs_f64();
-                            obs::annotate_kv(
-                                "eval.seed",
-                                &format!(
-                                    "strategy {si} condition {ci} rep {rep} \
-                                     seed {seed} wall {wall_s:.3}s"
-                                ),
-                                &[
-                                    ("strategy", si as f64),
-                                    ("condition", ci as f64),
-                                    ("rep", rep as f64),
-                                    ("seed", seed as f64),
-                                    ("wall_s", wall_s),
-                                ],
-                            );
-                        }
-                        if res_tx.send(out).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(res_tx);
-            for res in res_rx.iter() {
-                let (si, ci, m, spent) = res?;
-                collected[si * conditions.len() + ci].push((m, spent));
-            }
-            Ok::<(), Error>(())
-        })
-        .map_err(|_| Error::NumericalFailure("experiment worker panicked".into()))??;
-        drop(grid_span);
-        obs::checkpoint();
 
         let mut out = Vec::with_capacity(collected.len());
         for (idx, cell) in collected.into_iter().enumerate() {
@@ -204,6 +128,63 @@ impl ExperimentGrid {
             });
         }
         Ok(out)
+    }
+
+    /// Run one (strategy, condition, rep) job on its derived seed.
+    ///
+    /// A panicking strategy must not poison the whole grid: the panic is
+    /// trapped here and surfaced as an `Err` naming the derived seed, so
+    /// the failing run is reproducible in isolation.
+    fn run_job(
+        &self,
+        strategy: &dyn LabellingStrategy,
+        condition: &Condition,
+        (si, ci, rep): (usize, usize, usize),
+    ) -> Result<(Metrics, f64)> {
+        let stream = (si as u64) << 32 | (ci as u64) << 16 | rep as u64;
+        let seed = derive_seed(self.master_seed, stream);
+        let job_start = Instant::now();
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut rng = seeded(seed);
+            strategy
+                .run(
+                    &condition.dataset,
+                    &condition.pool,
+                    &condition.params,
+                    &mut rng,
+                )
+                .and_then(|outcome| {
+                    evaluate_labels(&condition.dataset, &outcome.labels)
+                        .map(|m| (m, outcome.budget_spent))
+                })
+        }))
+        .unwrap_or_else(|_| {
+            Err(Error::NumericalFailure(format!(
+                "experiment worker panicked on strategy {si}, \
+                 condition {ci}, rep {rep} (seed {seed})"
+            )))
+        });
+        if obs::enabled() {
+            // Trace which derived seed each cell ran under and how long
+            // the rep took, so a slow or failing run can be replayed in
+            // isolation.
+            let wall_s = job_start.elapsed().as_secs_f64();
+            obs::annotate_kv(
+                "eval.seed",
+                &format!(
+                    "strategy {si} condition {ci} rep {rep} \
+                     seed {seed} wall {wall_s:.3}s"
+                ),
+                &[
+                    ("strategy", si as f64),
+                    ("condition", ci as f64),
+                    ("rep", rep as f64),
+                    ("seed", seed as f64),
+                    ("wall_s", wall_s),
+                ],
+            );
+        }
+        out
     }
 }
 
@@ -319,7 +300,7 @@ mod tests {
         let grid = ExperimentGrid {
             repetitions: 2,
             master_seed: 9,
-            threads: 1, // deterministic job order: rep 0 fails first
+            threads: 1,
         };
         let err = grid.run(&strategies, &conditions).unwrap_err();
         let msg = err.to_string();

@@ -32,6 +32,8 @@
 //! posteriors/confusions, dirty-set E-steps, an append-only feature
 //! matrix, and warm classifier retrains.
 
+#![forbid(unsafe_code)]
+
 pub mod classifier_annotator;
 pub mod dawid_skene;
 pub mod engine;

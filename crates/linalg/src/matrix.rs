@@ -5,7 +5,7 @@
 //! mismatch inside a training loop is a programming error, not a condition
 //! to recover from, and panicking keeps the hot-path signatures clean.
 
-use crate::pool::{self, SendPtr};
+use crate::pool;
 use crate::simd::{self, NumericMode};
 
 /// Row chunk used by the dispatching matmul entries when they go parallel.
@@ -20,6 +20,23 @@ const MIN_PAR_MADDS: usize = 1 << 17;
 /// multiply-adds should take the pool path.
 fn par_worthwhile(dim: usize, madds: usize) -> bool {
     madds >= MIN_PAR_MADDS && dim > ROW_CHUNK && pool::max_threads() > 1
+}
+
+/// Run `kernel(rows, block)` on the pool for every fixed `row_chunk`-row
+/// block of the row-major `out` (`width` columns); blocks are disjoint
+/// slices, so each output row is written by exactly one chunk.
+fn par_row_blocks(
+    out: &mut [f32],
+    rows: usize,
+    width: usize,
+    row_chunk: usize,
+    kernel: impl Fn(std::ops::Range<usize>, &mut [f32]) + Sync,
+) {
+    let row_chunk = row_chunk.max(1);
+    let mut blocks: Vec<&mut [f32]> = out.chunks_mut((row_chunk * width).max(1)).collect();
+    pool::for_each_mut(&mut blocks, |i, block| {
+        kernel(pool::chunk_range(rows, row_chunk, i), block)
+    });
 }
 
 /// `out[j] = ((((out[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]`
@@ -199,20 +216,14 @@ impl Matrix {
     pub fn matmul_chunked(&self, other: &Matrix, row_chunk: usize) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul_chunked shape mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
-        let width = other.cols;
-        let base = SendPtr(out.data.as_mut_ptr());
         let _kind = pool::task_kind("matmul");
-        pool::for_each_chunk(self.rows, row_chunk, |range| {
-            // SAFETY: chunk ranges are disjoint, so each chunk writes a
-            // disjoint row slice of `out`, which outlives the call.
-            let slice = unsafe {
-                std::slice::from_raw_parts_mut(
-                    base.get().add(range.start * width),
-                    range.len() * width,
-                )
-            };
-            self.matmul_rows_into(other, range, slice);
-        });
+        par_row_blocks(
+            &mut out.data,
+            self.rows,
+            other.cols,
+            row_chunk,
+            |rows, block| self.matmul_rows_into(other, rows, block),
+        );
         out
     }
 
@@ -292,19 +303,14 @@ impl Matrix {
     pub fn matmul_nt_chunked(&self, other: &Matrix, row_chunk: usize) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt_chunked shape mismatch");
         let mut out = Matrix::zeros(self.rows, other.rows);
-        let width = other.rows;
-        let base = SendPtr(out.data.as_mut_ptr());
         let _kind = pool::task_kind("matmul_nt");
-        pool::for_each_chunk(self.rows, row_chunk, |range| {
-            // SAFETY: disjoint row ranges → disjoint output slices.
-            let slice = unsafe {
-                std::slice::from_raw_parts_mut(
-                    base.get().add(range.start * width),
-                    range.len() * width,
-                )
-            };
-            self.matmul_nt_rows_into(other, range, slice);
-        });
+        par_row_blocks(
+            &mut out.data,
+            self.rows,
+            other.rows,
+            row_chunk,
+            |rows, block| self.matmul_nt_rows_into(other, rows, block),
+        );
         out
     }
 
@@ -363,19 +369,14 @@ impl Matrix {
     pub fn matmul_tn_chunked(&self, other: &Matrix, row_chunk: usize) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_tn_chunked shape mismatch");
         let mut out = Matrix::zeros(self.cols, other.cols);
-        let width = other.cols;
-        let base = SendPtr(out.data.as_mut_ptr());
         let _kind = pool::task_kind("matmul_tn");
-        pool::for_each_chunk(self.cols, row_chunk, |range| {
-            // SAFETY: disjoint output-row ranges → disjoint output slices.
-            let slice = unsafe {
-                std::slice::from_raw_parts_mut(
-                    base.get().add(range.start * width),
-                    range.len() * width,
-                )
-            };
-            self.matmul_tn_cols_into(other, range, slice);
-        });
+        par_row_blocks(
+            &mut out.data,
+            self.cols,
+            other.cols,
+            row_chunk,
+            |cols, block| self.matmul_tn_cols_into(other, cols, block),
+        );
         out
     }
 

@@ -7,10 +7,11 @@
 //! 1. Chunk boundaries are a function of the data size only — never of the
 //!    thread count — so the work decomposition is the same no matter how
 //!    many workers execute it.
-//! 2. A chunk either writes a disjoint region of the output (matmul row
-//!    partitions) or returns a per-chunk partial that the caller merges in
-//!    chunk-index order ([`map_chunks`]). Floating-point operation order is
-//!    therefore fixed by the chunking, not by the schedule.
+//! 2. A chunk either mutates its own pre-indexed slot ([`for_each_mut`]:
+//!    matmul row blocks, service shards and projects) or returns a
+//!    per-chunk partial that the caller merges in chunk-index order
+//!    ([`map_chunks`]). Floating-point operation order is therefore fixed
+//!    by the chunking, not by the schedule.
 //! 3. The serial path runs the *same* chunked algorithm inline; the pool
 //!    only changes which thread executes each chunk.
 //!
@@ -140,6 +141,22 @@ pub fn set_threads(n: usize) {
     THREADS.store(v, Ordering::Relaxed);
 }
 
+/// Run `f` with the thread cap set to `threads` (`0` = the environment
+/// default, as in [`set_threads`]) and restore the previous cap when `f`
+/// returns or unwinds. Every runtime sets its width through here: the
+/// serve and service `ExecMode` and the experiment grid's `threads`.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            THREADS.store(self.0, Ordering::Relaxed);
+        }
+    }
+    let _restore = Restore(THREADS.load(Ordering::Relaxed));
+    set_threads(threads);
+    f()
+}
+
 /// The shared job queue, spawning the worker threads on first use. Workers
 /// are spawned up to the hard cap (not the current soft cap) so the cap can
 /// be raised later without respawning; surplus workers just park on `recv`.
@@ -212,6 +229,40 @@ impl Shared<'_> {
     }
 }
 
+/// Threads a call over `n_chunks` chunks runs on: the cap, at most one per
+/// chunk, and 1 inside a pooled chunk (see `IN_POOL`).
+fn width_for(n_chunks: usize) -> usize {
+    if IN_POOL.with(|c| c.get()) {
+        1
+    } else {
+        max_threads().min(n_chunks)
+    }
+}
+
+/// The serial path: the same chunks, executed inline in index order.
+/// Per-chunk execute times go under the same histogram names as pooled
+/// chunks so serial and pooled traces stay comparable (queue wait is zero
+/// here and is simply not sampled).
+fn run_inline(n_chunks: usize, mut f: impl FnMut(usize)) {
+    if n_chunks == 0 {
+        return;
+    }
+    match ObsCtx::capture() {
+        Some(ctx) => {
+            for i in 0..n_chunks {
+                let t0 = Instant::now();
+                f(i);
+                obs::histogram_seconds(&ctx.execute_name, t0.elapsed());
+            }
+        }
+        None => {
+            for i in 0..n_chunks {
+                f(i);
+            }
+        }
+    }
+}
+
 /// Execute `f(0), f(1), …, f(n_chunks - 1)`, possibly on multiple threads.
 ///
 /// `f` must be safe to call concurrently for distinct chunk indices (each
@@ -222,29 +273,9 @@ impl Shared<'_> {
 /// chunks run inline on the caller in index order; this is the same
 /// algorithm, so results are identical by construction.
 pub fn run_chunks<F: Fn(usize) + Sync>(n_chunks: usize, f: F) {
-    if n_chunks == 0 {
-        return;
-    }
-    let threads = max_threads().min(n_chunks);
-    if threads <= 1 || IN_POOL.with(|c| c.get()) {
-        // Serial path: same chunked algorithm, executed inline. Record
-        // per-chunk execute times under the same histogram names so serial
-        // and pooled traces stay comparable (queue wait is zero here and
-        // is simply not sampled).
-        match ObsCtx::capture() {
-            Some(ctx) => {
-                for i in 0..n_chunks {
-                    let t0 = Instant::now();
-                    f(i);
-                    obs::histogram_seconds(&ctx.execute_name, t0.elapsed());
-                }
-            }
-            None => {
-                for i in 0..n_chunks {
-                    f(i);
-                }
-            }
-        }
+    let threads = width_for(n_chunks);
+    if threads <= 1 {
+        run_inline(n_chunks, f);
         return;
     }
 
@@ -311,11 +342,6 @@ pub fn chunk_range(n: usize, chunk: usize, i: usize) -> Range<usize> {
     (i * chunk)..((i + 1) * chunk).min(n)
 }
 
-/// Run `f` over every fixed `chunk`-sized range of `0..n`.
-pub fn for_each_chunk<F: Fn(Range<usize>) + Sync>(n: usize, chunk: usize, f: F) {
-    run_chunks(chunk_count(n, chunk), |i| f(chunk_range(n, chunk, i)));
-}
-
 /// Map every fixed `chunk`-sized range of `0..n` through `f`, returning the
 /// per-chunk results **in chunk-index order** — the deterministic-reduction
 /// primitive: merge partials left to right and the result cannot depend on
@@ -325,44 +351,41 @@ where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
-    let n_chunks = chunk_count(n, chunk);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n_chunks);
-    out.resize_with(n_chunks, || None);
-    let slots = SendPtr(out.as_mut_ptr());
-    run_chunks(n_chunks, |i| {
-        let value = f(chunk_range(n, chunk, i));
-        // SAFETY: chunk index `i` is claimed by exactly one thread and
-        // writes exactly slot `i`; slots are disjoint and outlive the call.
-        unsafe { *slots.get().add(i) = Some(value) };
+    let mut out: Vec<Option<R>> = Vec::new();
+    out.resize_with(chunk_count(n, chunk), || None);
+    for_each_mut(&mut out, |i, slot| {
+        *slot = Some(f(chunk_range(n, chunk, i)))
     });
     out.into_iter()
         .map(|v| v.expect("every chunk ran"))
         .collect()
 }
 
-/// Raw-pointer wrapper that asserts cross-thread use is safe because every
-/// chunk writes a disjoint region. Used by [`map_chunks`] and the
-/// row-partitioned matmul kernels.
-pub struct SendPtr<T>(pub *mut T);
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
+/// Call `f(i, &mut items[i])` for every element, possibly on multiple
+/// threads — the one fan-out for work that mutates pre-indexed, disjoint
+/// slots. Element `i` is chunk `i` of [`run_chunks`], with the same
+/// inline, nesting and panic rules.
+///
+/// On the pooled path each element sits behind its own `Mutex`, locked
+/// once by the one chunk that owns it, so no lock is ever contended; the
+/// locks are what let disjoint `&mut` access cross threads in safe code.
+/// The inline path takes no lock and allocates nothing.
+pub fn for_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    if width_for(items.len()) <= 1 {
+        run_inline(items.len(), |i| f(i, &mut items[i]));
+        return;
     }
-}
-
-impl<T> Copy for SendPtr<T> {}
-
-// SAFETY: callers guarantee disjoint access per chunk (see `run_chunks`).
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: as above — the wrapper only moves the pointer between threads.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// The wrapped pointer.
-    pub fn get(self) -> *mut T {
-        self.0
-    }
+    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    run_chunks(cells.len(), |i| {
+        let mut item = cells[i]
+            .lock()
+            .expect("only this chunk ever locks element i");
+        f(i, &mut **item);
+    });
 }
 
 #[cfg(test)]
@@ -410,6 +433,53 @@ mod tests {
             assert_eq!(partials, vec![0..3, 3..6, 6..9, 9..10]);
         }
         set_threads(0);
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_element_exactly_once_at_every_width() {
+        for threads in [1, 2, 4, 8] {
+            set_threads(threads);
+            let mut items: Vec<(usize, u32)> = (0..23).map(|i| (i, 0)).collect();
+            for_each_mut(&mut items, |i, (index, hits)| {
+                assert_eq!(*index, i, "element handed to the wrong index");
+                *hits += 1;
+            });
+            for (i, (_, hits)) in items.iter().enumerate() {
+                assert_eq!(*hits, 1, "element {i} at {threads} threads");
+            }
+        }
+        set_threads(0);
+    }
+
+    #[test]
+    fn nested_for_each_mut_runs_inline_on_the_outer_thread() {
+        set_threads(4);
+        let mut rows: Vec<Vec<Option<std::thread::ThreadId>>> = vec![vec![None; 6]; 8];
+        for_each_mut(&mut rows, |_, row| {
+            let outer = std::thread::current().id();
+            for_each_mut(row, |_, cell| *cell = Some(std::thread::current().id()));
+            assert!(row.iter().all(|&cell| cell == Some(outer)));
+        });
+        set_threads(0);
+    }
+
+    #[test]
+    fn for_each_mut_panic_propagates_and_the_pool_stays_usable() {
+        set_threads(4);
+        let mut items = vec![0u32; 8];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            for_each_mut(&mut items, |i, _| {
+                if i == 5 {
+                    panic!("element 5 exploded");
+                }
+            });
+        }));
+        let payload = result.expect_err("panic must propagate");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
+        assert_eq!(msg, "element 5 exploded");
+        for_each_mut(&mut items, |i, x| *x = i as u32);
+        set_threads(0);
+        assert_eq!(items, (0..8).collect::<Vec<u32>>());
     }
 
     #[test]

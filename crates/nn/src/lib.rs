@@ -19,6 +19,8 @@
 //!
 //! Everything is `f32`, CPU-only, deterministic given a seeded RNG.
 
+#![forbid(unsafe_code)]
+
 pub mod activation;
 pub mod classifier;
 pub mod init;

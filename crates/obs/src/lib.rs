@@ -51,6 +51,8 @@
 //! (`CrowdRl::run`, `AsyncRuntime::run`, `ExperimentGrid::run`) call it for
 //! you.
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod event;
 pub mod json;

@@ -15,6 +15,8 @@
 //!   name and case index), but is not minimized.
 //! * **No persistence.** `.proptest-regressions` files are ignored.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// Runner configuration, selected via `#![proptest_config(...)]`.

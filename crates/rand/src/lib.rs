@@ -9,6 +9,8 @@
 //! relies on *self-consistent* determinism: the same seed must reproduce
 //! the same run, which this guarantees.
 
+#![forbid(unsafe_code)]
+
 /// The core of a random number generator: raw word output.
 pub trait RngCore {
     /// Next 32 random bits.

@@ -24,6 +24,8 @@
 //! * [`QTable`] — exact tabular Q-learning (Eq. 5) for tiny instances, used
 //!   to validate the semantics the DQN approximates.
 
+#![forbid(unsafe_code)]
+
 pub mod dqn;
 pub mod explore;
 pub mod prioritized;

@@ -4,19 +4,45 @@ use crate::supervisor::{QuarantineConfig, SupervisorConfig};
 use crowdrl_sim::{DynamicsSpec, FaultPlan};
 use crowdrl_types::{Error, Result};
 
-/// How the runtime executes.
+/// How many threads a run may use. Both runtimes (this crate's
+/// [`AsyncRuntime`](crate::AsyncRuntime) and the multi-tenant service) run
+/// one implementation at every width: the mode is the
+/// `crowdrl_linalg::pool` thread cap for the duration of the run, set and
+/// restored by `pool::with_threads`. Every pooled section writes disjoint,
+/// pre-indexed slots, so traces and outcomes are bit-identical across
+/// modes and widths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Everything on the calling thread — the reference execution. The
-    /// worker-pool mode must reproduce its trace bit for bit.
+    /// Pool width 1: everything on the calling thread — the reference
+    /// execution.
     SingleThread,
-    /// A crossbeam worker pool samples annotator responses and a
-    /// dedicated agent thread runs inference/scoring, overlapping DQN
-    /// training with event pumping.
+    /// Pool width `workers`: the calling thread plus up to `workers - 1`
+    /// pool threads (capped at `crowdrl_linalg::pool::MAX_THREADS`).
     WorkerPool {
-        /// Sampler threads (0 = available parallelism).
+        /// Thread cap for the run; must be at least 1.
         workers: usize,
     },
+}
+
+impl ExecMode {
+    /// The pool thread cap this mode sets for a run.
+    pub fn threads(self) -> usize {
+        match self {
+            ExecMode::SingleThread => 1,
+            ExecMode::WorkerPool { workers } => workers,
+        }
+    }
+
+    /// Reject `WorkerPool { workers: 0 }` — the one rule both runtimes'
+    /// configs apply to the mode.
+    pub fn validate(self) -> Result<()> {
+        if self.threads() == 0 {
+            return Err(Error::InvalidParameter(
+                "worker pool must have at least one worker".into(),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Knobs of the asynchronous labelling service.
@@ -97,6 +123,7 @@ impl ServeConfig {
                 self.time_watermark
             )));
         }
+        self.mode.validate()?;
         self.faults.validate()?;
         self.supervisor.validate()?;
         self.quarantine.validate()?;
@@ -176,6 +203,17 @@ mod tests {
         }
         .validate()
         .is_err());
+        assert!(ServeConfig::default()
+            .with_mode(ExecMode::WorkerPool { workers: 0 })
+            .validate()
+            .is_err());
+    }
+
+    #[test]
+    fn exec_mode_is_a_pool_width() {
+        assert_eq!(ExecMode::SingleThread.threads(), 1);
+        assert_eq!(ExecMode::WorkerPool { workers: 3 }.threads(), 3);
+        assert!(ExecMode::WorkerPool { workers: 1 }.validate().is_ok());
     }
 
     #[test]

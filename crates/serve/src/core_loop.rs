@@ -3,11 +3,10 @@
 //! Everything the *agent* does — truth inference, trust tracking,
 //! enrichment, reward credit, DQN training, and the next batch of
 //! assignments — lives in [`AgentCore`], one struct with no knowledge of
-//! threads or event queues. The single-threaded mode calls its methods
-//! inline; the worker-pool mode moves it onto a dedicated thread and
-//! feeds it the same calls through a channel. Identical call sequence +
-//! one owned RNG = identical decisions in both modes, which is the whole
-//! determinism story on the scoring side.
+//! threads or event queues. The pump (and each service project) calls its
+//! methods directly in one fixed sequence at every pool width; identical
+//! call sequence + one owned RNG = identical decisions in every execution
+//! mode, which is the whole determinism story on the scoring side.
 //!
 //! The loop body intentionally mirrors [`CrowdRl::run`]'s iteration
 //! (selection → inference → trust → enrichment → reward → train); what
@@ -617,8 +616,8 @@ impl<'a> AgentCore<'a> {
     }
 
     /// DQN training for one refresh. Called right after [`refresh`]'s
-    /// reply is dispatched — on the agent thread this overlaps with event
-    /// pumping. The TD loss lands in the trace entry the refresh opened.
+    /// reply is dispatched, before the next event is processed. The TD
+    /// loss lands in the trace entry the refresh opened.
     ///
     /// [`refresh`]: AgentCore::refresh
     pub fn train(&mut self) {

@@ -17,10 +17,10 @@
 //! * **incremental answer ingestion** that refreshes truth inference on
 //!   watermarks — every *k* delivered answers or *t* simulated time
 //!   units ([`config`], [`runtime`]);
-//! * two execution modes ([`ExecMode`]): single-threaded, and a
-//!   crossbeam **worker pool** (response sampling) plus a dedicated
-//!   **agent thread** (inference + DQN) that overlap training with event
-//!   pumping — both produce identical traces by construction;
+//! * one event loop at any width: [`ExecMode`] is the thread cap of the
+//!   shared `crowdrl_linalg` pool for the run (matmul, EM and response
+//!   sampling fan out on it), and every width produces the identical
+//!   trace by construction;
 //! * a [`ServiceMetrics`] report: answer throughput, latency
 //!   p50/p95/p99, timeout/requeue counts, budget burn rate.
 //!
@@ -53,6 +53,8 @@
 //!
 //! [`CrowdRl`]: crowdrl_core::CrowdRl
 //! [`CrowdRl::run`]: crowdrl_core::CrowdRl::run
+
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod clock;

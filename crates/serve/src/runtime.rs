@@ -1,24 +1,18 @@
-//! The event pump and the two execution modes.
+//! The event pump.
 //!
 //! The pump owns the *service* state — event queue, ledger, budget,
-//! answer set, metrics — and is deliberately dumb: it moves events,
-//! enforces timeouts and exactly-once charging, and asks a [`Driver`] for
-//! everything intelligent (decisions) or random (annotator behaviour).
+//! answer set, metrics — together with the run's [`AgentCore`]. It moves
+//! events, enforces timeouts and exactly-once charging, asks the core for
+//! every decision, and samples annotator behaviour through
+//! [`sample_outcomes`].
 //!
-//! Both drivers expose the same five calls, and everything that feeds
-//! them is deterministic, so the two modes replay each other's traces:
-//!
-//! * [`InlineDriver`] runs the [`AgentCore`] and the outcome sampler on
-//!   the calling thread — the reference semantics.
-//! * [`ThreadedDriver`] moves the core to a dedicated agent thread and
-//!   fans sampling jobs over a crossbeam worker pool. Sampled outcomes
-//!   are a pure function of the assignment id ([`sampler`](crate::sampler)),
-//!   so the pool's scheduling cannot change them, and the agent thread
-//!   receives the exact call sequence the inline driver would. DQN
-//!   training is the one call with no reply — the pump keeps processing
-//!   events while the agent trains. A snapshot request queues *behind*
-//!   the training message, so both modes checkpoint the identical
-//!   post-train state.
+//! [`ExecMode`](crate::ExecMode) is the `crowdrl_linalg::pool` thread cap
+//! for the run and nothing else: the pump calls the core on the calling
+//! thread in one fixed sequence, and only the pooled sections inside it
+//! (matmul row blocks, EM chunks, response sampling) widen. Sampled
+//! outcomes are a pure function of the assignment id and every pooled
+//! section writes disjoint, pre-indexed slots, so every mode replays the
+//! same trace.
 //!
 //! Three chaos-layer concerns thread through the pump, all default-off:
 //! fault injection ([`FaultInjector`]) rewrites sampled outcomes between
@@ -30,15 +24,13 @@
 
 use crate::checkpoint::{PumpCheckpoint, RunCheckpoint};
 use crate::clock::EventQueue;
-use crate::config::{ExecMode, ServeConfig};
-use crate::core_loop::{
-    AgentCore, BudgetView, CoreState, FinalizeRequest, RefreshReply, RefreshRequest,
-};
+use crate::config::ServeConfig;
+use crate::core_loop::{AgentCore, BudgetView, FinalizeRequest, RefreshRequest};
 use crate::error::ServeError;
 use crate::event::{EventKind, TraceEvent};
 use crate::ledger::{AssignmentLedger, Delivery, Expiry};
 use crate::metrics::{MetricsCollector, ServiceMetrics};
-use crate::sampler::{sample_outcome, SampleJob, SampledOutcome};
+use crate::sampler::{sample_outcomes, SampleJob};
 use crowdrl_core::{CrowdRlConfig, LabellingOutcome};
 use crowdrl_obs as obs;
 use crowdrl_sim::{AnnotatorDynamics, AnnotatorPool, FaultInjector, FaultRecord};
@@ -83,138 +75,6 @@ pub enum RunOutcome {
 /// Receives each checkpoint and decides whether the run continues.
 pub type CheckpointSink<'s> = &'s mut dyn FnMut(RunCheckpoint) -> RunControl;
 
-/// The pump's interface to the agent and the virtual crowd.
-trait Driver {
-    /// Run one refresh and return the next panels.
-    fn refresh(&mut self, req: RefreshRequest) -> Result<RefreshReply>;
-    /// Train the DQN for one refresh (may overlap event pumping).
-    fn train(&mut self) -> Result<()>;
-    /// Sample annotator outcomes for freshly dispatched assignments.
-    /// Returns them sorted by assignment id.
-    fn sample(&mut self, jobs: Vec<SampleJob>) -> Result<Vec<SampledOutcome>>;
-    /// Snapshot the agent core's full learning state.
-    fn snapshot(&mut self) -> Result<CoreState>;
-    /// Close the run and build the outcome.
-    fn finalize(&mut self, req: FinalizeRequest) -> Result<LabellingOutcome>;
-}
-
-/// Single-threaded driver: core and sampler inline.
-struct InlineDriver<'a> {
-    core: AgentCore<'a>,
-    pool: &'a AnnotatorPool,
-    dynamics: &'a [AnnotatorDynamics],
-    sampling_seed: u64,
-}
-
-impl Driver for InlineDriver<'_> {
-    fn refresh(&mut self, req: RefreshRequest) -> Result<RefreshReply> {
-        self.core.refresh(&req)
-    }
-
-    fn train(&mut self) -> Result<()> {
-        self.core.train();
-        Ok(())
-    }
-
-    fn sample(&mut self, jobs: Vec<SampleJob>) -> Result<Vec<SampledOutcome>> {
-        Ok(jobs
-            .into_iter()
-            .map(|job| sample_outcome(self.sampling_seed, job, self.pool, self.dynamics))
-            .collect())
-    }
-
-    fn snapshot(&mut self) -> Result<CoreState> {
-        Ok(self.core.export_state())
-    }
-
-    fn finalize(&mut self, req: FinalizeRequest) -> Result<LabellingOutcome> {
-        self.core.finalize(&req)
-    }
-}
-
-/// Messages to the agent thread. Processed strictly in order, which is
-/// what makes the threaded call sequence identical to the inline one —
-/// in particular a Snapshot sent after Train captures post-train state,
-/// exactly like the inline driver.
-enum ToAgent {
-    Refresh(RefreshRequest),
-    Train,
-    Snapshot,
-    Finalize(FinalizeRequest),
-}
-
-/// Replies from the agent thread.
-enum FromAgent {
-    Decision(Result<RefreshReply>),
-    Snapshot(Box<CoreState>),
-    Outcome(Box<Result<LabellingOutcome>>),
-}
-
-/// Worker-pool driver: agent thread + sampler pool over channels.
-struct ThreadedDriver {
-    to_agent: crossbeam::channel::Sender<ToAgent>,
-    from_agent: crossbeam::channel::Receiver<FromAgent>,
-    job_tx: crossbeam::channel::Sender<SampleJob>,
-    out_rx: crossbeam::channel::Receiver<SampledOutcome>,
-}
-
-fn dead_agent() -> Error {
-    ServeError::AgentGone.into()
-}
-
-impl Driver for ThreadedDriver {
-    fn refresh(&mut self, req: RefreshRequest) -> Result<RefreshReply> {
-        self.to_agent
-            .send(ToAgent::Refresh(req))
-            .map_err(|_| dead_agent())?;
-        match self.from_agent.recv().map_err(|_| dead_agent())? {
-            FromAgent::Decision(reply) => reply,
-            _ => Err(dead_agent()),
-        }
-    }
-
-    fn train(&mut self) -> Result<()> {
-        // Fire and forget: the agent trains while the pump keeps moving
-        // events; the next Refresh message queues behind the training.
-        self.to_agent.send(ToAgent::Train).map_err(|_| dead_agent())
-    }
-
-    fn sample(&mut self, jobs: Vec<SampleJob>) -> Result<Vec<SampledOutcome>> {
-        let expected = jobs.len();
-        for job in jobs {
-            self.job_tx.send(job).map_err(|_| dead_agent())?;
-        }
-        let mut out = Vec::with_capacity(expected);
-        for _ in 0..expected {
-            out.push(self.out_rx.recv().map_err(|_| dead_agent())?);
-        }
-        // Outcomes are pure functions of the job, so sorting by id
-        // erases the pool's scheduling from the result.
-        out.sort_by_key(|o| o.id);
-        Ok(out)
-    }
-
-    fn snapshot(&mut self) -> Result<CoreState> {
-        self.to_agent
-            .send(ToAgent::Snapshot)
-            .map_err(|_| dead_agent())?;
-        match self.from_agent.recv().map_err(|_| dead_agent())? {
-            FromAgent::Snapshot(state) => Ok(*state),
-            _ => Err(dead_agent()),
-        }
-    }
-
-    fn finalize(&mut self, req: FinalizeRequest) -> Result<LabellingOutcome> {
-        self.to_agent
-            .send(ToAgent::Finalize(req))
-            .map_err(|_| dead_agent())?;
-        match self.from_agent.recv().map_err(|_| dead_agent())? {
-            FromAgent::Outcome(outcome) => *outcome,
-            _ => Err(dead_agent()),
-        }
-    }
-}
-
 /// Build the fault injector a config calls for (None when the plan is a
 /// no-op, so the fault-free fast path stays branch-cheap).
 fn build_injector(serve: &ServeConfig, dataset: &Dataset) -> Result<Option<FaultInjector>> {
@@ -258,6 +118,10 @@ struct Pump<'a> {
     dataset: &'a Dataset,
     pool: &'a AnnotatorPool,
     serve: &'a ServeConfig,
+    /// The learning agent: inference, DQN selection and training.
+    core: AgentCore<'a>,
+    /// Per-annotator latency/availability the sampler draws from.
+    dynamics: Vec<AnnotatorDynamics>,
     /// Config fingerprint stamped into every checkpoint.
     fingerprint: u64,
     injector: Option<FaultInjector>,
@@ -289,6 +153,8 @@ impl<'a> Pump<'a> {
         dataset: &'a Dataset,
         pool: &'a AnnotatorPool,
         serve: &'a ServeConfig,
+        core: AgentCore<'a>,
+        dynamics: Vec<AnnotatorDynamics>,
         budget: f64,
         fingerprint: u64,
     ) -> Result<Self> {
@@ -296,6 +162,8 @@ impl<'a> Pump<'a> {
             dataset,
             pool,
             serve,
+            core,
+            dynamics,
             fingerprint,
             injector: build_injector(serve, dataset)?,
             queue: EventQueue::new(),
@@ -323,6 +191,8 @@ impl<'a> Pump<'a> {
         dataset: &'a Dataset,
         pool: &'a AnnotatorPool,
         serve: &'a ServeConfig,
+        core: AgentCore<'a>,
+        dynamics: Vec<AnnotatorDynamics>,
         fingerprint: u64,
         state: PumpCheckpoint,
     ) -> Result<Self> {
@@ -359,6 +229,8 @@ impl<'a> Pump<'a> {
             dataset,
             pool,
             serve,
+            core,
+            dynamics,
             fingerprint,
             injector: build_injector(serve, dataset)?,
             queue: EventQueue::restore(state.now, state.next_seq, state.events)?,
@@ -412,11 +284,7 @@ impl<'a> Pump<'a> {
 
     /// Dispatch panels: reserve, sample, and schedule Deliver/Expire
     /// events. Returns how many assignments actually went out.
-    fn dispatch<D: Driver>(
-        &mut self,
-        driver: &mut D,
-        panels: &[(ObjectId, Vec<AnnotatorId>)],
-    ) -> Result<usize> {
+    fn dispatch(&mut self, panels: &[(ObjectId, Vec<AnnotatorId>)]) -> Result<usize> {
         let now = self.queue.now();
         let timeout = SimTime::new(self.serve.timeout)?;
         let mut jobs = Vec::new();
@@ -453,7 +321,7 @@ impl<'a> Pump<'a> {
         let dispatched = jobs.len();
         self.collector.dispatched += dispatched;
         let sample_span = obs::span("serve.sample");
-        let outcomes = driver.sample(jobs)?;
+        let outcomes = sample_outcomes(self.serve.sampling_seed, &jobs, self.pool, &self.dynamics);
         drop(sample_span);
         for outcome in outcomes {
             debug_assert_eq!(outcome.id.0 as usize, self.labels_by_id.len());
@@ -496,7 +364,7 @@ impl<'a> Pump<'a> {
     }
 
     /// Run a refresh and dispatch its panels.
-    fn refresh<D: Driver>(&mut self, driver: &mut D) -> Result<usize> {
+    fn refresh(&mut self) -> Result<usize> {
         let now = self.queue.now();
         let mut blocked = self.ledger.objects_in_flight();
         blocked.extend(self.abandoned.iter().copied());
@@ -510,7 +378,7 @@ impl<'a> Pump<'a> {
                     .map(|(i, _)| ObjectId(i)),
             );
         }
-        let reply = driver.refresh(RefreshRequest {
+        let reply = self.core.refresh(&RefreshRequest {
             answers: Arc::clone(&self.answers),
             view: BudgetView {
                 total: self.budget.total(),
@@ -545,8 +413,8 @@ impl<'a> Pump<'a> {
                 }
             });
         }
-        let dispatched = self.dispatch(driver, &reply.panels)?;
-        driver.train()?;
+        let dispatched = self.dispatch(&reply.panels)?;
+        self.core.train();
         if reply.done {
             self.done = true;
         }
@@ -633,11 +501,7 @@ impl<'a> Pump<'a> {
 
     /// Cut a checkpoint if one is due. Returns true when the sink asked
     /// the run to halt.
-    fn maybe_checkpoint<D: Driver>(
-        &mut self,
-        driver: &mut D,
-        sink: CheckpointSink<'_>,
-    ) -> Result<bool> {
+    fn maybe_checkpoint(&mut self, sink: CheckpointSink<'_>) -> Result<bool> {
         if self.serve.checkpoint_every == 0 {
             return Ok(false);
         }
@@ -647,13 +511,12 @@ impl<'a> Pump<'a> {
         }
         self.refreshes_since_ckpt = 0;
         let write_start = Instant::now();
-        let core = driver.snapshot()?;
         let checkpoint = RunCheckpoint {
             fingerprint: self.fingerprint,
             objects: self.dataset.len(),
             annotators: self.pool.len(),
             pump: self.export_state(),
-            core,
+            core: self.core.export_state(),
         };
         obs::counter_add("checkpoint.write", 1);
         obs::gauge(
@@ -663,35 +526,44 @@ impl<'a> Pump<'a> {
         Ok(sink(checkpoint) == RunControl::Halt)
     }
 
-    /// The main loop: pump events, refresh on watermarks, and when the
-    /// queue drains force a refresh to flush leftovers — stopping once a
-    /// forced refresh dispatches nothing (or the agent reports done).
-    /// Checkpoints are cut only *after* a refresh that keeps the run
-    /// going, so every checkpoint resumes into the same loop position.
-    fn run<D: Driver>(mut self, driver: &mut D, sink: CheckpointSink<'_>) -> Result<RunOutcome> {
+    /// The main loop: dispatch the initial panels at t = 0 (fresh runs
+    /// only — resumes enter mid-stream), pump events, refresh on
+    /// watermarks, and when the queue drains force a refresh to flush
+    /// leftovers — stopping once a forced refresh dispatches nothing (or
+    /// the agent reports done). Checkpoints are cut only *after* a
+    /// refresh that keeps the run going, so every checkpoint resumes into
+    /// the same loop position.
+    fn run(
+        mut self,
+        initial: Option<&[(ObjectId, Vec<AnnotatorId>)]>,
+        sink: CheckpointSink<'_>,
+    ) -> Result<RunOutcome> {
+        if let Some(initial) = initial {
+            self.dispatch(initial)?;
+        }
         let wall_start = Instant::now();
         'outer: loop {
             while let Some(event) = self.queue.pop() {
                 self.handle(event.kind)?;
                 if self.watermark_due() {
-                    self.refresh(driver)?;
+                    self.refresh()?;
                     if self.done {
                         break 'outer;
                     }
-                    if self.maybe_checkpoint(driver, sink)? {
+                    if self.maybe_checkpoint(sink)? {
                         return Ok(RunOutcome::Halted);
                     }
                 }
             }
-            let dispatched = self.refresh(driver)?;
+            let dispatched = self.refresh()?;
             if self.done || dispatched == 0 {
                 break;
             }
-            if self.maybe_checkpoint(driver, sink)? {
+            if self.maybe_checkpoint(sink)? {
                 return Ok(RunOutcome::Halted);
             }
         }
-        let outcome = driver.finalize(FinalizeRequest {
+        let outcome = self.core.finalize(&FinalizeRequest {
             answers: Arc::clone(&self.answers),
             budget_spent: self.budget.spent(),
         })?;
@@ -774,8 +646,8 @@ impl AsyncRuntime {
         self.launch(dataset, pool, rng, Some(checkpoint), sink)
     }
 
-    /// Shared entry point: validate, build or restore the (core, pump)
-    /// pair, and drive it through the configured execution mode.
+    /// Shared entry point: validate, then build or restore the pump and
+    /// run it with the pool capped at the execution mode's width.
     fn launch<R: Rng + ?Sized>(
         &self,
         dataset: &Dataset,
@@ -789,6 +661,19 @@ impl AsyncRuntime {
         if pool.is_empty() {
             return Err(Error::InvalidParameter("annotator pool is empty".into()));
         }
+        crowdrl_linalg::pool::with_threads(self.serve.mode.threads(), || {
+            self.drive(dataset, pool, rng, checkpoint, sink)
+        })
+    }
+
+    fn drive<R: Rng + ?Sized>(
+        &self,
+        dataset: &Dataset,
+        pool: &AnnotatorPool,
+        rng: &mut R,
+        checkpoint: Option<RunCheckpoint>,
+        sink: CheckpointSink<'_>,
+    ) -> Result<RunOutcome> {
         obs::init_from_env();
         let run_span = obs::span("serve.run");
         if obs::enabled() {
@@ -803,7 +688,7 @@ impl AsyncRuntime {
         let core_seed: u64 = rng.random();
         let fingerprint = self.config.fingerprint();
 
-        let (core, pump, initial) = match checkpoint {
+        let (pump, initial) = match checkpoint {
             None => {
                 let mut core = AgentCore::new(
                     self.config.clone(),
@@ -813,8 +698,16 @@ impl AsyncRuntime {
                     self.serve.quarantine.clone(),
                 )?;
                 let initial = core.initial_panels();
-                let pump = Pump::new(dataset, pool, &self.serve, self.config.budget, fingerprint)?;
-                (core, pump, Some(initial))
+                let pump = Pump::new(
+                    dataset,
+                    pool,
+                    &self.serve,
+                    core,
+                    dynamics,
+                    self.config.budget,
+                    fingerprint,
+                )?;
+                (pump, Some(initial))
             }
             Some(ckpt) => {
                 if ckpt.fingerprint != fingerprint {
@@ -842,7 +735,15 @@ impl AsyncRuntime {
                     self.serve.quarantine.clone(),
                     ckpt.core,
                 )?;
-                let pump = Pump::restore(dataset, pool, &self.serve, fingerprint, ckpt.pump)?;
+                let pump = Pump::restore(
+                    dataset,
+                    pool,
+                    &self.serve,
+                    core,
+                    dynamics,
+                    fingerprint,
+                    ckpt.pump,
+                )?;
                 obs::counter_add("checkpoint.restore", 1);
                 obs::gauge(
                     "checkpoint.restore_ns",
@@ -850,91 +751,11 @@ impl AsyncRuntime {
                 );
                 // A restored run re-enters the pump loop directly: the
                 // initial panels were dispatched before the checkpoint.
-                (core, pump, None)
+                (pump, None)
             }
         };
 
-        let result = match self.serve.mode {
-            ExecMode::SingleThread => {
-                let mut driver = InlineDriver {
-                    core,
-                    pool,
-                    dynamics: &dynamics,
-                    sampling_seed: self.serve.sampling_seed,
-                };
-                run_pump(pump, &mut driver, initial.as_deref(), sink)
-            }
-            ExecMode::WorkerPool { workers } => {
-                let workers = if workers == 0 {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(2)
-                } else {
-                    workers
-                };
-                let sampling_seed = self.serve.sampling_seed;
-                let dynamics = &dynamics;
-                let mut core = core;
-                crossbeam::scope(|scope| {
-                    let (to_agent, agent_rx) = crossbeam::channel::unbounded::<ToAgent>();
-                    let (agent_tx, from_agent) = crossbeam::channel::unbounded::<FromAgent>();
-                    scope.spawn(move |_| {
-                        for msg in agent_rx.iter() {
-                            match msg {
-                                ToAgent::Refresh(req) => {
-                                    let reply = core.refresh(&req);
-                                    // Release the shared answer set *before*
-                                    // replying so the pump deterministically
-                                    // regains sole ownership (its next
-                                    // `Arc::make_mut` stays in place).
-                                    drop(req);
-                                    if agent_tx.send(FromAgent::Decision(reply)).is_err() {
-                                        break;
-                                    }
-                                }
-                                ToAgent::Train => core.train(),
-                                ToAgent::Snapshot => {
-                                    let state = core.export_state();
-                                    if agent_tx.send(FromAgent::Snapshot(Box::new(state))).is_err()
-                                    {
-                                        break;
-                                    }
-                                }
-                                ToAgent::Finalize(req) => {
-                                    let outcome = core.finalize(&req);
-                                    let _ = agent_tx.send(FromAgent::Outcome(Box::new(outcome)));
-                                    break;
-                                }
-                            }
-                        }
-                    });
-                    let (job_tx, job_rx) = crossbeam::channel::unbounded::<SampleJob>();
-                    let (out_tx, out_rx) = crossbeam::channel::unbounded::<SampledOutcome>();
-                    for _ in 0..workers {
-                        let job_rx = job_rx.clone();
-                        let out_tx = out_tx.clone();
-                        scope.spawn(move |_| {
-                            while let Ok(job) = job_rx.recv() {
-                                let outcome = sample_outcome(sampling_seed, job, pool, dynamics);
-                                if out_tx.send(outcome).is_err() {
-                                    break;
-                                }
-                            }
-                        });
-                    }
-                    drop(job_rx);
-                    drop(out_tx);
-                    let mut driver = ThreadedDriver {
-                        to_agent,
-                        from_agent,
-                        job_tx,
-                        out_rx,
-                    };
-                    run_pump(pump, &mut driver, initial.as_deref(), sink)
-                })
-                .map_err(|_| Error::ServiceFailure("a runtime thread panicked".into()))?
-            }
-        };
+        let result = pump.run(initial.as_deref(), sink);
         drop(run_span);
         if let Ok(RunOutcome::Completed(outcome)) = &result {
             outcome.metrics.emit_trace();
@@ -942,18 +763,4 @@ impl AsyncRuntime {
         }
         result
     }
-}
-
-/// Dispatch the initial panels at t = 0 (fresh runs only — resumes enter
-/// mid-stream), then hand the loop to the pump.
-fn run_pump<D: Driver>(
-    mut pump: Pump<'_>,
-    driver: &mut D,
-    initial: Option<&[(ObjectId, Vec<AnnotatorId>)]>,
-    sink: CheckpointSink<'_>,
-) -> Result<RunOutcome> {
-    if let Some(initial) = initial {
-        pump.dispatch(driver, initial)?;
-    }
-    pump.run(driver, sink)
 }

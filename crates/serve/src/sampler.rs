@@ -4,9 +4,9 @@
 //! it, how long they take, and what label they give — is drawn from a
 //! dedicated RNG stream derived from `(sampling_seed, assignment_id)`.
 //! The draw therefore depends only on the assignment id, never on which
-//! thread performs it or in what order: the worker-pool mode can sample a
-//! batch on however many threads it likes and still produce the exact
-//! trace of the single-threaded mode.
+//! thread performs it or in what order: [`sample_outcomes`] can fan a
+//! batch over however many pool threads the run allows and still produce
+//! the exact trace of the single-threaded mode.
 
 use crowdrl_sim::{AnnotatorDynamics, AnnotatorPool};
 use crowdrl_types::rng::{derive_seed, seeded};
@@ -35,6 +35,30 @@ pub struct SampledOutcome {
     /// `Some((label, latency))` if they answer, `None` if they silently
     /// drop the task (only the timeout will resolve it).
     pub response: Option<(ClassId, SimTime)>,
+}
+
+/// Assignments per pool chunk when a batch is sampled.
+const SAMPLE_CHUNK: usize = 64;
+
+/// Sample every job's outcome, fanned out over the `crowdrl_linalg` pool
+/// in fixed chunks and returned in job order. Both the single-project pump
+/// and the multi-tenant service sample through here.
+pub fn sample_outcomes(
+    sampling_seed: u64,
+    jobs: &[SampleJob],
+    pool: &AnnotatorPool,
+    dynamics: &[AnnotatorDynamics],
+) -> Vec<SampledOutcome> {
+    let _kind = crowdrl_linalg::pool::task_kind("sample");
+    crowdrl_linalg::pool::map_chunks(jobs.len(), SAMPLE_CHUNK, |range| {
+        jobs[range]
+            .iter()
+            .map(|&job| sample_outcome(sampling_seed, job, pool, dynamics))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Sample one assignment's outcome from its derived stream.

@@ -252,9 +252,9 @@ impl ServiceCheckpoint {
 
 /// FNV-1a fingerprint of everything that must match for a checkpoint to
 /// resume: the service config with its observationally-neutral knobs
-/// canonicalized out (exec mode, the decide override, the checkpoint
-/// cadence), the pool size, and each spec's name, priority, config
-/// fingerprint and dataset shape.
+/// canonicalized out (exec mode, the checkpoint cadence), the pool size,
+/// and each spec's name, priority, config fingerprint (which canonicalizes
+/// the project's decide mode) and dataset shape.
 pub fn service_fingerprint(
     cfg: &ServiceConfig,
     specs: &[ProjectSpec],
@@ -262,7 +262,6 @@ pub fn service_fingerprint(
 ) -> u64 {
     let mut canonical = cfg.clone();
     canonical.mode = ExecMode::SingleThread;
-    canonical.decide = None;
     canonical.checkpoint_every_rounds = 0;
     let mut h = Fnv::new();
     h.write(format!("{canonical:?}").as_bytes());
@@ -748,7 +747,7 @@ mod tests {
         let specs = vec![ProjectSpec::new("p", config, dataset)];
         let base = ServiceConfig::default();
         let f = service_fingerprint(&base, &specs, &pool);
-        // Exec mode, decide override, and cadence are neutral.
+        // Exec mode and cadence are neutral.
         let pooled = base
             .clone()
             .with_mode(ExecMode::WorkerPool { workers: 4 })

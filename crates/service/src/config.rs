@@ -1,7 +1,7 @@
 //! Service configuration: capacity, admission, sharding, scheduling
 //! cadence, and the shared-pool models every project runs against.
 
-use crowdrl_core::{CrowdRlConfig, DecideMode};
+use crowdrl_core::CrowdRlConfig;
 use crowdrl_serve::{ExecMode, QuarantineConfig};
 use crowdrl_sim::{CapacitySpec, DynamicsSpec, ServiceFaultPlan};
 use crowdrl_types::{Dataset, Error, Result};
@@ -73,9 +73,9 @@ pub struct ServiceConfig {
     pub time_watermark: f64,
     /// Requeue allowance per object before it is abandoned.
     pub max_requeues: usize,
-    /// Execution mode. Both modes run the identical sharded algorithm —
-    /// `WorkerPool` merely raises the thread cap — so traces are
-    /// bit-identical by construction.
+    /// Execution mode: the pool thread cap for the run. Both modes run
+    /// the identical sharded algorithm — `WorkerPool` merely raises the
+    /// cap — so traces are bit-identical by construction.
     pub mode: ExecMode,
     /// Latency/availability models for the shared pool.
     pub dynamics: DynamicsSpec,
@@ -91,12 +91,6 @@ pub struct ServiceConfig {
     /// least this many projects is blocked pool-wide (no project gets
     /// it). `0` disables the shared view.
     pub shared_evidence_threshold: usize,
-    /// Service-wide decide-path override. `Some` replaces every admitted
-    /// project's `config.decide` (fleet operators flip the whole service
-    /// between pruned and exhaustive scoring with one knob); `None`
-    /// leaves each project's own setting untouched. Selections are
-    /// bit-identical either way — this only trades scoring work.
-    pub decide: Option<DecideMode>,
     /// Cut a [`ServiceCheckpoint`](crate::ServiceCheckpoint) every this
     /// many scheduling rounds (at the round boundary, after settlements
     /// merge and finished projects finalize). `0` disables checkpoints.
@@ -140,7 +134,6 @@ impl Default for ServiceConfig {
             sampling_seed: 0x5EED_CAFE,
             quarantine: QuarantineConfig::default(),
             shared_evidence_threshold: 0,
-            decide: None,
             checkpoint_every_rounds: 0,
             max_queue_depth: 0,
             min_free_slot_ratio: 0.0,
@@ -186,13 +179,7 @@ impl ServiceConfig {
                 self.time_watermark
             )));
         }
-        if let ExecMode::WorkerPool { workers } = self.mode {
-            if workers == 0 {
-                return Err(Error::InvalidParameter(
-                    "worker pool must have at least one worker".into(),
-                ));
-            }
-        }
+        self.mode.validate()?;
         if !self.min_free_slot_ratio.is_finite() || !(0.0..=1.0).contains(&self.min_free_slot_ratio)
         {
             return Err(Error::InvalidParameter(format!(
@@ -246,12 +233,6 @@ impl ServiceConfig {
     /// Set the shared-evidence threshold.
     pub fn with_shared_evidence(mut self, threshold: usize) -> Self {
         self.shared_evidence_threshold = threshold;
-        self
-    }
-
-    /// Override every project's decide-path scoring strategy.
-    pub fn with_decide(mut self, decide: DecideMode) -> Self {
-        self.decide = Some(decide);
         self
     }
 

@@ -67,6 +67,8 @@
 //! println!("{}", outcome.aggregate);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod broker;
 pub mod checkpoint;
 pub mod config;

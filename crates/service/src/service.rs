@@ -29,10 +29,13 @@
 //!
 //! [`ExecMode`] does not select an algorithm — it sets the thread cap
 //! around *one* implementation (`SingleThread` caps the pool at 1).
-//! Every parallel section writes disjoint, pre-indexed slots and every
-//! stateful effect happens in the sequential merge/grant phases, so the
-//! trace is invariant by construction, not by testing luck.
+//! Every parallel section is a `pool::for_each_mut` over disjoint,
+//! pre-indexed slots (shards, due projects) or a chunk-ordered
+//! `map_chunks` (response sampling), and every stateful effect happens in
+//! the sequential merge/grant phases, so the trace is invariant by
+//! construction, not by testing luck.
 //!
+//! [`ExecMode`]: crowdrl_serve::ExecMode
 //! [`ShardBatch`]: crate::shard::ShardBatch
 //! [`AccountBook`]: crowdrl_serve::AccountBook
 //! [`AgentCore`]: crowdrl_serve::core_loop::AgentCore
@@ -46,14 +49,14 @@ use crate::error::ServiceError;
 use crate::metrics::{AggregateMetrics, ProjectReport, ServiceOutcome};
 use crate::project::{Project, ProjectStatus};
 use crate::shard::{Shard, ShardBatch, ShardEvent};
-use crowdrl_linalg::pool::{self as tpool, SendPtr};
+use crowdrl_linalg::pool as tpool;
 use crowdrl_obs as obs;
 use crowdrl_serve::core_loop::{
     AgentCore, BudgetView, FinalizeRequest, RefreshReply, RefreshRequest,
 };
 use crowdrl_serve::metrics::MetricsCollector;
-use crowdrl_serve::sampler::{sample_outcome, SampleJob, SampledOutcome};
-use crowdrl_serve::{AccountBook, ExecMode, RunControl, TraceEvent};
+use crowdrl_serve::sampler::{sample_outcomes, SampleJob};
+use crowdrl_serve::{AccountBook, RunControl, TraceEvent};
 use crowdrl_sim::{AnnotatorDynamics, AnnotatorPool};
 use crowdrl_types::{
     AnnotatorId, Answer, AnswerSet, AssignmentId, Error, ObjectId, Result, SimTime,
@@ -62,9 +65,6 @@ use rand::Rng;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Sampling fan-out granularity (assignments per worker chunk).
-const SAMPLE_CHUNK: usize = 64;
 
 /// Receives each [`ServiceCheckpoint`] as it is cut and decides whether
 /// the run continues (mirrors `crowdrl-serve`'s `CheckpointSink`).
@@ -107,7 +107,8 @@ impl Service {
     /// `rng` seeds the shared virtual crowd (latency dynamics) and each
     /// project's agent core, all drawn up front in submission order —
     /// the run itself is deterministic given (specs, pool, rng state,
-    /// config) and bit-identical across [`ExecMode`]s.
+    /// config) and bit-identical across
+    /// [`ExecMode`](crowdrl_serve::ExecMode)s.
     pub fn run<R: Rng + ?Sized>(
         &self,
         specs: &[ProjectSpec],
@@ -125,7 +126,7 @@ impl Service {
     /// rounds. The sink returning [`RunControl::Halt`] stops the run as
     /// [`ServiceRunOutcome::Halted`]; [`resume`](Self::resume) with the
     /// last checkpoint finishes it bit-identically to an uninterrupted
-    /// run — in either [`ExecMode`].
+    /// run — in either [`ExecMode`](crowdrl_serve::ExecMode).
     pub fn run_with_checkpoints<R: Rng + ?Sized>(
         &self,
         specs: &[ProjectSpec],
@@ -190,14 +191,8 @@ impl Service {
         let seeds: Vec<u64> = specs.iter().map(|_| rng.random()).collect();
 
         // ExecMode = thread cap around one shared implementation.
-        let threads = match self.config.mode {
-            ExecMode::SingleThread => 1,
-            ExecMode::WorkerPool { workers } => workers,
-        };
-        let previous = tpool::max_threads();
-        tpool::set_threads(threads);
         let started = Instant::now();
-        let result = (|| -> Result<ServiceRunOutcome> {
+        let outcome = tpool::with_threads(self.config.mode.threads(), || -> Result<_> {
             let mut engine = Engine::new(
                 &self.config,
                 specs,
@@ -221,9 +216,7 @@ impl Service {
             Ok(ServiceRunOutcome::Completed(Box::new(
                 engine.into_outcome(started.elapsed().as_secs_f64()),
             )))
-        })();
-        tpool::set_threads(previous);
-        let outcome = result?;
+        })?;
         drop(run_span);
         if let ServiceRunOutcome::Completed(o) = &outcome {
             o.aggregate.emit_trace();
@@ -285,6 +278,15 @@ enum AdvanceSlot {
     Panicked(String),
 }
 
+/// One shard's slot in the parallel advance: the shard, its injected
+/// panic time (if any), and what its chunk produced.
+struct AdvanceWork<'s> {
+    project: usize,
+    shard: &'s mut Shard,
+    panic_at: Option<f64>,
+    slot: Option<AdvanceSlot>,
+}
+
 /// Render a caught panic payload for the typed `ProjectFailed` error.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -338,14 +340,8 @@ impl<'a> Engine<'a> {
                 continue;
             }
             errors.push(None);
-            let mut project_config = spec.config.clone();
-            if let Some(decide) = cfg.decide {
-                // Service-wide decide override (observationally neutral:
-                // selections are bit-identical across modes).
-                project_config.decide = decide;
-            }
             let mut core = AgentCore::new(
-                project_config,
+                spec.config.clone(),
                 &spec.dataset,
                 pool,
                 seeds[i],
@@ -533,16 +529,7 @@ impl<'a> Engine<'a> {
                 truth: self.specs[g.project].dataset.truth(g.object.index()),
             })
             .collect();
-        let seed = self.cfg.sampling_seed;
-        let (pool_ref, dynamics) = (self.pool, self.dynamics);
-        let outcomes: Vec<SampledOutcome> = tpool::map_chunks(jobs.len(), SAMPLE_CHUNK, |range| {
-            range
-                .map(|k| sample_outcome(seed, jobs[k], pool_ref, dynamics))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let outcomes = sample_outcomes(self.cfg.sampling_seed, &jobs, self.pool, self.dynamics);
         let deadline = self.now + self.timeout;
         let now = self.now;
         let cfg = self.cfg;
@@ -588,64 +575,54 @@ impl<'a> Engine<'a> {
     /// [`fail_project`](Self::fail_project) (releasing everything it
     /// held) while every other tenant's batch merges normally.
     fn advance_and_merge(&mut self, horizon: SimTime) -> Result<()> {
-        let work: Vec<(usize, usize)> = self
-            .active
-            .iter()
-            .flat_map(|&i| (0..self.project(i).shards.len()).map(move |s| (i, s)))
-            .collect();
+        // One slot per (active project, shard), in merge order. Injected
+        // panics fire on the project's first shard, in the first round
+        // whose horizon passes the scheduled time.
+        let faults = &self.cfg.faults;
+        let mut projects: Vec<Option<&mut Project<'a>>> =
+            self.projects.iter_mut().map(Option::as_mut).collect();
+        let mut work: Vec<AdvanceWork<'_>> = Vec::new();
+        for &i in &self.active {
+            let p = projects[i].take().expect("active project");
+            let panic_at = faults.panic_at(i).filter(|&at| at <= horizon.as_f64());
+            for (s, shard) in p.shards.iter_mut().enumerate() {
+                work.push(AdvanceWork {
+                    project: i,
+                    shard,
+                    panic_at: panic_at.filter(|_| s == 0),
+                    slot: None,
+                });
+            }
+        }
         if work.is_empty() {
             return Ok(());
         }
-        // Injected panics fire on the project's first shard, in the
-        // first round whose horizon passes the scheduled time.
-        let panic_at: Vec<Option<f64>> = work
-            .iter()
-            .map(|&(i, s)| {
-                if s != 0 {
-                    return None;
-                }
-                self.cfg
-                    .faults
-                    .panic_at(i)
-                    .filter(|&at| at <= horizon.as_f64())
-            })
-            .collect();
-        let mut ptrs: Vec<SendPtr<Shard>> = Vec::with_capacity(work.len());
-        for &(i, s) in &work {
-            ptrs.push(SendPtr(
-                &mut self.projects[i].as_mut().expect("active project").shards[s] as *mut Shard,
-            ));
-        }
-        let mut batches: Vec<Option<AdvanceSlot>> = (0..work.len()).map(|_| None).collect();
-        let slots = SendPtr(batches.as_mut_ptr());
-        let ptrs_ref = &ptrs;
-        let panic_ref = &panic_at;
-        // SAFETY: `ptrs` point at distinct shards (disjoint (i, s) pairs
-        // over distinct projects), and slot k is written only by chunk k
-        // — every write target is private to its chunk. A panic unwinds
+        // Each chunk mutates only its own shard and slot. A panic unwinds
         // only out of `Shard::advance`, whose staged-batch design keeps
         // the shard's settled-but-unreported events recoverable.
-        tpool::run_chunks(work.len(), move |k| {
-            let shard = unsafe { &mut *ptrs_ref[k].get() };
+        tpool::for_each_mut(&mut work, |_, w| {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(at) = panic_ref[k] {
+                if let Some(at) = w.panic_at {
                     panic!("injected shard panic at t={at}");
                 }
-                shard.advance(horizon)
+                w.shard.advance(horizon)
             }));
-            let slot = match result {
+            w.slot = Some(match result {
                 Ok(batch) => AdvanceSlot::Batch(batch),
                 Err(payload) => AdvanceSlot::Panicked(panic_message(payload.as_ref())),
-            };
-            unsafe { *slots.get().add(k) = Some(slot) };
+            });
         });
+        let batches: Vec<(usize, AdvanceSlot)> = work
+            .into_iter()
+            .map(|w| (w.project, w.slot.expect("chunk ran")))
+            .collect();
         // Merge: healthy projects apply normally; a panicked project's
         // sibling batches are diverted to the containment path so their
         // held slots and reservations are released, never charged.
         let mut failed: Vec<(usize, String)> = Vec::new();
         let mut orphaned: Vec<(usize, ShardBatch)> = Vec::new();
-        for (k, &(i, _)) in work.iter().enumerate() {
-            match batches[k].take().expect("chunk ran") {
+        for (i, slot) in batches {
+            match slot {
                 AdvanceSlot::Panicked(msg) => {
                     if !failed.iter().any(|(p, _)| *p == i) {
                         failed.push((i, msg));
@@ -873,28 +850,25 @@ impl<'a> Engine<'a> {
                 answers_since: p.answers_since,
             });
         }
-        let mut ptrs: Vec<SendPtr<Project<'a>>> = Vec::with_capacity(due.len());
-        for &i in due {
-            ptrs.push(SendPtr(
-                self.projects[i].as_mut().expect("active project") as *mut Project<'a>
-            ));
-        }
-        let mut replies: Vec<Option<Result<RefreshReply>>> = (0..due.len()).map(|_| None).collect();
-        let slots = SendPtr(replies.as_mut_ptr());
-        let requests_ref = &requests;
-        let ptrs_ref = &ptrs;
-        // SAFETY: `due` holds distinct submission indices, so the
-        // pointers target distinct projects; slot k is written only by
-        // chunk k. Each chunk mutates only its own project's core.
-        tpool::run_chunks(due.len(), move |k| {
-            let p = unsafe { &mut *ptrs_ref[k].get() };
-            let reply = p.core.refresh(&requests_ref[k]).inspect(|_| p.core.train());
-            unsafe { *slots.get().add(k) = Some(reply) };
+        // `due` holds distinct submission indices; each chunk refreshes
+        // and trains only its own project's core.
+        let mut projects: Vec<Option<&mut Project<'a>>> =
+            self.projects.iter_mut().map(Option::as_mut).collect();
+        let mut work: Vec<(&mut Project<'a>, Option<Result<RefreshReply>>)> = due
+            .iter()
+            .map(|&i| (projects[i].take().expect("active project"), None))
+            .collect();
+        tpool::for_each_mut(&mut work, |k, (p, reply)| {
+            *reply = Some(p.core.refresh(&requests[k]).inspect(|_| p.core.train()));
         });
+        let replies: Vec<Result<RefreshReply>> = work
+            .into_iter()
+            .map(|(_, reply)| reply.expect("chunk ran"))
+            .collect();
         let mut total_dispatched = 0;
-        for (k, &i) in due.iter().enumerate() {
-            let reply = replies[k].take().expect("chunk ran")?;
-            let at = requests[k].now;
+        for ((&i, reply), request) in due.iter().zip(replies).zip(&requests) {
+            let reply = reply?;
+            let at = request.now;
             {
                 let p = self.projects[i].as_mut().expect("active project");
                 p.collector.refreshes += 1;
@@ -1197,12 +1171,8 @@ impl<'a> Engine<'a> {
                 ProjectCheckpoint::Active(state) => {
                     let state = *state;
                     let spec = &specs[i];
-                    let mut project_config = spec.config.clone();
-                    if let Some(decide) = cfg.decide {
-                        project_config.decide = decide;
-                    }
                     let mut core = AgentCore::restore(
-                        project_config,
+                        spec.config.clone(),
                         &spec.dataset,
                         pool,
                         cfg.quarantine.clone(),

@@ -25,6 +25,8 @@
 //!   duplicate deliveries and mid-run annotator quality drift, applied to
 //!   sampled outcomes by a stateless [`FaultInjector`].
 
+#![forbid(unsafe_code)]
+
 pub mod annotators;
 pub mod datasets;
 pub mod faults;

@@ -14,6 +14,8 @@
 //! `crowdrl-sim`, learning in `crowdrl-nn`/`crowdrl-rl`, and inference in
 //! `crowdrl-inference`.
 
+#![forbid(unsafe_code)]
+
 pub mod answers;
 pub mod budget;
 pub mod confusion;

@@ -55,6 +55,8 @@
 //! assert!(metrics.accuracy > 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use crowdrl_baselines as baselines;
 pub use crowdrl_core as core;
 pub use crowdrl_eval as eval;

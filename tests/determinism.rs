@@ -63,8 +63,10 @@ fn every_baseline_is_reproducible() {
 
 #[test]
 fn parallel_experiment_grid_is_schedule_independent() {
-    // The grid derives per-cell seeds, so thread count must not change any
-    // number.
+    // The grid derives per-cell seeds and averages repetitions in job
+    // order, so thread count must not change any bit. Three repetitions,
+    // because IEEE addition of two terms is commutative: only a sum of
+    // three or more can tell completion order from job order.
     let (dataset, pool) = scenario(3);
     let make_conditions = || {
         vec![Condition {
@@ -75,24 +77,40 @@ fn parallel_experiment_grid_is_schedule_independent() {
     };
     let strategies = paper_baselines();
     let single = ExperimentGrid {
-        repetitions: 2,
+        repetitions: 3,
         master_seed: 99,
         threads: 1,
     }
     .run(&strategies, &make_conditions())
     .unwrap();
     let parallel = ExperimentGrid {
-        repetitions: 2,
+        repetitions: 3,
         master_seed: 99,
         threads: 4,
     }
     .run(&strategies, &make_conditions())
     .unwrap();
     assert_eq!(single.len(), parallel.len());
+    let bits = |c: &crowdrl::eval::CellResult| {
+        let m = &c.metrics;
+        [
+            m.accuracy,
+            m.precision,
+            m.recall,
+            m.f1,
+            m.macro_precision,
+            m.macro_recall,
+            m.macro_f1,
+            m.coverage,
+            c.accuracy_std,
+            c.budget_spent,
+        ]
+        .map(f64::to_bits)
+    };
     for (a, b) in single.iter().zip(&parallel) {
         assert_eq!(a.strategy, b.strategy);
-        assert_eq!(a.metrics.accuracy, b.metrics.accuracy, "{}", a.strategy);
-        assert_eq!(a.budget_spent, b.budget_spent, "{}", a.strategy);
+        assert_eq!(a.runs, b.runs, "{}", a.strategy);
+        assert_eq!(bits(a), bits(b), "{}", a.strategy);
     }
 }
 
@@ -108,17 +126,20 @@ fn results_are_invariant_to_worker_pool_size() {
         let mut rng = seeded(21);
         CrowdRl::new(config).run(&dataset, &pool, &mut rng).unwrap()
     };
-    let async_run = || {
+    // The async runtime's width is its `ExecMode`: the pool cap it sets
+    // for the run.
+    let async_run = |mode: ExecMode| {
         let config = CrowdRlConfig::builder().budget(150.0).build().unwrap();
         let mut rng = seeded(22);
+        let serve = ServeConfig::default().with_mode(mode);
         CrowdRl::new(config)
-            .run_async(&dataset, &pool, &ServeConfig::default(), &mut rng)
+            .run_async(&dataset, &pool, &serve, &mut rng)
             .unwrap()
     };
 
     crowdrl::linalg::pool::set_threads(1);
     let batch_ref = batch_run();
-    let async_ref = async_run();
+    let async_ref = async_run(ExecMode::SingleThread);
     for threads in [2usize, 4] {
         crowdrl::linalg::pool::set_threads(threads);
         let batch = batch_run();
@@ -132,7 +153,7 @@ fn results_are_invariant_to_worker_pool_size() {
             "{threads} threads"
         );
         assert_eq!(batch_ref.iterations, batch.iterations, "{threads} threads");
-        let run = async_run();
+        let run = async_run(ExecMode::WorkerPool { workers: threads });
         assert_eq!(async_ref.trace, run.trace, "{threads} threads");
         assert_eq!(
             async_ref.outcome.labels, run.outcome.labels,
