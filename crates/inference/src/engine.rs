@@ -239,22 +239,36 @@ impl InferenceEngine {
     /// rebuilding the derived row map and feature matrix from `dataset`.
     /// After this, the next `infer` continues exactly where the
     /// checkpointed engine would have.
+    ///
+    /// A snapshot whose shape does not fit `dataset` is rejected with a
+    /// typed error naming the mismatched field, and the engine is left
+    /// unchanged. The carried confusions are checked against the class
+    /// count here and against the pool size by the next warm call, which
+    /// is the first point that knows it.
     pub fn restore_state(&mut self, snap: EngineSnapshot, dataset: &Dataset) -> Result<()> {
         let n = dataset.len();
-        if snap.answer_counts.len() != n || snap.moved.len() != n {
-            return Err(Error::DimensionMismatch {
-                expected: n,
-                actual: snap.answer_counts.len(),
-                context: "engine snapshot object count".into(),
-            });
+        let k = dataset.num_classes();
+        let expect = |actual: usize, expected: usize, context: &str| {
+            if actual == expected {
+                Ok(())
+            } else {
+                Err(Error::DimensionMismatch {
+                    expected,
+                    actual,
+                    context: format!("engine snapshot {context}"),
+                })
+            }
+        };
+        expect(snap.answer_counts.len(), n, "answer counts")?;
+        expect(snap.moved.len(), n, "moved flags")?;
+        expect(snap.last.posteriors.len(), n, "posteriors")?;
+        for posterior in snap.last.posteriors.iter().flatten() {
+            expect(posterior.len(), k, "posterior classes")?;
         }
-        if snap.last.posteriors.len() != n {
-            return Err(Error::DimensionMismatch {
-                expected: n,
-                actual: snap.last.posteriors.len(),
-                context: "engine snapshot posteriors".into(),
-            });
+        for confusion in &snap.last.confusions {
+            expect(confusion.num_classes(), k, "confusion classes")?;
         }
+        expect(snap.last.class_prior.len(), k, "class prior")?;
         let mut row_of = vec![NO_ROW; n];
         for (r, &i) in snap.answered.iter().enumerate() {
             if i >= n {
@@ -264,8 +278,20 @@ impl InferenceEngine {
                     context: "engine snapshot answered object".into(),
                 });
             }
+            if row_of[i] != NO_ROW || snap.answer_counts[i] == 0 {
+                return Err(Error::InvalidParameter(format!(
+                    "engine snapshot lists object {i} as answered {}",
+                    if row_of[i] != NO_ROW {
+                        "twice"
+                    } else {
+                        "with no answers"
+                    }
+                )));
+            }
             row_of[i] = r;
         }
+        let with_answers = snap.answer_counts.iter().filter(|&&c| c > 0).count();
+        expect(snap.answered.len(), with_answers, "answered objects")?;
         let mut x = Matrix::zeros(0, dataset.dim());
         if matches!(self.model, EngineModel::Joint(_)) {
             x = Matrix::zeros(snap.answered.len(), dataset.dim());
@@ -404,6 +430,17 @@ impl InferenceEngine {
         rng: &mut R,
     ) -> Result<InferenceResult> {
         let _span = obs::span("em.engine.warm");
+        // The joint E-step reads one carried confusion per annotator; a
+        // restored snapshot from a different pool must fail here, before
+        // any state is touched, rather than index past the tables.
+        let carried = self.state.as_ref().map_or(0, |s| s.last.confusions.len());
+        if matches!(self.model, EngineModel::Joint(_)) && carried != profiles.len() {
+            return Err(Error::DimensionMismatch {
+                expected: profiles.len(),
+                actual: carried,
+                context: "engine carried confusions".into(),
+            });
+        }
         self.calls += 1;
         let call = self.calls as f64;
         let n = dataset.len();

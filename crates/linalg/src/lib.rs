@@ -3,12 +3,12 @@
 //! Minimal dense linear algebra backing the CrowdRL neural-network
 //! substrate (`crowdrl-nn`): a row-major `f32` [`Matrix`] with the handful
 //! of kernels a feed-forward network needs — plain/transposed matrix
-//! products in the cache-friendly *ikj* loop order, element-wise updates,
-//! and the row-wise softmax/argmax used by classifier heads.
+//! products as register-tiled kernels, element-wise updates, and the
+//! row-wise softmax/argmax used by classifier heads.
 //!
 //! The crate is deliberately tiny and self-contained — owning the kernels
-//! keeps the whole reproduction auditable. Large products are blocked for
-//! cache reuse and row-partitioned across a small reusable worker [`pool`]
+//! keeps the whole reproduction auditable. Large products are
+//! row-partitioned across a small reusable worker [`pool`]
 //! whose fixed chunk boundaries and fixed-order reductions make every
 //! result **bit-identical for any thread count** (see DESIGN.md §9); small
 //! products stay on the single-threaded kernels the dispatch shares with

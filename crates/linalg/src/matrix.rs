@@ -39,24 +39,177 @@ fn par_row_blocks(
     });
 }
 
-/// `out[j] = ((((out[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]`
-/// for every `j`, with each multiply and add individually rounded — the
-/// exact op sequence of four consecutive single-term update passes, fused
-/// so the running value stays in a register. The `t += x * y` form keeps
-/// the multiply and add as two roundings (rustc never contracts to FMA
-/// without an explicit intrinsic), so this is bit-identical to the
-/// unfused reference loop.
-fn axpy4(out: &mut [f32], a: &[f32; 4], b: &[&[f32]; 4]) {
-    let n = out.len();
-    let (b0, b1, b2, b3) = (&b[0][..n], &b[1][..n], &b[2][..n], &b[3][..n]);
-    for j in 0..n {
-        let mut t = out[j];
-        t += a[0] * b0[j];
-        t += a[1] * b1[j];
-        t += a[2] * b2[j];
-        t += a[3] * b3[j];
-        out[j] = t;
+/// Output rows per register tile, in all three products. The `by_shape!`
+/// height lists (`[4, 2, 1]`) are this and the tail heights it halves to.
+const TILE_ROWS: usize = 4;
+
+/// Widest output panel a `matmul` or `matmul_tn` tile holds in registers.
+const TILE_COLS: usize = 8;
+
+/// Output columns per `matmul_nt` tile.
+const NT_TILE_COLS: usize = 4;
+
+/// `$tile::<$h, W> $args` for the runtime panel width `$w`, one arm per
+/// listed width.
+macro_rules! by_width {
+    ([$($wl:literal),*], $w:expr, $tile:ident::<$h:tt> $args:tt) => {
+        match $w {
+            $($wl => $tile::<$h, $wl> $args,)*
+            w => unreachable!("tile width {w}"),
+        }
+    };
+}
+
+/// `$tile::<H, W> $args` for the runtime tile height `$rows` and panel
+/// width `$w`. Every listed shape is its own monomorphized tile, so a
+/// 1- or 2-wide output keeps its accumulators in registers exactly like
+/// a full panel.
+macro_rules! by_shape {
+    ([$($h:literal),*] x $widths:tt, $rows:expr, $w:expr, $tile:ident $args:tt) => {
+        match $rows {
+            $($h => by_width!($widths, $w, $tile::<$h> $args),)*
+            h => unreachable!("tile height {h}"),
+        }
+    };
+}
+
+/// Cover the row-major `out` block (`width` columns) with register tiles:
+/// bands of `TILE_ROWS` rows, the rows below the last full band in bands
+/// of 2 and 1, each band cut into panels of up to `cols_per_tile`
+/// columns. Calls `tile(first_row, rows, j0, cols, band)`, with
+/// `first_row` counted from the start of `out` and `band` the band's
+/// slice of `out`. Each output element's value is fixed by its own
+/// accumulation sequence, so which tile covers it cannot change a bit.
+fn for_each_tile(
+    out: &mut [f32],
+    width: usize,
+    cols_per_tile: usize,
+    mut tile: impl FnMut(usize, usize, usize, usize, &mut [f32]),
+) {
+    if width == 0 {
+        return;
     }
+    let rows = out.len() / width;
+    let (mut r0, mut h) = (0, TILE_ROWS);
+    while r0 < rows {
+        while r0 + h > rows {
+            h /= 2;
+        }
+        let band = &mut out[r0 * width..(r0 + h) * width];
+        for j0 in (0..width).step_by(cols_per_tile) {
+            tile(r0, h, j0, (width - j0).min(cols_per_tile), band);
+        }
+        r0 += h;
+    }
+}
+
+/// Whether the zero-skip of `matmul` and `matmul_tn` must be tested term
+/// by term: only when `b` holds a non-finite entry. A zero A entry times
+/// a finite B entry is ±0.0, and adding ±0.0 to an accumulator that
+/// started at +0.0 leaves its bits unchanged (round-to-nearest never
+/// produces −0.0 from a +0.0 start), so over a finite B the skip is
+/// invisible and the tile runs without the per-term branch — which
+/// mispredicts on about half the terms of a ReLU-fed operand.
+fn zero_skip_needed(b: &Matrix) -> bool {
+    !b.data.iter().all(|v| v.is_finite())
+}
+
+/// Store tile accumulators into columns `j0..j0+W` of the first `R` rows
+/// of the row-major `band` (`width` columns).
+fn store_tile<const R: usize, const W: usize>(
+    acc: &[[f32; W]; R],
+    band: &mut [f32],
+    width: usize,
+    j0: usize,
+) {
+    for (r, acc_row) in acc.iter().enumerate() {
+        band[r * width + j0..][..W].copy_from_slice(acc_row);
+    }
+}
+
+/// `matmul` tile: output rows `i0..i0+R` by columns `j0..j0+W`. Each
+/// accumulator starts at +0.0 and takes `a[i][k] * b[k][j]` for ascending
+/// k, skipping terms with `a[i][k] == 0.0`; the multiply and the add round
+/// separately (`acc += x * y` never contracts to FMA).
+fn matmul_tile<const R: usize, const W: usize>(
+    a: &Matrix,
+    b: &Matrix,
+    i0: usize,
+    j0: usize,
+    skip_zeros: bool,
+    band: &mut [f32],
+) {
+    let k = a.cols;
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a.data[(i0 + r) * k..][..k]);
+    let mut acc = [[0.0f32; W]; R];
+    for (kk, b_row) in b.data.chunks_exact(b.cols).enumerate() {
+        let y: &[f32; W] = b_row[j0..j0 + W].try_into().expect("panel is W wide");
+        for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
+            let x = a_row[kk];
+            if skip_zeros && x == 0.0 {
+                continue;
+            }
+            for (o, &yv) in acc_row.iter_mut().zip(y) {
+                *o += x * yv;
+            }
+        }
+    }
+    store_tile(&acc, band, b.cols, j0);
+}
+
+/// `matmul_tn` tile: output rows `k0..k0+R` (columns of `a`) by columns
+/// `j0..j0+W`, summing `a[m][k] * b[m][j]` from +0.0 over ascending m and
+/// skipping terms with `a[m][k] == 0.0`.
+fn matmul_tn_tile<const R: usize, const W: usize>(
+    a: &Matrix,
+    b: &Matrix,
+    k0: usize,
+    j0: usize,
+    skip_zeros: bool,
+    band: &mut [f32],
+) {
+    let mut acc = [[0.0f32; W]; R];
+    let rows = a.data.chunks_exact(a.cols).zip(b.data.chunks_exact(b.cols));
+    for (a_row, b_row) in rows {
+        let x: &[f32; R] = a_row[k0..k0 + R].try_into().expect("tile is R tall");
+        let y: &[f32; W] = b_row[j0..j0 + W].try_into().expect("panel is W wide");
+        for (acc_row, &xv) in acc.iter_mut().zip(x) {
+            if skip_zeros && xv == 0.0 {
+                continue;
+            }
+            for (o, &yv) in acc_row.iter_mut().zip(y) {
+                *o += xv * yv;
+            }
+        }
+    }
+    store_tile(&acc, band, b.cols, j0);
+}
+
+/// `matmul_nt` tile: the `R x W` dot products of rows `i0..i0+R` of `a`
+/// with rows `j0..j0+W` of `b`, each from +0.0 over ascending k with no
+/// skip. The `R * W` independent accumulators replace one latency-bound
+/// dot product at a time.
+fn matmul_nt_tile<const R: usize, const W: usize>(
+    a: &Matrix,
+    b: &Matrix,
+    i0: usize,
+    j0: usize,
+    band: &mut [f32],
+) {
+    let k = a.cols;
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a.data[(i0 + r) * k..][..k]);
+    let b_rows: [&[f32]; W] = std::array::from_fn(|c| &b.data[(j0 + c) * k..][..k]);
+    let mut acc = [[0.0f32; W]; R];
+    for kk in 0..k {
+        let y: [f32; W] = std::array::from_fn(|c| b_rows[c][kk]);
+        for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
+            let x = a_row[kk];
+            for (o, &yv) in acc_row.iter_mut().zip(&y) {
+                *o += x * yv;
+            }
+        }
+    }
+    store_tile(&acc, band, b.rows, j0);
 }
 
 /// A dense row-major `f32` matrix.
@@ -183,7 +336,7 @@ impl Matrix {
 
     /// `self * other` — `[m x k] * [k x n] -> [m x n]`.
     ///
-    /// Dispatches between the single-threaded blocked kernel and the
+    /// Dispatches between the single-threaded tiled kernel and the
     /// row-partitioned pool path by size; both run the identical per-row
     /// operation sequence, so the results are bit-for-bit the same (see
     /// `crate::pool`).
@@ -200,7 +353,7 @@ impl Matrix {
         }
     }
 
-    /// `matmul` forced onto the single-threaded blocked kernel.
+    /// `matmul` forced onto the single-threaded tiled kernel.
     pub fn matmul_serial(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul_serial shape mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
@@ -227,57 +380,28 @@ impl Matrix {
         out
     }
 
-    /// Blocked ikj kernel for output rows `rows`, writing into `out` (the
-    /// row-major slice for exactly those rows). The k loop is tiled for
-    /// cache reuse of the streamed `other` panel; tiles are visited in
-    /// ascending k order, so each output element sees the exact operation
-    /// sequence of the untiled loop.
+    /// Register-tiled kernel for output rows `rows`, writing into `out`
+    /// (the row-major slice for exactly those rows): tiles of
+    /// `TILE_ROWS` rows by up to `TILE_COLS` columns, each a full k sweep
+    /// with its outputs held in local accumulators.
     fn matmul_rows_into(&self, other: &Matrix, rows: std::ops::Range<usize>, out: &mut [f32]) {
-        const KC: usize = 256;
-        let n = other.cols;
-        debug_assert_eq!(out.len(), rows.len() * n);
-        for (oi, i) in rows.enumerate() {
-            let a_row = self.row(i);
-            let out_row = &mut out[oi * n..(oi + 1) * n];
-            let mut k0 = 0;
-            while k0 < self.cols {
-                let k1 = (k0 + KC).min(self.cols);
-                // Non-zero k terms are applied four per pass over the
-                // output row. Each output element still accumulates its
-                // (mul, add-assign) pairs in ascending-k order with the
-                // same zero-skip — grouping only keeps the running value
-                // in a register across four terms instead of a memory
-                // round-trip per term, which cannot change any bit.
-                let mut pend_a = [0.0f32; 4];
-                let mut pend_b: [&[f32]; 4] = [&[]; 4];
-                let mut np = 0;
-                for (k, &a) in a_row[k0..k1].iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    pend_a[np] = a;
-                    pend_b[np] = other.row(k0 + k);
-                    np += 1;
-                    if np == 4 {
-                        axpy4(out_row, &pend_a, &pend_b);
-                        np = 0;
-                    }
-                }
-                for t in 0..np {
-                    let b_row = pend_b[t];
-                    let a = pend_a[t];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-                k0 = k1;
-            }
-        }
+        debug_assert_eq!(out.len(), rows.len() * other.cols);
+        let skip = zero_skip_needed(other);
+        for_each_tile(out, other.cols, TILE_COLS, |r, h, j0, w, band| {
+            let i0 = rows.start + r;
+            by_shape!(
+                [4, 2, 1] x [1, 2, 3, 4, 5, 6, 7, 8],
+                h,
+                w,
+                matmul_tile(self, other, i0, j0, skip, band)
+            )
+        });
     }
 
-    /// `self * other^T` — `[m x k] * [n x k]^T -> [m x n]`. The inner loop is
-    /// a dot product of two contiguous rows. Size-dispatched like
-    /// [`Matrix::matmul`]; bit-identical on either path.
+    /// `self * other^T` — `[m x k] * [n x k]^T -> [m x n]`. Each output is
+    /// a dot product of two contiguous rows, computed in 4 x 4 tiles.
+    /// Size-dispatched like [`Matrix::matmul`]; bit-identical on either
+    /// path.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -291,7 +415,7 @@ impl Matrix {
         }
     }
 
-    /// `matmul_nt` forced onto the single-threaded blocked kernel.
+    /// `matmul_nt` forced onto the single-threaded tiled kernel.
     pub fn matmul_nt_serial(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt_serial shape mismatch");
         let mut out = Matrix::zeros(self.rows, other.rows);
@@ -314,30 +438,19 @@ impl Matrix {
         out
     }
 
-    /// Row-dot kernel for `matmul_nt` over output rows `rows`. A-rows are
-    /// processed in small blocks so each streamed B-row is reused across
-    /// the block; every (i, j) dot product keeps its single accumulator
-    /// and ascending-k order, so blocking cannot change any bit.
+    /// Register-tiled kernel for `matmul_nt` over output rows `rows`:
+    /// tiles of `TILE_ROWS` x `NT_TILE_COLS` dot products.
     fn matmul_nt_rows_into(&self, other: &Matrix, rows: std::ops::Range<usize>, out: &mut [f32]) {
-        const IB: usize = 8;
-        let n = other.rows;
-        debug_assert_eq!(out.len(), rows.len() * n);
-        let mut i0 = rows.start;
-        while i0 < rows.end {
-            let i1 = (i0 + IB).min(rows.end);
-            for j in 0..n {
-                let b_row = other.row(j);
-                for i in i0..i1 {
-                    let a_row = self.row(i);
-                    let mut acc = 0.0f32;
-                    for (&a, &b) in a_row.iter().zip(b_row) {
-                        acc += a * b;
-                    }
-                    out[(i - rows.start) * n + j] = acc;
-                }
-            }
-            i0 = i1;
-        }
+        debug_assert_eq!(out.len(), rows.len() * other.rows);
+        for_each_tile(out, other.rows, NT_TILE_COLS, |r, h, j0, w, band| {
+            let i0 = rows.start + r;
+            by_shape!(
+                [4, 2, 1] x [1, 2, 3, 4],
+                h,
+                w,
+                matmul_nt_tile(self, other, i0, j0, band)
+            )
+        });
     }
 
     /// `self^T * other` — `[m x k]^T * [m x n] -> [k x n]`, streaming both
@@ -380,27 +493,21 @@ impl Matrix {
         out
     }
 
-    /// Kernel for `matmul_tn` over output rows `cols` (columns of `self`).
-    /// Accumulation over m stays in ascending order for every output
-    /// element, identical to the full-range serial sweep.
+    /// Register-tiled kernel for `matmul_tn` over output rows `cols`
+    /// (columns of `self`): tiles of `TILE_ROWS` output rows by up to
+    /// `TILE_COLS` columns, each streaming both operands once over m.
     fn matmul_tn_cols_into(&self, other: &Matrix, cols: std::ops::Range<usize>, out: &mut [f32]) {
-        let n = other.cols;
-        debug_assert_eq!(out.len(), cols.len() * n);
-        for m in 0..self.rows {
-            let a_row = self.row(m);
-            let b_row = other.row(m);
-            for k in cols.clone() {
-                let a = a_row[k];
-                if a == 0.0 {
-                    continue;
-                }
-                let o0 = (k - cols.start) * n;
-                let out_row = &mut out[o0..o0 + n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        debug_assert_eq!(out.len(), cols.len() * other.cols);
+        let skip = zero_skip_needed(other);
+        for_each_tile(out, other.cols, TILE_COLS, |r, h, j0, w, band| {
+            let k0 = cols.start + r;
+            by_shape!(
+                [4, 2, 1] x [1, 2, 3, 4, 5, 6, 7, 8],
+                h,
+                w,
+                matmul_tn_tile(self, other, k0, j0, skip, band)
+            )
+        });
     }
 
     /// [`Matrix::matmul`] under an explicit [`NumericMode`]:
@@ -518,8 +625,9 @@ impl Matrix {
         self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
     }
 
-    /// Reference matmul with the naive jki order — only for tests that check
-    /// the optimized kernels.
+    /// Reference matmul with the naive ijk order (one dot product per
+    /// output element, no zero-skip) — only for tests that check the
+    /// optimized kernels.
     #[doc(hidden)]
     pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows);

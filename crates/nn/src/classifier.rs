@@ -28,11 +28,12 @@ pub struct ClassifierConfig {
     pub epochs: usize,
     /// Minibatch size.
     pub batch_size: usize,
-    /// L2 weight decay (applied as loss-gradient shrinkage).
+    /// Decoupled weight decay: before each Adam step every parameter,
+    /// biases included, is multiplied by `1 - weight_decay`.
     pub weight_decay: f32,
     /// Matmul kernel selection for the classifier network. `Reference`
-    /// (default) is the bit-pinned blocked kernel; `Fast` enables the SIMD
-    /// kernels for fit forwards/backwards and batched prediction.
+    /// (default) is the bit-pinned register-tiled kernel; `Fast` enables
+    /// the SIMD kernels for fit forwards/backwards and batched prediction.
     /// Snapshots are NOT interchangeable across modes.
     pub numeric: NumericMode,
 }
@@ -212,18 +213,26 @@ impl SoftmaxClassifier {
 
         let n = x.rows();
         let bs = self.config.batch_size.min(n);
+        // Minibatch buffers shared by every batch of the call.
+        let mut bx = Matrix::zeros(bs, x.cols());
+        let mut bt = Matrix::zeros(bs, targets.cols());
+        let mut bw_buf: Vec<f32> = Vec::with_capacity(bs);
         let mut last_loss = 0.0;
         for _ in 0..epochs {
             let order = permutation(rng, n);
             let mut epoch_loss = 0.0f32;
             let mut batches = 0;
             for chunk in order.chunks(bs) {
-                let bx = gather_rows(x, chunk);
-                let bt = gather_rows(targets, chunk);
-                let bw: Option<Vec<f32>> = weights.map(|w| chunk.iter().map(|&i| w[i]).collect());
+                gather_rows_into(x, chunk, &mut bx);
+                gather_rows_into(targets, chunk, &mut bt);
+                let bw = weights.map(|w| {
+                    bw_buf.clear();
+                    bw_buf.extend(chunk.iter().map(|&i| w[i]));
+                    bw_buf.as_slice()
+                });
                 self.net.zero_grad();
                 let out = self.net.forward(&bx);
-                let (l, d) = loss::softmax_cross_entropy(&out, &bt, bw.as_deref());
+                let (l, d) = loss::softmax_cross_entropy(&out, &bt, bw);
                 self.net.backward(&d);
                 self.apply_weight_decay();
                 self.net.step(&mut self.opt, Some(5.0));
@@ -270,12 +279,7 @@ impl SoftmaxClassifier {
     fn apply_weight_decay(&mut self) {
         if self.config.weight_decay > 0.0 {
             // Decoupled weight decay: shrink parameters directly.
-            let mut params = self.net.flatten_params();
-            let decay = 1.0 - self.config.weight_decay;
-            for p in params.iter_mut() {
-                *p *= decay;
-            }
-            self.net.load_params(&params);
+            self.net.scale_params(1.0 - self.config.weight_decay);
         }
     }
 
@@ -357,13 +361,15 @@ pub struct ClassifierSnapshot {
     pub generation: u64,
 }
 
-/// Gather rows of `m` at `idx` into a new matrix.
-fn gather_rows(m: &Matrix, idx: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(idx.len(), m.cols());
+/// Gather rows of `m` at `idx` into `out`, keeping its buffer whenever the
+/// batch size repeats (all but an epoch's short last batch).
+fn gather_rows_into(m: &Matrix, idx: &[usize], out: &mut Matrix) {
+    if out.rows() != idx.len() {
+        *out = Matrix::zeros(idx.len(), m.cols());
+    }
     for (r, &i) in idx.iter().enumerate() {
         out.row_mut(r).copy_from_slice(m.row(i));
     }
-    out
 }
 
 #[cfg(test)]

@@ -45,8 +45,8 @@ pub struct Dense {
     scratch_bytes: u64,
     /// Which matmul kernels [`Dense::forward`]/[`Dense::backward`]/
     /// [`Dense::forward_inference`] dispatch to. `Reference` (the default)
-    /// is the bit-pinned blocked kernel; `Fast` is the SIMD kernel with a
-    /// different (documented) reduction order.
+    /// is the bit-pinned register-tiled kernel; `Fast` is the SIMD kernel
+    /// with a different (documented) reduction order.
     /// [`Dense::forward_inference_outer`]'s partial matmuls stay on the
     /// exact reference op order in *both* modes (see DESIGN.md §14).
     mode: NumericMode,

@@ -45,8 +45,8 @@ impl Network {
 
     /// Set the numeric mode on every layer (see [`Dense::set_numeric_mode`]
     /// for which paths dispatch on it). `Reference` (the default) keeps the
-    /// bit-pinned blocked kernels; `Fast` enables the SIMD kernels for
-    /// training forwards/backwards and batched inference.
+    /// bit-pinned register-tiled kernels; `Fast` enables the SIMD kernels
+    /// for training forwards/backwards and batched inference.
     pub fn set_numeric_mode(&mut self, mode: NumericMode) {
         for layer in &mut self.layers {
             layer.set_numeric_mode(mode);
@@ -153,8 +153,8 @@ impl Network {
     }
 
     /// Apply one optimizer step using the accumulated gradients, with
-    /// optional gradient-norm clipping (`max_grad` per tensor, infinity
-    /// norm).
+    /// optional element-wise gradient clipping: each gradient entry is
+    /// clamped to ±`max_grad` before the update.
     pub fn step(&mut self, opt: &mut dyn Optimizer, max_grad: Option<f32>) {
         let clip_scratch = &mut self.clip_scratch;
         for (li, layer) in self.layers.iter_mut().enumerate() {
@@ -167,6 +167,17 @@ impl Network {
                     opt.update(slot, param, clip_scratch);
                 } else {
                     opt.update(slot, param, grad);
+                }
+            }
+        }
+    }
+
+    /// Multiply every parameter, weights and biases, by `factor` in place.
+    pub fn scale_params(&mut self, factor: f32) {
+        for layer in &mut self.layers {
+            for (param, _) in layer.params_and_grads() {
+                for p in param {
+                    *p *= factor;
                 }
             }
         }

@@ -33,6 +33,12 @@ timed "tests @1 thread" env CROWDRL_THREADS=1 cargo test -q --offline --workspac
 echo "== cargo test (workspace, CROWDRL_THREADS=4) =="
 timed "tests @4 threads" env CROWDRL_THREADS=4 cargo test -q --offline --workspace
 
+echo "== cargo test (release: linalg + nn) =="
+# The debug runs above do not auto-vectorize the matmul tile loops, so
+# the kernel bit pin (crates/linalg/tests/kernel_bits.rs), the
+# equivalence suites and the network tests run again on optimized code.
+timed "tests release linalg+nn" cargo test -q --release --offline -p crowdrl-linalg -p crowdrl-nn
+
 echo "== traced run + crowdrl-trace smoke test =="
 # The observability layer must produce a trace the analyzer can profile:
 # run a small traced experiment and assert the phase profile is non-empty.

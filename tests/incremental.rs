@@ -5,13 +5,14 @@
 //! objects it touches.
 
 use crowdrl::inference::{
-    DawidSkene, EngineConfig, InferenceEngine, InferenceResult, JointConfig, JointInference,
+    DawidSkene, EngineConfig, EngineSnapshot, InferenceEngine, InferenceResult, JointConfig,
+    JointInference,
 };
 use crowdrl::nn::{ClassifierConfig, SoftmaxClassifier};
 use crowdrl::prelude::*;
 use crowdrl::sim::Platform;
 use crowdrl::types::rng::{sample_indices, seeded};
-use crowdrl::types::{Budget, ObjectId};
+use crowdrl::types::{Budget, ConfusionMatrix, Error, ObjectId};
 
 fn scenario(n: usize, seed: u64) -> (Dataset, AnnotatorPool) {
     let mut rng = seeded(seed);
@@ -400,4 +401,123 @@ fn unchanged_answers_return_the_cached_result() {
     assert_eq!(before, after, "cached reply must not consume the RNG");
     assert_eq!(first.posteriors, second.posteriors);
     assert_eq!(first.class_prior, second.class_prior);
+}
+
+/// A joint engine that has run once over answers for objects `0..30` of a
+/// 60-object scenario (objects `30..60` stay unanswered), with its
+/// classifier, the platform that bought the answers and the asking RNG.
+fn staged_joint_engine(
+    seed: u64,
+) -> (
+    Dataset,
+    AnnotatorPool,
+    InferenceEngine,
+    SoftmaxClassifier,
+    rand::rngs::StdRng,
+) {
+    let (dataset, pool) = scenario(60, seed);
+    let mut platform = Platform::new(&dataset, &pool, Budget::new(1e6).unwrap());
+    let mut ask_rng = seeded(seed + 1);
+    ask_stage(&mut platform, &pool, 0..30, &mut ask_rng);
+    let mut engine = InferenceEngine::joint(JointInference::default(), EngineConfig::default());
+    let mut classifier = fresh_classifier(dataset.dim(), dataset.num_classes(), seed + 2);
+    let mut rng = seeded(seed + 3);
+    engine
+        .infer(
+            &dataset,
+            platform.answers(),
+            pool.profiles(),
+            &mut classifier,
+            &mut rng,
+        )
+        .unwrap();
+    (dataset, pool, engine, classifier, rng)
+}
+
+#[test]
+fn truncated_confusions_in_a_restored_snapshot_error_instead_of_panicking() {
+    // A decoded checkpoint whose confusions were cut to one matrix for a
+    // five-annotator pool restores — restore cannot see the pool size —
+    // but the next warm call must return a typed error instead of
+    // indexing past the carried log-confusion tables.
+    let (dataset, pool, engine, mut classifier, mut rng) = staged_joint_engine(31);
+    let mut snap = engine.export_state().expect("engine has state");
+    assert_eq!(snap.last.confusions.len(), pool.len());
+    snap.last.confusions.truncate(1);
+    let mut restored = InferenceEngine::joint(JointInference::default(), EngineConfig::default());
+    restored.restore_state(snap, &dataset).unwrap();
+
+    // New answers, so the call takes the warm path rather than the cache.
+    let mut platform = Platform::new(&dataset, &pool, Budget::new(1e6).unwrap());
+    let mut ask_rng = seeded(32);
+    ask_stage(&mut platform, &pool, 0..40, &mut ask_rng);
+    let err = restored
+        .infer(
+            &dataset,
+            platform.answers(),
+            pool.profiles(),
+            &mut classifier,
+            &mut rng,
+        )
+        .unwrap_err();
+    assert!(
+        matches!(err, Error::DimensionMismatch { expected, actual: 1, .. } if expected == pool.len()),
+        "unexpected error: {err}"
+    );
+}
+
+/// Damage one field of a snapshot for a `k`-class dataset.
+type Corruption = fn(&mut EngineSnapshot, usize);
+
+#[test]
+fn restore_rejects_snapshots_that_do_not_fit_the_dataset() {
+    let (dataset, _pool, engine, _classifier, _rng) = staged_joint_engine(41);
+    let snap = engine.export_state().expect("engine has state");
+    let k = dataset.num_classes();
+    let corruptions: [(&str, Corruption); 7] = [
+        ("a posterior of the wrong width", |s, _| {
+            s.last
+                .posteriors
+                .iter_mut()
+                .flatten()
+                .next()
+                .unwrap()
+                .push(0.0)
+        }),
+        ("a class prior of the wrong width", |s, _| {
+            s.last.class_prior.pop();
+        }),
+        ("a confusion of the wrong width", |s, k| {
+            s.last.confusions[0] = ConfusionMatrix::uniform(k + 1).unwrap()
+        }),
+        ("moved flags of the wrong length", |s, _| {
+            s.moved.pop();
+        }),
+        ("an answered object listed twice", |s, _| {
+            let first = s.answered[0];
+            s.answered.push(first);
+        }),
+        ("an answered object left out", |s, _| {
+            s.answered.pop();
+        }),
+        ("an unanswered object listed", |s, _| {
+            let idle = s.answer_counts.iter().position(|&c| c == 0).unwrap();
+            s.answered.push(idle);
+        }),
+    ];
+    for (what, corrupt) in corruptions {
+        let mut bad = snap.clone();
+        corrupt(&mut bad, k);
+        let mut fresh = InferenceEngine::joint(JointInference::default(), EngineConfig::default());
+        assert!(
+            fresh.restore_state(bad, &dataset).is_err(),
+            "{what} must be rejected"
+        );
+        assert!(
+            fresh.export_state().is_none(),
+            "{what}: a rejected snapshot must leave the engine untouched"
+        );
+    }
+    let mut fresh = InferenceEngine::joint(JointInference::default(), EngineConfig::default());
+    fresh.restore_state(snap, &dataset).unwrap();
 }
