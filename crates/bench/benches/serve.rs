@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the asynchronous labelling runtime:
-//! raw event-queue throughput at 1k / 10k / 100k events, the assignment
-//! ledger's dispatch→deliver cycle, and end-to-end `AsyncRuntime` runs in
+//! raw event-queue throughput at 1k / 10k / 100k events, the ledger and
+//! account book's reserve→dispatch→deliver→charge cycle, and end-to-end
+//! `AsyncRuntime` runs in
 //! both execution modes and both numeric modes.
 //!
 //! Unlike the other benches this one has a hand-written `main` so it can
@@ -16,11 +17,12 @@ use crowdrl_core::CrowdRlConfig;
 use crowdrl_linalg::NumericMode;
 use crowdrl_obs as obs;
 use crowdrl_serve::{
-    AssignmentLedger, AsyncOutcome, AsyncRuntime, EventKind, EventQueue, ExecMode, ServeConfig,
+    AccountBook, AssignmentLedger, AsyncOutcome, AsyncRuntime, Delivery, EventKind, EventQueue,
+    ExecMode, ServeConfig,
 };
 use crowdrl_sim::{AnnotatorPool, DatasetSpec, PoolSpec};
 use crowdrl_types::rng::seeded;
-use crowdrl_types::{AnnotatorId, AssignmentId, Budget, Dataset, ObjectId, SimTime};
+use crowdrl_types::{AnnotatorId, AssignmentId, Dataset, ObjectId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -85,24 +87,21 @@ fn queue_cycle(n: usize) -> usize {
     drained
 }
 
-/// Dispatch `n` assignments and deliver every one of them.
+/// Reserve, dispatch and deliver `n` assignments, charging each one.
 fn ledger_cycle(n: usize) -> f64 {
     let mut ledger = AssignmentLedger::new();
-    let mut budget = Budget::new(n as f64).unwrap();
+    let mut book = AccountBook::new();
+    let account = book.open(n as f64).unwrap();
     for i in 0..n {
+        book.reserve(account, 1.0).unwrap();
         let id = ledger
-            .dispatch(
-                ObjectId(i),
-                AnnotatorId(i % 7),
-                1.0,
-                t(0.0),
-                t(10.0),
-                &budget,
-            )
+            .dispatch_reserved(ObjectId(i), AnnotatorId(i % 7), 1.0, t(0.0), t(10.0))
             .unwrap();
-        ledger.deliver(id, t(1.0), &mut budget).unwrap();
+        if let Delivery::Accepted { cost, .. } = ledger.settle_deliver(id, t(1.0)).unwrap() {
+            book.charge(account, cost).unwrap();
+        }
     }
-    budget.spent()
+    book.spent(account)
 }
 
 fn serve_fixture() -> (Dataset, AnnotatorPool) {

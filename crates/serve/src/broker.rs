@@ -115,9 +115,12 @@ impl PoolBroker {
         self.load.iter().sum()
     }
 
-    /// Total concurrency capacity summed over the pool.
+    /// Total concurrency capacity summed over the pool (saturating: a
+    /// cap of `usize::MAX` means unbounded).
     pub fn total_capacity(&self) -> usize {
-        self.capacity.iter().sum()
+        self.capacity
+            .iter()
+            .fold(0usize, |total, &c| total.saturating_add(c))
     }
 
     /// Snapshot for checkpointing: per-annotator in-flight load, and per

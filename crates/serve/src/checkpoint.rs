@@ -1,12 +1,17 @@
-//! Crash-consistent checkpoints of a whole asynchronous run.
+//! Crash-consistent checkpoints of a whole run.
 //!
-//! A [`RunCheckpoint`] captures everything the runtime needs to continue a
-//! run as if it had never stopped: the pump's service state (clock, event
-//! queue, ledger, budget, answers, metrics, trace) and the agent core's
-//! learning state (classifier, DQN, inference engine, RNG, quarantine).
-//! Killing a run at a checkpoint and [`resuming`](crate::AsyncRuntime::resume)
-//! it must reproduce the uninterrupted run's trace and labels **bit for
-//! bit** — the chaos suite pins that.
+//! A [`RunCheckpoint`] is the engine frozen at a round boundary: every
+//! project's shard states and agent core, the shared
+//! [`AccountBook`](crate::AccountBook), the
+//! [`PoolBroker`](crate::PoolBroker)'s load and quarantine evidence, the
+//! admission queue, and the merged trace. The cut happens *after* the
+//! round's settlements merged and finished projects finalized — nothing
+//! is mid-flight, so a killed run resumed from the snapshot
+//! ([`AsyncRuntime::resume`](crate::AsyncRuntime::resume),
+//! [`Service::resume`](crate::Service::resume)) replays the remaining
+//! rounds bit-identically to an uninterrupted run, in either
+//! [`ExecMode`]. A one-project run and a multi-tenant service write the
+//! same format.
 //!
 //! The encoding is hand-rolled JSON over [`crowdrl_obs::json`] (the
 //! workspace has a zero-external-dependency policy). Bit-exactness rules
@@ -14,104 +19,166 @@
 //!
 //! * every `f64` is written as its 16-hex-digit IEEE bit pattern (JSON
 //!   numbers would lose NaN log-likelihoods and the writer clamps
-//!   non-finite values);
+//!   non-finite values) — resume must not round-trip money or clocks
+//!   through decimal text;
 //! * `f32` and `f64` slices concatenate fixed-width hex chunks into one
 //!   string, which also keeps million-weight tensors from exploding into
 //!   million-element JSON arrays;
-//! * `u64` values (seeds, RNG words, sequence numbers) are 16-hex strings
-//!   because JSON numbers are only exact below 2^53;
-//! * small counts and ids stay plain JSON numbers for readability.
+//! * `u64` values (seeds, RNG words, sequence numbers, assignment ids)
+//!   are 16-hex strings because JSON numbers are only exact below 2^53;
+//! * small counts and indices stay plain JSON numbers for readability;
+//! * objects render in `BTreeMap` key order, so the same checkpoint
+//!   always renders the same bytes.
 //!
-//! [`decode`](RunCheckpoint::decode) validates shape and re-derives nothing
-//! silently: any mismatch surfaces as
-//! [`ServeError::CorruptCheckpoint`](crate::ServeError::CorruptCheckpoint).
+//! [`decode`](RunCheckpoint::decode) validates shape and re-derives
+//! nothing silently: any malformed input — bad JSON, a missing field, a
+//! hex field that is not exactly 8 or 16 ASCII hex digits — is a typed
+//! [`ServiceError::CorruptCheckpoint`], never a panic.
+//!
+//! Restore is guarded by [`service_fingerprint`]: an FNV-1a hash of the
+//! service configuration and every submitted spec, with the
+//! observationally-neutral knobs canonicalized out first — [`ExecMode`]
+//! (checkpoints cross SingleThread↔WorkerPool), the service-wide
+//! [`DecideMode`](crowdrl_core::DecideMode) override (scoring strategy
+//! never changes selections), and the checkpoint cadence itself. A
+//! mismatch is a typed [`ServiceError::ConfigMismatch`], not a silent
+//! divergence.
 
+use crate::config::{ExecMode, ProjectSpec, ServiceConfig};
 use crate::core_loop::{CoreState, PendingBatchState};
-use crate::error::ServeError;
+use crate::error::ServiceError;
 use crate::event::{Event, EventKind, TraceEvent};
-use crate::ledger::{AssignmentRecord, AssignmentStatus};
+use crate::ledger::{AccountState, AssignmentRecord, AssignmentStatus};
+use crate::metrics::{MetricsCollector, ServiceMetrics};
 use crate::supervisor::QuarantineStatus;
 use crowdrl_core::agent::{AgentState, Assignment};
+use crowdrl_core::outcome::LabellingOutcome;
 use crowdrl_core::IterationStats;
 use crowdrl_inference::{EngineSnapshot, InferenceResult};
 use crowdrl_nn::ClassifierSnapshot;
 use crowdrl_obs::json::{parse, Value};
 use crowdrl_rl::{DqnSnapshot, Transition};
+use crowdrl_sim::AnnotatorPool;
 use crowdrl_types::{
     AnnotatorId, Answer, AnswerSet, AssignmentId, ClassId, ConfusionMatrix, LabelState, ObjectId,
-    Result, SimTime,
+    SimTime,
 };
 use std::collections::BTreeMap;
 
 /// Format version stamped into every checkpoint.
-const VERSION: u64 = 1;
+const VERSION: usize = 2;
 
-/// The pump's complete service state at a watermark boundary.
+/// What decoding yields: the value, or the typed corrupt-checkpoint error.
+type Decoded<T> = std::result::Result<T, ServiceError>;
+
+/// One shard frozen at a round boundary: its event queue, ledger slice,
+/// uid/label mappings, and merge frontier.
 #[derive(Debug, Clone)]
-pub struct PumpCheckpoint {
-    /// Simulated clock reading.
+pub struct ShardState {
+    /// The shard clock (event-queue `now`).
     pub now: SimTime,
     /// Event-queue sequence counter.
     pub next_seq: u64,
-    /// Pending events in deterministic (pop) order, sequence numbers
-    /// preserved.
+    /// Pending events in deterministic (pop) order.
     pub events: Vec<Event>,
-    /// Every ledger record ever issued, in id order.
+    /// Every ledger record this shard ever issued, in local-id order.
     pub records: Vec<AssignmentRecord>,
-    /// Budget ceiling.
-    pub budget_total: f64,
-    /// Exact accumulated spend (bit-level — float sums are order-dependent).
-    pub budget_spent: f64,
-    /// Successful charges so far.
-    pub budget_charges: usize,
-    /// All recorded answers.
+    /// Shard-local assignment id → service-wide uid.
+    pub uids: Vec<u64>,
+    /// Shard-local assignment id → sampled label (`None` = dropped).
+    pub labels: Vec<Option<ClassId>>,
+    /// The horizon the shard was last advanced to.
+    pub frontier: SimTime,
+}
+
+/// Everything a running project carries: the agent core's learning
+/// state plus the service-side scheduling state around it.
+#[derive(Debug, Clone)]
+pub struct ActiveProjectState {
+    /// The agent core (classifier, DQN, label states, qualities).
+    pub core: CoreState,
+    /// One snapshot per shard, in shard order.
+    pub shards: Vec<ShardState>,
+    /// Merged answers across shards, in merge order.
     pub answers: AnswerSet,
-    /// Delivered-answer latencies in arrival order.
-    pub latencies: Vec<f64>,
-    /// Metrics counter: questions dispatched.
-    pub dispatched: usize,
-    /// Metrics counter: answers delivered.
-    pub delivered: usize,
-    /// Metrics counter: answers rejected.
-    pub rejected: usize,
-    /// Metrics counter: timeouts fired.
-    pub timeouts: usize,
-    /// Metrics counter: objects requeued.
-    pub requeues: usize,
-    /// Metrics counter: refreshes run.
-    pub refreshes: usize,
-    /// Metrics counter: events processed.
-    pub events_processed: usize,
-    /// The observable trace so far.
-    pub trace: Vec<TraceEvent>,
-    /// Sampled label per assignment id (None = dropped).
-    pub labels_by_id: Vec<Option<ClassId>>,
-    /// Per-object requeue counts.
-    pub requeue_count: Vec<usize>,
-    /// Objects whose requeue budget is exhausted, ascending.
-    pub abandoned: Vec<ObjectId>,
-    /// Per-object supervisor backoff deadlines (absolute sim time).
-    pub backoff_until: Vec<f64>,
-    /// Answers since the last refresh.
+    /// Answers merged since the last refresh.
     pub answers_since: usize,
     /// When the last refresh ran.
     pub last_refresh: SimTime,
+    /// Per-object requeue counts.
+    pub requeues: Vec<usize>,
+    /// Objects that exhausted their requeue allowance, ascending.
+    pub abandoned: Vec<ObjectId>,
+    /// Per-object supervisor backoff deadlines (absolute sim time).
+    pub backoff_until: Vec<f64>,
+    /// Raw metrics counters, bit-exact.
+    pub collector: MetricsCollector,
+    /// When the project activated.
+    pub started_at: SimTime,
+    /// The core reported all objects labelled.
+    pub done: bool,
+    /// The last dispatch round was starved by pool contention.
+    pub starved: bool,
 }
 
-/// A complete, resumable snapshot of one asynchronous labelling run.
+/// One submitted project's state inside a [`RunCheckpoint`], tagged
+/// by lifecycle stage. `Rejected` and `Queued` carry nothing — both are
+/// reconstructed deterministically from the restoring config and spec.
+#[derive(Debug, Clone)]
+pub enum ProjectCheckpoint {
+    /// Refused at admission (policy `Reject`, or shed).
+    Rejected,
+    /// Waiting for a capacity slot; its fresh core is rebuilt at restore
+    /// from the same submission-order seed the original run drew.
+    Queued,
+    /// Running — the full live state.
+    Active(Box<ActiveProjectState>),
+    /// Finished; frozen outcome and metrics.
+    Completed {
+        /// The final labelling outcome.
+        outcome: LabellingOutcome,
+        /// The final per-project metrics.
+        metrics: ServiceMetrics,
+    },
+    /// Failed mid-run and isolated; frozen metrics plus the reason.
+    Failed {
+        /// The panic payload or abort reason.
+        reason: String,
+        /// The metrics accumulated before the failure.
+        metrics: ServiceMetrics,
+    },
+}
+
+/// A complete, resumable snapshot of one run: the whole engine at one
+/// consistent round boundary.
 #[derive(Debug, Clone)]
 pub struct RunCheckpoint {
-    /// FNV-1a fingerprint of the [`CrowdRlConfig`](crowdrl_core::CrowdRlConfig)
-    /// that produced this run; restore refuses a mismatch.
+    /// [`service_fingerprint`] of the config + specs that produced this
+    /// run; restore refuses a mismatch with a typed error.
     pub fingerprint: u64,
-    /// Dataset size the run was started with.
-    pub objects: usize,
     /// Annotator-pool size the run was started with.
     pub annotators: usize,
-    /// The pump's service state.
-    pub pump: PumpCheckpoint,
-    /// The agent core's learning state.
-    pub core: CoreState,
+    /// The service clock.
+    pub now: SimTime,
+    /// Scheduling rounds completed.
+    pub rounds: usize,
+    /// Service-wide assignment counter.
+    pub next_uid: u64,
+    /// Submission indices still waiting for a slot, FIFO order.
+    pub queued: Vec<usize>,
+    /// Submission indices of running projects, ascending.
+    pub active: Vec<usize>,
+    /// Every account's budget state, dense by submission index.
+    pub accounts: Vec<AccountState>,
+    /// Broker per-annotator in-flight load.
+    pub broker_load: Vec<usize>,
+    /// Broker per-annotator quarantine evidence (project indices,
+    /// ascending).
+    pub broker_evidence: Vec<Vec<usize>>,
+    /// The merged service trace so far, `(project, event)` pairs.
+    pub trace: Vec<(usize, TraceEvent)>,
+    /// One entry per submitted project, in submission order.
+    pub projects: Vec<ProjectCheckpoint>,
 }
 
 impl RunCheckpoint {
@@ -119,39 +186,123 @@ impl RunCheckpoint {
     /// checkpoint always renders the same bytes.
     pub fn encode(&self) -> String {
         obj([
-            ("version", Value::Num(VERSION as f64)),
+            ("version", num(VERSION)),
             ("fingerprint", hex_u64(self.fingerprint)),
-            ("objects", num(self.objects)),
             ("annotators", num(self.annotators)),
-            ("pump", enc_pump(&self.pump)),
-            ("core", enc_core(&self.core)),
+            ("now", bits_f64(self.now.as_f64())),
+            ("rounds", num(self.rounds)),
+            ("next_uid", hex_u64(self.next_uid)),
+            ("queued", usizes(&self.queued)),
+            ("active", usizes(&self.active)),
+            (
+                "accounts",
+                Value::Arr(self.accounts.iter().map(enc_account).collect()),
+            ),
+            ("broker_load", usizes(&self.broker_load)),
+            (
+                "broker_evidence",
+                Value::Arr(self.broker_evidence.iter().map(|e| usizes(e)).collect()),
+            ),
+            (
+                "trace",
+                Value::Arr(self.trace.iter().map(enc_traced).collect()),
+            ),
+            (
+                "projects",
+                Value::Arr(self.projects.iter().map(enc_project).collect()),
+            ),
         ])
         .render()
     }
 
     /// Parse a document produced by [`encode`](Self::encode). Anything
-    /// malformed — bad JSON, wrong version, missing fields, inconsistent
-    /// shapes — is a [`ServeError::CorruptCheckpoint`].
-    pub fn decode(text: &str) -> Result<Self> {
+    /// malformed — bad JSON, wrong version, missing fields, bad hex — is
+    /// a typed [`ServiceError::CorruptCheckpoint`].
+    pub fn decode(text: &str) -> Decoded<Self> {
         let v = parse(text).map_err(|e| corrupt(format!("bad JSON: {e}")))?;
-        let version = get_u64_plain(&v, "version")?;
+        let version = get_usize(&v, "version")?;
         if version != VERSION {
             return Err(corrupt(format!(
                 "unsupported checkpoint version {version} (expected {VERSION})"
             )));
         }
+        let accounts = get_arr(&v, "accounts")?
+            .iter()
+            .map(dec_account)
+            .collect::<Decoded<Vec<_>>>()?;
+        let broker_evidence = get_arr(&v, "broker_evidence")?
+            .iter()
+            .map(|e| dec_usizes(e, "broker_evidence"))
+            .collect::<Decoded<Vec<_>>>()?;
+        let trace = get_arr(&v, "trace")?
+            .iter()
+            .map(dec_traced)
+            .collect::<Decoded<Vec<_>>>()?;
+        let projects = get_arr(&v, "projects")?
+            .iter()
+            .map(dec_project)
+            .collect::<Decoded<Vec<_>>>()?;
         Ok(Self {
             fingerprint: get_hex_u64(&v, "fingerprint")?,
-            objects: get_usize(&v, "objects")?,
             annotators: get_usize(&v, "annotators")?,
-            pump: dec_pump(field(&v, "pump")?)?,
-            core: dec_core(field(&v, "core")?)?,
+            now: get_sim_time(&v, "now")?,
+            rounds: get_usize(&v, "rounds")?,
+            next_uid: get_hex_u64(&v, "next_uid")?,
+            queued: arr_usize(&v, "queued")?,
+            active: arr_usize(&v, "active")?,
+            accounts,
+            broker_load: arr_usize(&v, "broker_load")?,
+            broker_evidence,
+            trace,
+            projects,
         })
     }
 }
 
-fn corrupt(msg: impl Into<String>) -> crowdrl_types::Error {
-    ServeError::CorruptCheckpoint(msg.into()).into()
+/// FNV-1a fingerprint of everything that must match for a checkpoint to
+/// resume: the service config with its observationally-neutral knobs
+/// canonicalized out (exec mode, the checkpoint cadence), the pool size,
+/// and each spec's name, priority, config fingerprint (which canonicalizes
+/// the project's decide mode) and dataset shape.
+pub fn service_fingerprint(
+    cfg: &ServiceConfig,
+    specs: &[ProjectSpec],
+    pool: &AnnotatorPool,
+) -> u64 {
+    let mut canonical = cfg.clone();
+    canonical.serve.mode = ExecMode::SingleThread;
+    canonical.serve.checkpoint_every = 0;
+    let mut h = Fnv::new();
+    h.write(format!("{canonical:?}").as_bytes());
+    h.write(&(pool.len() as u64).to_le_bytes());
+    for spec in specs {
+        h.write(spec.name.as_bytes());
+        h.write(&spec.priority.to_le_bytes());
+        h.write(&spec.config.fingerprint().to_le_bytes());
+        h.write(&(spec.dataset.len() as u64).to_le_bytes());
+        h.write(&(spec.dataset.num_classes() as u64).to_le_bytes());
+    }
+    h.0
+}
+
+/// Incremental FNV-1a over raw bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+fn corrupt(msg: impl Into<String>) -> ServiceError {
+    ServiceError::CorruptCheckpoint(msg.into())
 }
 
 // ---------------------------------------------------------------------------
@@ -159,7 +310,7 @@ fn corrupt(msg: impl Into<String>) -> crowdrl_types::Error {
 // ---------------------------------------------------------------------------
 
 /// Build a JSON object in deterministic (BTreeMap) key order.
-pub fn obj<const N: usize>(entries: [(&str, Value); N]) -> Value {
+fn obj<const N: usize>(entries: [(&str, Value); N]) -> Value {
     Value::Obj(
         entries
             .into_iter()
@@ -169,28 +320,28 @@ pub fn obj<const N: usize>(entries: [(&str, Value); N]) -> Value {
 }
 
 /// A small exact count as a plain JSON number.
-pub fn num(n: usize) -> Value {
+fn num(n: usize) -> Value {
     // Plain JSON numbers are exact below 2^53 — far beyond any count here.
     Value::Num(n as f64)
 }
 
 /// A `u64` as a 16-hex-digit string (JSON numbers are only exact below 2^53).
-pub fn hex_u64(v: u64) -> Value {
+fn hex_u64(v: u64) -> Value {
     Value::Str(format!("{v:016x}"))
 }
 
 /// An `f64` as its 16-hex-digit IEEE bit pattern.
-pub fn bits_f64(v: f64) -> Value {
+fn bits_f64(v: f64) -> Value {
     Value::Str(format!("{:016x}", v.to_bits()))
 }
 
 /// An `f32` as its 8-hex-digit IEEE bit pattern.
-pub fn bits_f32(v: f32) -> Value {
+fn bits_f32(v: f32) -> Value {
     Value::Str(format!("{:08x}", v.to_bits()))
 }
 
 /// Concatenated 16-hex-digit bit patterns, one per f64.
-pub fn f64s(xs: &[f64]) -> Value {
+fn f64s(xs: &[f64]) -> Value {
     let mut s = String::with_capacity(xs.len() * 16);
     for x in xs {
         s.push_str(&format!("{:016x}", x.to_bits()));
@@ -199,7 +350,7 @@ pub fn f64s(xs: &[f64]) -> Value {
 }
 
 /// Concatenated 8-hex-digit bit patterns, one per f32.
-pub fn f32s(xs: &[f32]) -> Value {
+fn f32s(xs: &[f32]) -> Value {
     let mut s = String::with_capacity(xs.len() * 8);
     for x in xs {
         s.push_str(&format!("{:08x}", x.to_bits()));
@@ -208,13 +359,13 @@ pub fn f32s(xs: &[f32]) -> Value {
 }
 
 /// Look up a required object field.
-pub fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value> {
+fn field<'v>(v: &'v Value, key: &str) -> Decoded<&'v Value> {
     v.get(key)
         .ok_or_else(|| corrupt(format!("missing field {key:?}")))
 }
 
 /// Decode a non-negative integral count field.
-pub fn get_usize(v: &Value, key: &str) -> Result<usize> {
+fn get_usize(v: &Value, key: &str) -> Decoded<usize> {
     let n = field(v, key)?
         .as_f64()
         .ok_or_else(|| corrupt(format!("field {key:?} is not a number")))?;
@@ -224,36 +375,55 @@ pub fn get_usize(v: &Value, key: &str) -> Result<usize> {
     Ok(n as usize)
 }
 
-/// Decode a `u64` stored as a plain JSON number.
-pub fn get_u64_plain(v: &Value, key: &str) -> Result<u64> {
-    Ok(get_usize(v, key)? as u64)
-}
-
-/// Parse exactly 16 hex digits into a `u64`.
-pub fn parse_hex_u64(s: &str, what: &str) -> Result<u64> {
-    if s.len() != 16 {
+/// Parse exactly `width` ASCII hex digits — no sign, no whitespace, no
+/// other characters — into their value.
+fn parse_hex(s: &str, width: usize, what: &str) -> Decoded<u64> {
+    if s.len() != width || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(corrupt(format!(
-            "{what}: expected 16 hex digits, got {s:?}"
+            "{what}: expected {width} hex digits, got {s:?}"
         )));
     }
     u64::from_str_radix(s, 16).map_err(|_| corrupt(format!("{what}: bad hex {s:?}")))
 }
 
+/// Parse exactly 16 hex digits into a `u64`.
+fn parse_hex_u64(s: &str, what: &str) -> Decoded<u64> {
+    parse_hex(s, 16, what)
+}
+
+/// Parse exactly 8 hex digits into an `f32` bit pattern.
+fn parse_bits_f32(s: &str, what: &str) -> Decoded<f32> {
+    Ok(f32::from_bits(parse_hex(s, 8, what)? as u32))
+}
+
+/// Split a concatenation of `width`-digit hex chunks into their values.
+fn parse_hex_chunks(s: &str, width: usize, what: &str) -> Decoded<Vec<u64>> {
+    // All-ASCII text makes every byte offset a char boundary.
+    if !s.is_ascii() || !s.len().is_multiple_of(width) {
+        return Err(corrupt(format!(
+            "{what}: not a concatenation of {width}-digit hex chunks"
+        )));
+    }
+    (0..s.len() / width)
+        .map(|i| parse_hex(&s[i * width..(i + 1) * width], width, what))
+        .collect()
+}
+
 /// Decode a `u64` field stored as 16 hex digits.
-pub fn get_hex_u64(v: &Value, key: &str) -> Result<u64> {
+fn get_hex_u64(v: &Value, key: &str) -> Decoded<u64> {
     let s = get_str(v, key)?;
     parse_hex_u64(s, key)
 }
 
 /// Decode a string field.
-pub fn get_str<'v>(v: &'v Value, key: &str) -> Result<&'v str> {
+fn get_str<'v>(v: &'v Value, key: &str) -> Decoded<&'v str> {
     field(v, key)?
         .as_str()
         .ok_or_else(|| corrupt(format!("field {key:?} is not a string")))
 }
 
 /// Decode a bool field.
-pub fn get_bool(v: &Value, key: &str) -> Result<bool> {
+fn get_bool(v: &Value, key: &str) -> Decoded<bool> {
     match field(v, key)? {
         Value::Bool(b) => Ok(*b),
         _ => Err(corrupt(format!("field {key:?} is not a bool"))),
@@ -261,87 +431,88 @@ pub fn get_bool(v: &Value, key: &str) -> Result<bool> {
 }
 
 /// Decode an array field.
-pub fn get_arr<'v>(v: &'v Value, key: &str) -> Result<&'v [Value]> {
+fn get_arr<'v>(v: &'v Value, key: &str) -> Decoded<&'v [Value]> {
     field(v, key)?
         .as_arr()
         .ok_or_else(|| corrupt(format!("field {key:?} is not an array")))
 }
 
 /// Decode an `f64` field stored as its bit pattern.
-pub fn get_f64_bits(v: &Value, key: &str) -> Result<f64> {
+fn get_f64_bits(v: &Value, key: &str) -> Decoded<f64> {
     Ok(f64::from_bits(get_hex_u64(v, key)?))
 }
 
 /// Parse a concatenated 16-hex-chunk string into `f64`s.
-pub fn parse_f64s(s: &str, what: &str) -> Result<Vec<f64>> {
-    if !s.len().is_multiple_of(16) {
-        return Err(corrupt(format!("{what}: length not a multiple of 16")));
-    }
-    (0..s.len() / 16)
-        .map(|i| parse_hex_u64(&s[i * 16..(i + 1) * 16], what).map(f64::from_bits))
-        .collect()
+fn parse_f64s(s: &str, what: &str) -> Decoded<Vec<f64>> {
+    Ok(parse_hex_chunks(s, 16, what)?
+        .into_iter()
+        .map(f64::from_bits)
+        .collect())
 }
 
 /// Parse a concatenated 8-hex-chunk string into `f32`s.
-pub fn parse_f32s(s: &str, what: &str) -> Result<Vec<f32>> {
-    if !s.len().is_multiple_of(8) {
-        return Err(corrupt(format!("{what}: length not a multiple of 8")));
-    }
-    (0..s.len() / 8)
-        .map(|i| {
-            u32::from_str_radix(&s[i * 8..(i + 1) * 8], 16)
-                .map(f32::from_bits)
-                .map_err(|_| corrupt(format!("{what}: bad hex chunk")))
-        })
-        .collect()
+fn parse_f32s(s: &str, what: &str) -> Decoded<Vec<f32>> {
+    Ok(parse_hex_chunks(s, 8, what)?
+        .into_iter()
+        .map(|bits| f32::from_bits(bits as u32))
+        .collect())
 }
 
 /// Decode an `f64`-slice field (concatenated bit patterns).
-pub fn get_f64s(v: &Value, key: &str) -> Result<Vec<f64>> {
+fn get_f64s(v: &Value, key: &str) -> Decoded<Vec<f64>> {
     parse_f64s(get_str(v, key)?, key)
 }
 
 /// Decode an `f32`-slice field (concatenated bit patterns).
-pub fn get_f32s(v: &Value, key: &str) -> Result<Vec<f32>> {
+fn get_f32s(v: &Value, key: &str) -> Decoded<Vec<f32>> {
     parse_f32s(get_str(v, key)?, key)
 }
 
 /// Decode a `SimTime` field stored as an `f64` bit pattern.
-pub fn get_sim_time(v: &Value, key: &str) -> Result<SimTime> {
+fn get_sim_time(v: &Value, key: &str) -> Decoded<SimTime> {
     SimTime::new(get_f64_bits(v, key)?)
         .map_err(|e| corrupt(format!("field {key:?} is not a valid time: {e}")))
 }
 
 /// Encode an optional value, `Null` when absent.
-pub fn opt<T>(value: Option<T>, enc: impl Fn(T) -> Value) -> Value {
+fn opt<T>(value: Option<T>, enc: impl Fn(T) -> Value) -> Value {
     match value {
         Some(x) => enc(x),
         None => Value::Null,
     }
 }
 
-/// Decode an array-of-counts field.
-pub fn arr_usize(v: &Value, key: &str) -> Result<Vec<usize>> {
-    get_arr(v, key)?
+/// Encode counts as an array of plain JSON numbers.
+fn usizes(xs: &[usize]) -> Value {
+    Value::Arr(xs.iter().map(|&x| num(x)).collect())
+}
+
+/// Decode an array-of-counts value.
+fn dec_usizes(v: &Value, what: &str) -> Decoded<Vec<usize>> {
+    let Value::Arr(items) = v else {
+        return Err(corrupt(format!("{what} is not an array")));
+    };
+    items
         .iter()
-        .map(|x| {
-            let n = x
-                .as_f64()
-                .ok_or_else(|| corrupt(format!("{key}: non-numeric element")))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(corrupt(format!("{key}: bad count {n}")));
-            }
-            Ok(n as usize)
+        .enumerate()
+        .map(|(i, x)| match x {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
+            _ => Err(corrupt(format!("{what}[{i}] is not a count"))),
         })
         .collect()
 }
 
+/// Decode an array-of-counts field.
+fn arr_usize(v: &Value, key: &str) -> Decoded<Vec<usize>> {
+    dec_usizes(field(v, key)?, key)
+}
+
 // ---------------------------------------------------------------------------
-// Pump state
+// Scheduler, ledger, trace and answers
 // ---------------------------------------------------------------------------
 
 /// Encode a pending scheduler event.
-pub fn enc_event(e: &Event) -> Value {
+fn enc_event(e: &Event) -> Value {
     let (kind, id) = match e.kind {
         EventKind::Deliver(id) => ("deliver", id),
         EventKind::Expire(id) => ("expire", id),
@@ -355,7 +526,7 @@ pub fn enc_event(e: &Event) -> Value {
 }
 
 /// Decode a pending scheduler event.
-pub fn dec_event(v: &Value) -> Result<Event> {
+fn dec_event(v: &Value) -> Decoded<Event> {
     let id = AssignmentId(get_hex_u64(v, "id")?);
     let kind = match get_str(v, "kind")? {
         "deliver" => EventKind::Deliver(id),
@@ -370,14 +541,13 @@ pub fn dec_event(v: &Value) -> Result<Event> {
 }
 
 /// Encode a ledger assignment record.
-pub fn enc_record(r: &AssignmentRecord) -> Value {
+fn enc_record(r: &AssignmentRecord) -> Value {
     let status = match r.status {
         AssignmentStatus::InFlight => "in_flight",
         AssignmentStatus::Delivered => "delivered",
         AssignmentStatus::Expired => "expired",
     };
     obj([
-        ("id", hex_u64(r.id.0)),
         ("object", num(r.object.0)),
         ("annotator", num(r.annotator.0)),
         ("cost", bits_f64(r.cost)),
@@ -387,8 +557,9 @@ pub fn enc_record(r: &AssignmentRecord) -> Value {
     ])
 }
 
-/// Decode a ledger assignment record.
-pub fn dec_record(v: &Value) -> Result<AssignmentRecord> {
+/// Decode the ledger record at position `index`: a ledger issues ids in
+/// order, so a record's id is its position and is not stored.
+fn dec_record(index: usize, v: &Value) -> Decoded<AssignmentRecord> {
     let status = match get_str(v, "status")? {
         "in_flight" => AssignmentStatus::InFlight,
         "delivered" => AssignmentStatus::Delivered,
@@ -396,7 +567,7 @@ pub fn dec_record(v: &Value) -> Result<AssignmentRecord> {
         other => return Err(corrupt(format!("unknown assignment status {other:?}"))),
     };
     Ok(AssignmentRecord {
-        id: AssignmentId(get_hex_u64(v, "id")?),
+        id: AssignmentId(index as u64),
         object: ObjectId(get_usize(v, "object")?),
         annotator: AnnotatorId(get_usize(v, "annotator")?),
         cost: get_f64_bits(v, "cost")?,
@@ -407,7 +578,7 @@ pub fn dec_record(v: &Value) -> Result<AssignmentRecord> {
 }
 
 /// Encode an observable trace event.
-pub fn enc_trace_event(e: &TraceEvent) -> Value {
+fn enc_trace_event(e: &TraceEvent) -> Value {
     match e {
         TraceEvent::Dispatched {
             at,
@@ -462,7 +633,7 @@ pub fn enc_trace_event(e: &TraceEvent) -> Value {
 }
 
 /// Decode an observable trace event.
-pub fn dec_trace_event(v: &Value) -> Result<TraceEvent> {
+fn dec_trace_event(v: &Value) -> Decoded<TraceEvent> {
     let at = get_sim_time(v, "at")?;
     Ok(match get_str(v, "t")? {
         "dispatched" => TraceEvent::Dispatched {
@@ -503,7 +674,7 @@ pub fn dec_trace_event(v: &Value) -> Result<TraceEvent> {
 }
 
 /// Encode an answer set as per-object (annotator, class) pairs.
-pub fn enc_answers(answers: &AnswerSet) -> Value {
+fn enc_answers(answers: &AnswerSet) -> Value {
     Value::Arr(
         (0..answers.num_objects())
             .map(|i| {
@@ -520,7 +691,7 @@ pub fn enc_answers(answers: &AnswerSet) -> Value {
 }
 
 /// Decode an answer set field.
-pub fn dec_answers(v: &Value, key: &str) -> Result<AnswerSet> {
+fn dec_answers(v: &Value, key: &str) -> Decoded<AnswerSet> {
     let rows = get_arr(v, key)?;
     let mut answers = AnswerSet::new(rows.len());
     for (i, row) in rows.iter().enumerate() {
@@ -549,106 +720,6 @@ pub fn dec_answers(v: &Value, key: &str) -> Result<AnswerSet> {
     Ok(answers)
 }
 
-fn enc_pump(p: &PumpCheckpoint) -> Value {
-    obj([
-        ("now", bits_f64(p.now.as_f64())),
-        ("next_seq", hex_u64(p.next_seq)),
-        (
-            "events",
-            Value::Arr(p.events.iter().map(enc_event).collect()),
-        ),
-        (
-            "records",
-            Value::Arr(p.records.iter().map(enc_record).collect()),
-        ),
-        ("budget_total", bits_f64(p.budget_total)),
-        ("budget_spent", bits_f64(p.budget_spent)),
-        ("budget_charges", num(p.budget_charges)),
-        ("answers", enc_answers(&p.answers)),
-        ("latencies", f64s(&p.latencies)),
-        ("dispatched", num(p.dispatched)),
-        ("delivered", num(p.delivered)),
-        ("rejected", num(p.rejected)),
-        ("timeouts", num(p.timeouts)),
-        ("requeues", num(p.requeues)),
-        ("refreshes", num(p.refreshes)),
-        ("events_processed", num(p.events_processed)),
-        (
-            "trace",
-            Value::Arr(p.trace.iter().map(enc_trace_event).collect()),
-        ),
-        (
-            "labels_by_id",
-            Value::Arr(
-                p.labels_by_id
-                    .iter()
-                    .map(|l| opt(*l, |c| num(c.0)))
-                    .collect(),
-            ),
-        ),
-        (
-            "requeue_count",
-            Value::Arr(p.requeue_count.iter().map(|&n| num(n)).collect()),
-        ),
-        (
-            "abandoned",
-            Value::Arr(p.abandoned.iter().map(|o| num(o.0)).collect()),
-        ),
-        ("backoff_until", f64s(&p.backoff_until)),
-        ("answers_since", num(p.answers_since)),
-        ("last_refresh", bits_f64(p.last_refresh.as_f64())),
-    ])
-}
-
-fn dec_pump(v: &Value) -> Result<PumpCheckpoint> {
-    let labels_by_id = get_arr(v, "labels_by_id")?
-        .iter()
-        .enumerate()
-        .map(|(i, l)| match l {
-            Value::Null => Ok(None),
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(ClassId(*n as usize))),
-            _ => Err(corrupt(format!("labels_by_id[{i}] is not null or a class"))),
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(PumpCheckpoint {
-        now: get_sim_time(v, "now")?,
-        next_seq: get_hex_u64(v, "next_seq")?,
-        events: get_arr(v, "events")?
-            .iter()
-            .map(dec_event)
-            .collect::<Result<_>>()?,
-        records: get_arr(v, "records")?
-            .iter()
-            .map(dec_record)
-            .collect::<Result<_>>()?,
-        budget_total: get_f64_bits(v, "budget_total")?,
-        budget_spent: get_f64_bits(v, "budget_spent")?,
-        budget_charges: get_usize(v, "budget_charges")?,
-        answers: dec_answers(v, "answers")?,
-        latencies: get_f64s(v, "latencies")?,
-        dispatched: get_usize(v, "dispatched")?,
-        delivered: get_usize(v, "delivered")?,
-        rejected: get_usize(v, "rejected")?,
-        timeouts: get_usize(v, "timeouts")?,
-        requeues: get_usize(v, "requeues")?,
-        refreshes: get_usize(v, "refreshes")?,
-        events_processed: get_usize(v, "events_processed")?,
-        trace: get_arr(v, "trace")?
-            .iter()
-            .map(dec_trace_event)
-            .collect::<Result<_>>()?,
-        labels_by_id,
-        requeue_count: arr_usize(v, "requeue_count")?,
-        abandoned: arr_usize(v, "abandoned")?
-            .into_iter()
-            .map(ObjectId)
-            .collect(),
-        backoff_until: get_f64s(v, "backoff_until")?,
-        answers_since: get_usize(v, "answers_since")?,
-        last_refresh: get_sim_time(v, "last_refresh")?,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Core state
 // ---------------------------------------------------------------------------
@@ -665,7 +736,7 @@ fn enc_opt_state(state: &[OptSlot]) -> Value {
     )
 }
 
-fn dec_opt_state(v: &Value, key: &str) -> Result<Vec<OptSlot>> {
+fn dec_opt_state(v: &Value, key: &str) -> Decoded<Vec<OptSlot>> {
     get_arr(v, key)?
         .iter()
         .map(|slot| {
@@ -687,7 +758,7 @@ fn enc_classifier(c: &ClassifierSnapshot) -> Value {
     ])
 }
 
-fn dec_classifier(v: &Value) -> Result<ClassifierSnapshot> {
+fn dec_classifier(v: &Value) -> Decoded<ClassifierSnapshot> {
     Ok(ClassifierSnapshot {
         params: get_f32s(v, "params")?,
         opt_state: dec_opt_state(v, "opt_state")?,
@@ -708,14 +779,10 @@ fn enc_transition(t: &Transition) -> Value {
     ])
 }
 
-fn dec_transition(v: &Value) -> Result<Transition> {
-    let reward_bits = get_str(v, "reward")?;
-    let reward = u32::from_str_radix(reward_bits, 16)
-        .map(f32::from_bits)
-        .map_err(|_| corrupt(format!("bad reward bits {reward_bits:?}")))?;
+fn dec_transition(v: &Value) -> Decoded<Transition> {
     Ok(Transition {
         state_action: get_f32s(v, "sa")?,
-        reward,
+        reward: parse_bits_f32(get_str(v, "reward")?, "reward")?,
         next_candidates: get_arr(v, "next")?
             .iter()
             .enumerate()
@@ -726,7 +793,7 @@ fn dec_transition(v: &Value) -> Result<Transition> {
                     "next",
                 )
             })
-            .collect::<Result<_>>()?,
+            .collect::<Decoded<_>>()?,
         terminal: get_bool(v, "terminal")?,
     })
 }
@@ -746,7 +813,7 @@ fn enc_dqn(d: &DqnSnapshot) -> Value {
     ])
 }
 
-fn dec_dqn(v: &Value) -> Result<DqnSnapshot> {
+fn dec_dqn(v: &Value) -> Decoded<DqnSnapshot> {
     Ok(DqnSnapshot {
         online: get_f32s(v, "online")?,
         target: get_f32s(v, "target")?,
@@ -754,7 +821,7 @@ fn dec_dqn(v: &Value) -> Result<DqnSnapshot> {
         replay: get_arr(v, "replay")?
             .iter()
             .map(dec_transition)
-            .collect::<Result<_>>()?,
+            .collect::<Decoded<_>>()?,
         replay_head: get_usize(v, "replay_head")?,
         replay_pushed: get_usize(v, "replay_pushed")?,
         train_steps: get_usize(v, "train_steps")?,
@@ -779,7 +846,7 @@ fn enc_agent(a: &AgentState) -> Value {
     ])
 }
 
-fn dec_agent(v: &Value) -> Result<AgentState> {
+fn dec_agent(v: &Value) -> Decoded<AgentState> {
     let ucb_counts = match field(v, "ucb_counts")? {
         Value::Null => None,
         Value::Arr(items) => Some(
@@ -800,7 +867,7 @@ fn dec_agent(v: &Value) -> Result<AgentState> {
                         parse_hex_u64(c, "ucb_counts")?,
                     ))
                 })
-                .collect::<Result<Vec<_>>>()?,
+                .collect::<Decoded<Vec<_>>>()?,
         ),
         _ => return Err(corrupt("ucb_counts is neither null nor an array")),
     };
@@ -817,7 +884,7 @@ fn dec_agent(v: &Value) -> Result<AgentState> {
 }
 
 /// Encode a per-object label state.
-pub fn enc_label_state(l: LabelState) -> Value {
+fn enc_label_state(l: LabelState) -> Value {
     match l {
         LabelState::Unlabelled => Value::Null,
         LabelState::Inferred(c) => obj([("i", num(c.0))]),
@@ -826,7 +893,7 @@ pub fn enc_label_state(l: LabelState) -> Value {
 }
 
 /// Decode a per-object label state.
-pub fn dec_label_state(v: &Value) -> Result<LabelState> {
+fn dec_label_state(v: &Value) -> Decoded<LabelState> {
     match v {
         Value::Null => Ok(LabelState::Unlabelled),
         Value::Obj(_) => {
@@ -856,7 +923,7 @@ fn enc_assignment(a: &Assignment) -> Value {
     ])
 }
 
-fn dec_assignment(v: &Value) -> Result<Assignment> {
+fn dec_assignment(v: &Value) -> Decoded<Assignment> {
     Ok(Assignment {
         object: ObjectId(get_usize(v, "object")?),
         annotators: arr_usize(v, "annotators")?
@@ -873,7 +940,7 @@ fn dec_assignment(v: &Value) -> Result<Assignment> {
                     "embeddings",
                 )
             })
-            .collect::<Result<_>>()?,
+            .collect::<Decoded<_>>()?,
     })
 }
 
@@ -904,7 +971,7 @@ fn enc_pending(p: &PendingBatchState) -> Value {
     ])
 }
 
-fn dec_pending(v: &Value) -> Result<PendingBatchState> {
+fn dec_pending(v: &Value) -> Decoded<PendingBatchState> {
     let conf_before = get_arr(v, "conf_before")?
         .iter()
         .map(|pair| {
@@ -925,7 +992,7 @@ fn dec_pending(v: &Value) -> Result<PendingBatchState> {
                 f64::from_bits(parse_hex_u64(c, "conf_before")?),
             ))
         })
-        .collect::<Result<Vec<_>>>()?;
+        .collect::<Decoded<Vec<_>>>()?;
     let phi_guesses = get_arr(v, "phi_guesses")?
         .iter()
         .map(|pair| {
@@ -940,19 +1007,19 @@ fn dec_pending(v: &Value) -> Result<PendingBatchState> {
             };
             Ok((ObjectId(o as usize), g as usize))
         })
-        .collect::<Result<Vec<_>>>()?;
+        .collect::<Decoded<Vec<_>>>()?;
     Ok(PendingBatchState {
         assignments: get_arr(v, "assignments")?
             .iter()
             .map(dec_assignment)
-            .collect::<Result<_>>()?,
+            .collect::<Decoded<_>>()?,
         conf_before,
         phi_guesses,
     })
 }
 
 /// Encode one iteration's workflow stats.
-pub fn enc_stats(s: &IterationStats) -> Value {
+fn enc_stats(s: &IterationStats) -> Value {
     obj([
         ("iteration", num(s.iteration)),
         ("enriched", num(s.enriched)),
@@ -966,14 +1033,10 @@ pub fn enc_stats(s: &IterationStats) -> Value {
 }
 
 /// Decode one iteration's workflow stats.
-pub fn dec_stats(v: &Value) -> Result<IterationStats> {
+fn dec_stats(v: &Value) -> Decoded<IterationStats> {
     let td_loss = match field(v, "td_loss")? {
         Value::Null => None,
-        Value::Str(s) => Some(
-            u32::from_str_radix(s, 16)
-                .map(f32::from_bits)
-                .map_err(|_| corrupt(format!("bad td_loss bits {s:?}")))?,
-        ),
+        Value::Str(s) => Some(parse_bits_f32(s, "td_loss")?),
         _ => return Err(corrupt("td_loss is neither null nor a string")),
     };
     Ok(IterationStats {
@@ -1000,7 +1063,7 @@ fn enc_confusion(m: &ConfusionMatrix) -> Value {
     )
 }
 
-fn dec_confusion(v: &Value, what: &str) -> Result<ConfusionMatrix> {
+fn dec_confusion(v: &Value, what: &str) -> Decoded<ConfusionMatrix> {
     let rows = v
         .as_arr()
         .ok_or_else(|| corrupt(format!("{what}: not an array")))?
@@ -1013,7 +1076,7 @@ fn dec_confusion(v: &Value, what: &str) -> Result<ConfusionMatrix> {
                 what,
             )
         })
-        .collect::<Result<Vec<_>>>()?;
+        .collect::<Decoded<Vec<_>>>()?;
     ConfusionMatrix::from_rows(&rows).map_err(|e| corrupt(format!("{what}: {e}")))
 }
 
@@ -1038,7 +1101,7 @@ fn enc_result(r: &InferenceResult) -> Value {
     ])
 }
 
-fn dec_result(v: &Value) -> Result<InferenceResult> {
+fn dec_result(v: &Value) -> Decoded<InferenceResult> {
     let posteriors = get_arr(v, "posteriors")?
         .iter()
         .enumerate()
@@ -1047,13 +1110,13 @@ fn dec_result(v: &Value) -> Result<InferenceResult> {
             Value::Str(s) => parse_f64s(s, "posteriors").map(Some),
             _ => Err(corrupt(format!("posteriors[{i}] is not null or a string"))),
         })
-        .collect::<Result<Vec<_>>>()?;
+        .collect::<Decoded<Vec<_>>>()?;
     Ok(InferenceResult {
         posteriors,
         confusions: get_arr(v, "confusions")?
             .iter()
             .map(|m| dec_confusion(m, "confusions"))
-            .collect::<Result<_>>()?,
+            .collect::<Decoded<_>>()?,
         class_prior: get_f64s(v, "class_prior")?,
         iterations: get_usize(v, "iterations")?,
         log_likelihood: get_f64_bits(v, "log_likelihood")?,
@@ -1063,25 +1126,19 @@ fn dec_result(v: &Value) -> Result<InferenceResult> {
 fn enc_engine(e: &EngineSnapshot) -> Value {
     obj([
         ("last", enc_result(&e.last)),
-        (
-            "answer_counts",
-            Value::Arr(e.answer_counts.iter().map(|&n| num(n)).collect()),
-        ),
+        ("answer_counts", usizes(&e.answer_counts)),
         ("total_answers", num(e.total_answers)),
         (
             "moved",
             Value::Arr(e.moved.iter().map(|&b| Value::Bool(b)).collect()),
         ),
-        (
-            "answered",
-            Value::Arr(e.answered.iter().map(|&n| num(n)).collect()),
-        ),
+        ("answered", usizes(&e.answered)),
         ("warm_calls_since_full", num(e.warm_calls_since_full)),
         ("calls", hex_u64(e.calls)),
     ])
 }
 
-fn dec_engine(v: &Value) -> Result<EngineSnapshot> {
+fn dec_engine(v: &Value) -> Decoded<EngineSnapshot> {
     Ok(EngineSnapshot {
         last: dec_result(field(v, "last")?)?,
         answer_counts: arr_usize(v, "answer_counts")?,
@@ -1092,7 +1149,7 @@ fn dec_engine(v: &Value) -> Result<EngineSnapshot> {
                 Value::Bool(b) => Ok(*b),
                 _ => Err(corrupt("moved: non-bool element")),
             })
-            .collect::<Result<_>>()?,
+            .collect::<Decoded<_>>()?,
         answered: arr_usize(v, "answered")?,
         warm_calls_since_full: get_usize(v, "warm_calls_since_full")?,
         calls: get_hex_u64(v, "calls")?,
@@ -1117,7 +1174,7 @@ fn enc_quarantine_status(s: QuarantineStatus) -> Value {
     }
 }
 
-fn dec_quarantine_status(v: &Value) -> Result<QuarantineStatus> {
+fn dec_quarantine_status(v: &Value) -> Decoded<QuarantineStatus> {
     match v {
         Value::Str(s) if s == "active" => Ok(QuarantineStatus::Active),
         Value::Obj(_) => match get_str(v, "s")? {
@@ -1135,7 +1192,7 @@ fn dec_quarantine_status(v: &Value) -> Result<QuarantineStatus> {
 }
 
 /// Encode an agent core's complete learning state.
-pub fn enc_core(c: &CoreState) -> Value {
+fn enc_core(c: &CoreState) -> Value {
     obj([
         ("classifier", enc_classifier(&c.classifier)),
         ("agent", enc_agent(&c.agent)),
@@ -1182,7 +1239,7 @@ pub fn enc_core(c: &CoreState) -> Value {
 }
 
 /// Decode an agent core's complete learning state.
-pub fn dec_core(v: &Value) -> Result<CoreState> {
+fn dec_core(v: &Value) -> Decoded<CoreState> {
     let prev_confidence = get_arr(v, "prev_confidence")?
         .iter()
         .map(|p| match p {
@@ -1190,7 +1247,7 @@ pub fn dec_core(v: &Value) -> Result<CoreState> {
             Value::Str(s) => Ok(Some(f64::from_bits(parse_hex_u64(s, "prev_confidence")?))),
             _ => Err(corrupt("prev_confidence: bad element")),
         })
-        .collect::<Result<Vec<_>>>()?;
+        .collect::<Decoded<Vec<_>>>()?;
     let fixed_allowance = match field(v, "fixed_allowance")? {
         Value::Null => None,
         Value::Str(s) => Some(f64::from_bits(parse_hex_u64(s, "fixed_allowance")?)),
@@ -1208,7 +1265,7 @@ pub fn dec_core(v: &Value) -> Result<CoreState> {
                 "rng",
             )
         })
-        .collect::<Result<Vec<_>>>()?;
+        .collect::<Decoded<Vec<_>>>()?;
     let rng: [u64; 4] = rng_words
         .try_into()
         .map_err(|_| corrupt("rng: expected exactly 4 words"))?;
@@ -1218,17 +1275,17 @@ pub fn dec_core(v: &Value) -> Result<CoreState> {
         labelled: get_arr(v, "labelled")?
             .iter()
             .map(dec_label_state)
-            .collect::<Result<_>>()?,
+            .collect::<Decoded<_>>()?,
         qualities: get_f64s(v, "qualities")?,
         prev_confidence,
         outstanding: get_arr(v, "outstanding")?
             .iter()
             .map(dec_pending)
-            .collect::<Result<_>>()?,
+            .collect::<Decoded<_>>()?,
         trace: get_arr(v, "trace")?
             .iter()
             .map(dec_stats)
-            .collect::<Result<_>>()?,
+            .collect::<Decoded<_>>()?,
         trust_agree: get_f64_bits(v, "trust_agree")?,
         trust_scored: get_f64_bits(v, "trust_scored")?,
         phi_trust: get_f64_bits(v, "phi_trust")?,
@@ -1240,8 +1297,300 @@ pub fn dec_core(v: &Value) -> Result<CoreState> {
         quarantine: get_arr(v, "quarantine")?
             .iter()
             .map(dec_quarantine_status)
-            .collect::<Result<_>>()?,
+            .collect::<Decoded<_>>()?,
     })
+}
+
+// ---------------------------------------------------------------------------
+// Engine state
+// ---------------------------------------------------------------------------
+
+fn enc_account(a: &AccountState) -> Value {
+    obj([
+        ("total", bits_f64(a.total)),
+        ("spent", bits_f64(a.spent)),
+        ("charges", num(a.charges)),
+        ("reserved", bits_f64(a.reserved)),
+    ])
+}
+
+fn dec_account(v: &Value) -> Decoded<AccountState> {
+    Ok(AccountState {
+        total: get_f64_bits(v, "total")?,
+        spent: get_f64_bits(v, "spent")?,
+        charges: get_usize(v, "charges")?,
+        reserved: get_f64_bits(v, "reserved")?,
+    })
+}
+
+fn enc_traced(entry: &(usize, TraceEvent)) -> Value {
+    let mut v = enc_trace_event(&entry.1);
+    if let Value::Obj(fields) = &mut v {
+        fields.insert("p".into(), num(entry.0));
+    }
+    v
+}
+
+fn dec_traced(v: &Value) -> Decoded<(usize, TraceEvent)> {
+    Ok((get_usize(v, "p")?, dec_trace_event(v)?))
+}
+
+fn enc_labels(labels: &[Option<ClassId>]) -> Value {
+    Value::Arr(labels.iter().map(|l| opt(*l, |c| num(c.0))).collect())
+}
+
+fn dec_labels(v: &Value, key: &str) -> Decoded<Vec<Option<ClassId>>> {
+    get_arr(v, key)?
+        .iter()
+        .enumerate()
+        .map(|(i, x)| match x {
+            Value::Null => Ok(None),
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(ClassId(*n as usize))),
+            _ => Err(corrupt(format!("{key}[{i}] is not null or a class"))),
+        })
+        .collect()
+}
+
+fn enc_shard(s: &ShardState) -> Value {
+    obj([
+        ("now", bits_f64(s.now.as_f64())),
+        ("next_seq", hex_u64(s.next_seq)),
+        (
+            "events",
+            Value::Arr(s.events.iter().map(enc_event).collect()),
+        ),
+        (
+            "records",
+            Value::Arr(s.records.iter().map(enc_record).collect()),
+        ),
+        (
+            "uids",
+            Value::Arr(s.uids.iter().map(|&u| hex_u64(u)).collect()),
+        ),
+        ("labels", enc_labels(&s.labels)),
+        ("frontier", bits_f64(s.frontier.as_f64())),
+    ])
+}
+
+fn dec_shard(v: &Value) -> Decoded<ShardState> {
+    let events = get_arr(v, "events")?
+        .iter()
+        .map(dec_event)
+        .collect::<Decoded<Vec<_>>>()?;
+    let records = get_arr(v, "records")?
+        .iter()
+        .enumerate()
+        .map(|(i, r)| dec_record(i, r))
+        .collect::<Decoded<Vec<_>>>()?;
+    let uids = get_arr(v, "uids")?
+        .iter()
+        .enumerate()
+        .map(|(i, x)| match x {
+            Value::Str(s) => parse_hex_u64(s, "shard uid"),
+            _ => Err(corrupt(format!("uids[{i}] is not a hex string"))),
+        })
+        .collect::<Decoded<Vec<_>>>()?;
+    Ok(ShardState {
+        now: get_sim_time(v, "now")?,
+        next_seq: get_hex_u64(v, "next_seq")?,
+        events,
+        records,
+        uids,
+        labels: dec_labels(v, "labels")?,
+        frontier: get_sim_time(v, "frontier")?,
+    })
+}
+
+fn enc_collector(c: &MetricsCollector) -> Value {
+    obj([
+        ("latencies", f64s(&c.latencies)),
+        ("dispatched", num(c.dispatched)),
+        ("delivered", num(c.delivered)),
+        ("rejected", num(c.rejected)),
+        ("timeouts", num(c.timeouts)),
+        ("requeues", num(c.requeues)),
+        ("refreshes", num(c.refreshes)),
+        ("events", num(c.events)),
+    ])
+}
+
+fn dec_collector(v: &Value) -> Decoded<MetricsCollector> {
+    Ok(MetricsCollector {
+        latencies: get_f64s(v, "latencies")?,
+        dispatched: get_usize(v, "dispatched")?,
+        delivered: get_usize(v, "delivered")?,
+        rejected: get_usize(v, "rejected")?,
+        timeouts: get_usize(v, "timeouts")?,
+        requeues: get_usize(v, "requeues")?,
+        refreshes: get_usize(v, "refreshes")?,
+        events: get_usize(v, "events")?,
+    })
+}
+
+fn enc_outcome(o: &LabellingOutcome) -> Value {
+    obj([
+        ("labels", enc_labels(&o.labels)),
+        (
+            "label_states",
+            Value::Arr(o.label_states.iter().map(|&l| enc_label_state(l)).collect()),
+        ),
+        ("budget_spent", bits_f64(o.budget_spent)),
+        ("iterations", num(o.iterations)),
+        ("total_answers", num(o.total_answers)),
+        ("enriched", num(o.enriched_count)),
+        ("fallback", num(o.fallback_count)),
+        ("trace", Value::Arr(o.trace.iter().map(enc_stats).collect())),
+    ])
+}
+
+fn dec_outcome(v: &Value) -> Decoded<LabellingOutcome> {
+    let label_states = get_arr(v, "label_states")?
+        .iter()
+        .map(dec_label_state)
+        .collect::<Decoded<Vec<_>>>()?;
+    let trace = get_arr(v, "trace")?
+        .iter()
+        .map(dec_stats)
+        .collect::<Decoded<Vec<_>>>()?;
+    Ok(LabellingOutcome {
+        labels: dec_labels(v, "labels")?,
+        label_states,
+        budget_spent: get_f64_bits(v, "budget_spent")?,
+        iterations: get_usize(v, "iterations")?,
+        total_answers: get_usize(v, "total_answers")?,
+        enriched_count: get_usize(v, "enriched")?,
+        fallback_count: get_usize(v, "fallback")?,
+        trace,
+    })
+}
+
+fn enc_metrics(m: &ServiceMetrics) -> Value {
+    obj([
+        ("dispatched", num(m.dispatched)),
+        ("answers_delivered", num(m.answers_delivered)),
+        ("answers_rejected", num(m.answers_rejected)),
+        ("timeouts", num(m.timeouts)),
+        ("requeues", num(m.requeues)),
+        ("refreshes", num(m.refreshes)),
+        ("events_processed", num(m.events_processed)),
+        ("sim_duration", bits_f64(m.sim_duration.as_f64())),
+        ("wall_seconds", bits_f64(m.wall_seconds)),
+        ("latency_p50", bits_f64(m.latency_p50)),
+        ("latency_p95", bits_f64(m.latency_p95)),
+        ("latency_p99", bits_f64(m.latency_p99)),
+        ("answers_per_time_unit", bits_f64(m.answers_per_time_unit)),
+        ("events_per_second", bits_f64(m.events_per_second)),
+        ("budget_spent", bits_f64(m.budget_spent)),
+        ("budget_burn_rate", bits_f64(m.budget_burn_rate)),
+    ])
+}
+
+fn dec_metrics(v: &Value) -> Decoded<ServiceMetrics> {
+    Ok(ServiceMetrics {
+        dispatched: get_usize(v, "dispatched")?,
+        answers_delivered: get_usize(v, "answers_delivered")?,
+        answers_rejected: get_usize(v, "answers_rejected")?,
+        timeouts: get_usize(v, "timeouts")?,
+        requeues: get_usize(v, "requeues")?,
+        refreshes: get_usize(v, "refreshes")?,
+        events_processed: get_usize(v, "events_processed")?,
+        sim_duration: get_sim_time(v, "sim_duration")?,
+        wall_seconds: get_f64_bits(v, "wall_seconds")?,
+        latency_p50: get_f64_bits(v, "latency_p50")?,
+        latency_p95: get_f64_bits(v, "latency_p95")?,
+        latency_p99: get_f64_bits(v, "latency_p99")?,
+        answers_per_time_unit: get_f64_bits(v, "answers_per_time_unit")?,
+        events_per_second: get_f64_bits(v, "events_per_second")?,
+        budget_spent: get_f64_bits(v, "budget_spent")?,
+        budget_burn_rate: get_f64_bits(v, "budget_burn_rate")?,
+    })
+}
+
+fn enc_active(a: &ActiveProjectState) -> Value {
+    obj([
+        ("core", enc_core(&a.core)),
+        (
+            "shards",
+            Value::Arr(a.shards.iter().map(enc_shard).collect()),
+        ),
+        ("answers", enc_answers(&a.answers)),
+        ("answers_since", num(a.answers_since)),
+        ("last_refresh", bits_f64(a.last_refresh.as_f64())),
+        ("requeues", usizes(&a.requeues)),
+        (
+            "abandoned",
+            Value::Arr(a.abandoned.iter().map(|o| num(o.index())).collect()),
+        ),
+        ("backoff_until", f64s(&a.backoff_until)),
+        ("collector", enc_collector(&a.collector)),
+        ("started_at", bits_f64(a.started_at.as_f64())),
+        ("done", Value::Bool(a.done)),
+        ("starved", Value::Bool(a.starved)),
+    ])
+}
+
+fn dec_active(v: &Value) -> Decoded<ActiveProjectState> {
+    let shards = get_arr(v, "shards")?
+        .iter()
+        .map(dec_shard)
+        .collect::<Decoded<Vec<_>>>()?;
+    Ok(ActiveProjectState {
+        core: dec_core(field(v, "core")?)?,
+        shards,
+        answers: dec_answers(v, "answers")?,
+        answers_since: get_usize(v, "answers_since")?,
+        last_refresh: get_sim_time(v, "last_refresh")?,
+        requeues: arr_usize(v, "requeues")?,
+        abandoned: arr_usize(v, "abandoned")?
+            .into_iter()
+            .map(ObjectId)
+            .collect(),
+        backoff_until: get_f64s(v, "backoff_until")?,
+        collector: dec_collector(field(v, "collector")?)?,
+        started_at: get_sim_time(v, "started_at")?,
+        done: get_bool(v, "done")?,
+        starved: get_bool(v, "starved")?,
+    })
+}
+
+fn enc_project(p: &ProjectCheckpoint) -> Value {
+    match p {
+        ProjectCheckpoint::Rejected => obj([("status", Value::Str("rejected".into()))]),
+        ProjectCheckpoint::Queued => obj([("status", Value::Str("queued".into()))]),
+        ProjectCheckpoint::Active(state) => obj([
+            ("status", Value::Str("active".into())),
+            ("state", enc_active(state)),
+        ]),
+        ProjectCheckpoint::Completed { outcome, metrics } => obj([
+            ("status", Value::Str("completed".into())),
+            ("outcome", enc_outcome(outcome)),
+            ("metrics", enc_metrics(metrics)),
+        ]),
+        ProjectCheckpoint::Failed { reason, metrics } => obj([
+            ("status", Value::Str("failed".into())),
+            ("reason", Value::Str(reason.clone())),
+            ("metrics", enc_metrics(metrics)),
+        ]),
+    }
+}
+
+fn dec_project(v: &Value) -> Decoded<ProjectCheckpoint> {
+    match get_str(v, "status")? {
+        "rejected" => Ok(ProjectCheckpoint::Rejected),
+        "queued" => Ok(ProjectCheckpoint::Queued),
+        "active" => Ok(ProjectCheckpoint::Active(Box::new(dec_active(field(
+            v, "state",
+        )?)?))),
+        "completed" => Ok(ProjectCheckpoint::Completed {
+            outcome: dec_outcome(field(v, "outcome")?)?,
+            metrics: dec_metrics(field(v, "metrics")?)?,
+        }),
+        "failed" => Ok(ProjectCheckpoint::Failed {
+            reason: get_str(v, "reason")?.to_string(),
+            metrics: dec_metrics(field(v, "metrics")?)?,
+        }),
+        other => Err(corrupt(format!("unknown project status '{other}'"))),
+    }
 }
 
 #[cfg(test)]
@@ -1252,7 +1601,29 @@ mod tests {
         SimTime::new(x).unwrap()
     }
 
-    fn sample_checkpoint() -> RunCheckpoint {
+    fn sample_metrics() -> ServiceMetrics {
+        ServiceMetrics {
+            dispatched: 10,
+            answers_delivered: 7,
+            answers_rejected: 1,
+            timeouts: 2,
+            requeues: 2,
+            refreshes: 3,
+            events_processed: 19,
+            sim_duration: t(42.5),
+            wall_seconds: 0.0,
+            latency_p50: 3.25,
+            latency_p95: 9.5,
+            latency_p99: 11.0,
+            answers_per_time_unit: 7.0 / 42.5,
+            events_per_second: 0.0,
+            budget_spent: 13.5,
+            budget_burn_rate: 13.5 / 42.5,
+        }
+    }
+
+    /// An active project carrying every kind of core and engine state.
+    fn sample_active() -> ActiveProjectState {
         let mut answers = AnswerSet::new(3);
         answers
             .record(Answer {
@@ -1268,66 +1639,6 @@ mod tests {
                 label: ClassId(0),
             })
             .unwrap();
-        let pump = PumpCheckpoint {
-            now: t(4.5),
-            next_seq: 7,
-            events: vec![
-                Event {
-                    at: t(5.0),
-                    seq: 3,
-                    kind: EventKind::Deliver(AssignmentId(1)),
-                },
-                Event {
-                    at: t(6.0),
-                    seq: 5,
-                    kind: EventKind::Expire(AssignmentId(1)),
-                },
-            ],
-            records: vec![AssignmentRecord {
-                id: AssignmentId(0),
-                object: ObjectId(0),
-                annotator: AnnotatorId(1),
-                cost: 1.25,
-                dispatched_at: t(0.0),
-                deadline: t(8.0),
-                status: AssignmentStatus::Delivered,
-            }],
-            budget_total: 100.0,
-            budget_spent: 0.1 + 0.2, // deliberately not 0.3 exactly
-            budget_charges: 2,
-            answers,
-            latencies: vec![1.5, f64::MIN_POSITIVE],
-            dispatched: 4,
-            delivered: 2,
-            rejected: 1,
-            timeouts: 1,
-            requeues: 1,
-            refreshes: 2,
-            events_processed: 9,
-            trace: vec![
-                TraceEvent::Dispatched {
-                    at: t(0.0),
-                    id: AssignmentId(0),
-                    object: ObjectId(0),
-                    annotator: AnnotatorId(1),
-                },
-                TraceEvent::Refreshed {
-                    at: t(4.0),
-                    answers: 2,
-                    labelled: 1,
-                },
-                TraceEvent::Quarantined {
-                    at: t(4.0),
-                    annotator: AnnotatorId(2),
-                },
-            ],
-            labels_by_id: vec![Some(ClassId(1)), None],
-            requeue_count: vec![0, 2, 0],
-            abandoned: vec![ObjectId(1)],
-            backoff_until: vec![0.0, 9.5, 0.0],
-            answers_since: 1,
-            last_refresh: t(4.0),
-        };
         let core = CoreState {
             classifier: ClassifierSnapshot {
                 params: vec![0.5, -1.25, f32::EPSILON],
@@ -1414,48 +1725,240 @@ mod tests {
                 },
             ],
         };
-        RunCheckpoint {
-            fingerprint: 0x1234_5678_9ABC_DEF0,
-            objects: 3,
-            annotators: 3,
-            pump,
+        ActiveProjectState {
             core,
+            shards: vec![ShardState {
+                now: t(4.5),
+                next_seq: 7,
+                events: vec![
+                    Event {
+                        at: t(5.0),
+                        seq: 3,
+                        kind: EventKind::Deliver(AssignmentId(1)),
+                    },
+                    Event {
+                        at: t(6.0),
+                        seq: 5,
+                        kind: EventKind::Expire(AssignmentId(1)),
+                    },
+                ],
+                records: vec![AssignmentRecord {
+                    id: AssignmentId(0),
+                    object: ObjectId(0),
+                    annotator: AnnotatorId(1),
+                    cost: 1.25,
+                    dispatched_at: t(0.0),
+                    deadline: t(8.0),
+                    status: AssignmentStatus::Delivered,
+                }],
+                uids: vec![5],
+                labels: vec![Some(ClassId(1))],
+                frontier: t(4.5),
+            }],
+            answers,
+            answers_since: 1,
+            last_refresh: t(4.0),
+            requeues: vec![0, 2, 0],
+            abandoned: vec![ObjectId(1)],
+            backoff_until: vec![0.0, 9.5, 0.0],
+            collector: MetricsCollector {
+                latencies: vec![1.5, f64::MIN_POSITIVE],
+                dispatched: 4,
+                delivered: 2,
+                rejected: 1,
+                timeouts: 1,
+                requeues: 1,
+                refreshes: 2,
+                events: 9,
+            },
+            started_at: t(0.0),
+            done: false,
+            starved: false,
+        }
+    }
+
+    fn sample_checkpoint() -> RunCheckpoint {
+        RunCheckpoint {
+            fingerprint: 0xDEAD_BEEF_CAFE_F00D,
+            annotators: 4,
+            now: t(17.25),
+            rounds: 9,
+            next_uid: 123,
+            queued: vec![3],
+            active: vec![4],
+            accounts: vec![
+                AccountState {
+                    total: 60.0,
+                    spent: 13.5,
+                    charges: 7,
+                    reserved: 0.1 + 0.2, // deliberately non-decimal bits
+                },
+                AccountState {
+                    total: 40.0,
+                    spent: 0.0,
+                    charges: 0,
+                    reserved: 0.0,
+                },
+            ],
+            broker_load: vec![1, 0, 2, 0],
+            broker_evidence: vec![vec![], vec![0, 2], vec![], vec![1]],
+            trace: vec![
+                (
+                    0,
+                    TraceEvent::Dispatched {
+                        at: t(1.5),
+                        id: AssignmentId(5),
+                        object: ObjectId(2),
+                        annotator: AnnotatorId(1),
+                    },
+                ),
+                (
+                    4,
+                    TraceEvent::Refreshed {
+                        at: t(4.0),
+                        answers: 2,
+                        labelled: 1,
+                    },
+                ),
+                (
+                    4,
+                    TraceEvent::Quarantined {
+                        at: t(4.0),
+                        annotator: AnnotatorId(2),
+                    },
+                ),
+            ],
+            projects: vec![
+                ProjectCheckpoint::Completed {
+                    outcome: LabellingOutcome {
+                        labels: vec![Some(ClassId(1)), None, Some(ClassId(0))],
+                        label_states: vec![
+                            LabelState::Inferred(ClassId(1)),
+                            LabelState::Unlabelled,
+                            LabelState::Enriched(ClassId(0)),
+                        ],
+                        budget_spent: 13.5,
+                        iterations: 3,
+                        total_answers: 7,
+                        enriched_count: 1,
+                        fallback_count: 0,
+                        trace: Vec::new(),
+                    },
+                    metrics: sample_metrics(),
+                },
+                ProjectCheckpoint::Failed {
+                    reason: "injected shard panic at t=10".into(),
+                    metrics: sample_metrics(),
+                },
+                ProjectCheckpoint::Rejected,
+                ProjectCheckpoint::Queued,
+                ProjectCheckpoint::Active(Box::new(sample_active())),
+            ],
         }
     }
 
     #[test]
-    fn encode_decode_round_trips_bit_exactly() {
-        let ck = sample_checkpoint();
-        let text = RunCheckpoint::decode(&ck.encode()).unwrap().encode();
+    fn round_trip_is_byte_identical() {
+        let cp = sample_checkpoint();
+        let text = cp.encode();
+        let decoded = RunCheckpoint::decode(&text).unwrap();
         // Deterministic rendering makes byte equality the strongest
         // round-trip check available without Eq on every nested type.
-        assert_eq!(text, ck.encode());
-        let back = RunCheckpoint::decode(&text).unwrap();
-        assert_eq!(back.fingerprint, ck.fingerprint);
+        assert_eq!(decoded.encode(), text);
+        assert_eq!(decoded.fingerprint, cp.fingerprint);
+        assert_eq!(decoded.queued, cp.queued);
+        assert_eq!(decoded.trace, cp.trace);
+        // The deliberately non-decimal reserved amount survives bit-exact.
         assert_eq!(
-            back.pump.budget_spent.to_bits(),
-            ck.pump.budget_spent.to_bits()
+            decoded.accounts[0].reserved.to_bits(),
+            cp.accounts[0].reserved.to_bits()
         );
-        assert_eq!(back.pump.trace, ck.pump.trace);
-        assert_eq!(back.core.rng, ck.core.rng);
-        let engine = back.core.engine.unwrap();
+        let ProjectCheckpoint::Active(state) = &decoded.projects[4] else {
+            panic!("project 4 must decode as active");
+        };
+        assert_eq!(state.core.rng, [u64::MAX, 0, 0xDEAD_BEEF, 42]);
+        let engine = state.core.engine.as_ref().unwrap();
+        // A NaN log-likelihood must survive the round trip.
         assert!(engine.last.log_likelihood.is_nan());
         assert_eq!(
             engine.last.posteriors,
-            ck.core.engine.as_ref().unwrap().last.posteriors
+            vec![Some(vec![0.9, 0.1]), None, Some(vec![0.2, 0.8])]
         );
+        assert_eq!(state.backoff_until, vec![0.0, 9.5, 0.0]);
+    }
+
+    fn assert_corrupt(text: &str) {
+        match RunCheckpoint::decode(text) {
+            Err(ServiceError::CorruptCheckpoint(_)) => {}
+            other => panic!("want a corrupt-checkpoint error, got {other:?}"),
+        }
     }
 
     #[test]
-    fn rejects_corruption() {
-        let ck = sample_checkpoint();
-        let text = ck.encode();
-        assert!(RunCheckpoint::decode("not json").is_err());
-        assert!(RunCheckpoint::decode("{}").is_err());
-        let wrong_version = text.replacen("\"version\":1", "\"version\":99", 1);
-        assert!(RunCheckpoint::decode(&wrong_version).is_err());
+    fn corruption_is_rejected_with_a_typed_error() {
+        let text = sample_checkpoint().encode();
+        assert!(text.contains("\"version\":2"));
+        let wrong_version = text.replacen("\"version\":2", "\"version\":99", 1);
+        let err = RunCheckpoint::decode(&wrong_version).unwrap_err();
+        assert!(err.to_string().contains("version"));
+        assert_corrupt("not json");
+        assert_corrupt("{}");
+        assert_corrupt(&text[..text.len() / 2]);
         // Truncating a hex blob breaks the fixed-width invariant.
-        let truncated = text.replacen("3ff8000000000000", "3ff800000000000", 1);
-        assert!(RunCheckpoint::decode(&truncated).is_err());
+        assert!(text.contains("3ff8000000000000"));
+        assert_corrupt(&text.replacen("3ff8000000000000", "3ff800000000000", 1));
+    }
+
+    #[test]
+    fn a_multi_byte_char_in_a_hex_blob_is_a_typed_error() {
+        // Same byte length as the original chunk pair, but the `é`
+        // straddles the 8-byte chunk boundary.
+        let text = sample_checkpoint().encode();
+        assert!(text.contains("3f000000bfa00000"));
+        assert_corrupt(&text.replacen("3f000000bfa00000", "3f00000ébfa0000", 1));
+    }
+
+    #[test]
+    fn a_signed_hex_field_is_a_typed_error() {
+        let text = sample_checkpoint().encode();
+        // `from_str_radix` alone would read this as 15.
+        let fingerprint = "\"fingerprint\":\"deadbeefcafef00d\"";
+        assert!(text.contains(fingerprint));
+        assert_corrupt(&text.replacen(fingerprint, "\"fingerprint\":\"+00000000000000f\"", 1));
+        // The same inside a concatenated f32 blob.
+        assert_corrupt(&text.replacen("3f000000bfa00000", "+f000000bfa00000", 1));
+        // And in a standalone 8-digit f32 field.
+        assert!(text.contains("\"reward\":\"bf000000\""));
+        assert_corrupt(&text.replacen("\"reward\":\"bf000000\"", "\"reward\":\"+f000000\"", 1));
+    }
+
+    #[test]
+    fn fingerprint_canonicalizes_neutral_knobs_and_tracks_real_ones() {
+        use crowdrl_sim::PoolSpec;
+        use crowdrl_types::rng::seeded;
+        let mut rng = seeded(3);
+        let pool = PoolSpec::new(4, 1).generate(2, &mut rng).unwrap();
+        let config = crowdrl_core::CrowdRlConfig::builder()
+            .budget(30.0)
+            .build()
+            .unwrap();
+        let dataset = crowdrl_sim::DatasetSpec::gaussian("d", 10, 3, 2)
+            .generate(&mut rng)
+            .unwrap();
+        let specs = vec![ProjectSpec::new("p", config, dataset)];
+        let base = ServiceConfig::default();
+        let f = service_fingerprint(&base, &specs, &pool);
+        // Exec mode and cadence are neutral.
+        let pooled = base
+            .clone()
+            .with_mode(ExecMode::WorkerPool { workers: 4 })
+            .with_checkpoint_every(2);
+        assert_eq!(service_fingerprint(&pooled, &specs, &pool), f);
+        // Capacity is not.
+        let narrower = base.clone().with_capacity(1);
+        assert_ne!(service_fingerprint(&narrower, &specs, &pool), f);
+        // Neither is the spec set.
+        let reprioritized = vec![specs[0].clone().with_priority(5)];
+        assert_ne!(service_fingerprint(&base, &reprioritized, &pool), f);
     }
 }

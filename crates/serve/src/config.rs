@@ -1,12 +1,14 @@
-//! Configuration of the asynchronous runtime.
+//! Configuration: the per-run knobs every project shares
+//! ([`ServeConfig`]), and the multi-tenant layer around them
+//! ([`ServiceConfig`], [`ProjectSpec`], [`AdmissionPolicy`]).
 
 use crate::supervisor::{QuarantineConfig, SupervisorConfig};
-use crowdrl_sim::{DynamicsSpec, FaultPlan};
-use crowdrl_types::{Error, Result};
+use crowdrl_core::CrowdRlConfig;
+use crowdrl_sim::{CapacitySpec, DynamicsSpec, FaultPlan};
+use crowdrl_types::{Dataset, Error, Result};
 
-/// How many threads a run may use. Both runtimes (this crate's
-/// [`AsyncRuntime`](crate::AsyncRuntime) and the multi-tenant service) run
-/// one implementation at every width: the mode is the
+/// How many threads a run may use. The engine runs one implementation
+/// at every width: the mode is the
 /// `crowdrl_linalg::pool` thread cap for the duration of the run, set and
 /// restored by `pool::with_threads`. Every pooled section writes disjoint,
 /// pre-indexed slots, so traces and outcomes are bit-identical across
@@ -33,8 +35,7 @@ impl ExecMode {
         }
     }
 
-    /// Reject `WorkerPool { workers: 0 }` — the one rule both runtimes'
-    /// configs apply to the mode.
+    /// Reject `WorkerPool { workers: 0 }`.
     pub fn validate(self) -> Result<()> {
         if self.threads() == 0 {
             return Err(Error::InvalidParameter(
@@ -45,7 +46,9 @@ impl ExecMode {
     }
 }
 
-/// Knobs of the asynchronous labelling service.
+/// Per-run knobs of the asynchronous labelling loop. A one-project
+/// [`AsyncRuntime`](crate::AsyncRuntime) run takes them directly; a
+/// multi-tenant [`ServiceConfig`] holds one set that every project shares.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Simulated time units before a dispatched question expires and its
@@ -56,7 +59,7 @@ pub struct ServeConfig {
     pub answer_watermark: usize,
     /// Time watermark: refresh after this much simulated time since the
     /// last refresh, even if the answer watermark was not reached
-    /// (checked after each processed event).
+    /// (checked once per simulated instant, after all of its events).
     pub time_watermark: f64,
     /// How many timeouts an object may accumulate before the service
     /// abandons it to the classifier fallback.
@@ -81,7 +84,8 @@ pub struct ServeConfig {
     /// Annotator circuit-breaker policy. Off by default.
     pub quarantine: QuarantineConfig,
     /// Take a crash-consistent checkpoint every this many truth-inference
-    /// refreshes; `0` (the default) never checkpoints.
+    /// refreshes; `0` (the default) never checkpoints. A multi-tenant run
+    /// counts scheduling rounds in which at least one project refreshed.
     pub checkpoint_every: usize,
 }
 
@@ -174,6 +178,236 @@ impl ServeConfig {
     }
 }
 
+/// What happens to a project submitted past [`ServiceConfig::capacity`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdmissionPolicy {
+    /// Refuse it outright: the report carries no outcome and no money
+    /// ever moves on its account.
+    Reject,
+    /// Park it; it activates (at the then-current simulated time) when a
+    /// running project finishes and frees a slot.
+    Queue,
+}
+
+/// One tenant: a complete CrowdRL labelling run — its own dataset,
+/// config, and budget — submitted to the service.
+#[derive(Debug, Clone)]
+pub struct ProjectSpec {
+    /// Human-readable name, used in reports.
+    pub name: String,
+    /// The full per-run configuration (budget, inference model, DQN…).
+    pub config: CrowdRlConfig,
+    /// The objects this project labels.
+    pub dataset: Dataset,
+    /// Broker priority: higher goes first when projects contend for the
+    /// same annotators in one scheduling round. Ties break by submission
+    /// order, so grants stay deterministic.
+    pub priority: u32,
+}
+
+impl ProjectSpec {
+    /// A priority-0 project.
+    pub fn new(name: impl Into<String>, config: CrowdRlConfig, dataset: Dataset) -> Self {
+        Self {
+            name: name.into(),
+            config,
+            dataset,
+            priority: 0,
+        }
+    }
+
+    /// Set the broker priority.
+    pub fn with_priority(mut self, priority: u32) -> Self {
+        self.priority = priority;
+        self
+    }
+}
+
+/// Configuration of the multi-tenant service: capacity, admission,
+/// sharding, scheduling cadence and pool arbitration, around the
+/// [`ServeConfig`] every project runs under.
+#[derive(Debug, Clone)]
+pub struct ServiceConfig {
+    /// Max projects running concurrently.
+    pub capacity: usize,
+    /// What to do with submissions past `capacity`.
+    pub admission: AdmissionPolicy,
+    /// Event-loop partitions per project (objects are sharded
+    /// `object mod shards`). Clamped to the project's object count.
+    pub shards_per_project: usize,
+    /// Scheduling slack, time units: each round advances every shard to
+    /// `earliest pending event + epoch`, batching nearby events into one
+    /// parallel sweep. Zero settles exactly one event instant per round.
+    pub epoch: f64,
+    /// Per-annotator concurrent-assignment capacities (the shared-pool
+    /// resource the broker arbitrates).
+    pub annotator_capacity: CapacitySpec,
+    /// Cross-project evidence: an annotator currently quarantined by at
+    /// least this many projects is blocked pool-wide (no project gets
+    /// it). `0` disables the shared view.
+    pub shared_evidence_threshold: usize,
+    /// Overload shedding: under [`AdmissionPolicy::Queue`], at most this
+    /// many projects may wait beyond the running set — submissions past
+    /// `capacity + max_queue_depth` are shed with a typed
+    /// [`ServiceError::AdmissionRejected`](crate::ServiceError). `0`
+    /// leaves the queue unbounded.
+    pub max_queue_depth: usize,
+    /// Backpressure floor on the shared pool: a queued project is not
+    /// promoted while the pool's free-slot ratio sits below this value —
+    /// the service degrades to queueing instead of piling a fresh
+    /// tenant's initial burst onto saturated annotators. `0.0` disables
+    /// the floor.
+    pub min_free_slot_ratio: f64,
+    /// Per-project settlement-backlog bound: a project holding more than
+    /// this many pending shard events is skipped for refresh/dispatch
+    /// until its backlog drains below the bound — new questions must not
+    /// outrun settlement. `0` leaves backlogs unbounded.
+    pub max_settlement_backlog: usize,
+    /// The per-run knobs every project shares: timeout, watermarks,
+    /// requeue allowance, execution mode, crowd dynamics, sampling seed,
+    /// faults, backoff, quarantine and checkpoint cadence.
+    pub serve: ServeConfig,
+}
+
+impl Default for ServiceConfig {
+    fn default() -> Self {
+        Self {
+            capacity: 16,
+            admission: AdmissionPolicy::Queue,
+            shards_per_project: 4,
+            epoch: 5.0,
+            annotator_capacity: CapacitySpec::default(),
+            shared_evidence_threshold: 0,
+            max_queue_depth: 0,
+            min_free_slot_ratio: 0.0,
+            max_settlement_backlog: 0,
+            serve: ServeConfig::default(),
+        }
+    }
+}
+
+impl ServiceConfig {
+    /// The engine settings of a single asynchronous run: one project on
+    /// one shard, one event instant per round, and no annotator
+    /// concurrency cap — so the engine replays the classic single-run
+    /// event loop (DESIGN.md §8).
+    pub(crate) fn one_project(serve: ServeConfig) -> Self {
+        Self {
+            capacity: 1,
+            shards_per_project: 1,
+            epoch: 0.0,
+            annotator_capacity: CapacitySpec {
+                worker_slots: usize::MAX,
+                expert_slots: usize::MAX,
+            },
+            serve,
+            ..Self::default()
+        }
+    }
+
+    /// Validate all knobs.
+    pub fn validate(&self) -> Result<()> {
+        if self.capacity == 0 {
+            return Err(Error::InvalidParameter(
+                "service capacity must be at least 1".into(),
+            ));
+        }
+        if self.shards_per_project == 0 {
+            return Err(Error::InvalidParameter(
+                "shards_per_project must be at least 1".into(),
+            ));
+        }
+        if !self.epoch.is_finite() || self.epoch < 0.0 {
+            return Err(Error::InvalidParameter(format!(
+                "epoch must be finite and non-negative, got {}",
+                self.epoch
+            )));
+        }
+        if !self.min_free_slot_ratio.is_finite() || !(0.0..=1.0).contains(&self.min_free_slot_ratio)
+        {
+            return Err(Error::InvalidParameter(format!(
+                "min_free_slot_ratio must be in [0,1], got {}",
+                self.min_free_slot_ratio
+            )));
+        }
+        self.annotator_capacity.validate()?;
+        self.serve.validate()
+    }
+
+    /// Set the project capacity.
+    pub fn with_capacity(mut self, capacity: usize) -> Self {
+        self.capacity = capacity;
+        self
+    }
+
+    /// Set the admission policy.
+    pub fn with_admission(mut self, admission: AdmissionPolicy) -> Self {
+        self.admission = admission;
+        self
+    }
+
+    /// Set the shard count per project.
+    pub fn with_shards(mut self, shards: usize) -> Self {
+        self.shards_per_project = shards;
+        self
+    }
+
+    /// Set the execution mode.
+    pub fn with_mode(mut self, mode: ExecMode) -> Self {
+        self.serve.mode = mode;
+        self
+    }
+
+    /// Set the refresh watermarks.
+    pub fn with_watermarks(mut self, answers: usize, time: f64) -> Self {
+        self.serve = self.serve.with_watermarks(answers, time);
+        self
+    }
+
+    /// Set the assignment timeout.
+    pub fn with_timeout(mut self, timeout: f64) -> Self {
+        self.serve.timeout = timeout;
+        self
+    }
+
+    /// Set the shared-evidence threshold.
+    pub fn with_shared_evidence(mut self, threshold: usize) -> Self {
+        self.shared_evidence_threshold = threshold;
+        self
+    }
+
+    /// Cut a checkpoint every `refreshes` rounds in which some project
+    /// refreshed (`0` = off).
+    pub fn with_checkpoint_every(mut self, refreshes: usize) -> Self {
+        self.serve.checkpoint_every = refreshes;
+        self
+    }
+
+    /// Bound the admission queue (`0` = unbounded).
+    pub fn with_max_queue_depth(mut self, depth: usize) -> Self {
+        self.max_queue_depth = depth;
+        self
+    }
+
+    /// Set the promotion backpressure floor (`0.0` = off).
+    pub fn with_min_free_slot_ratio(mut self, ratio: f64) -> Self {
+        self.min_free_slot_ratio = ratio;
+        self
+    }
+
+    /// Bound each project's settlement backlog (`0` = unbounded).
+    pub fn with_max_settlement_backlog(mut self, backlog: usize) -> Self {
+        self.max_settlement_backlog = backlog;
+        self
+    }
+
+    /// Attach a fault schedule.
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.serve.faults = faults;
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +476,60 @@ mod tests {
             .with_quarantine(quar)
             .validate()
             .is_err());
+    }
+
+    #[test]
+    fn default_service_config_validates() {
+        assert!(ServiceConfig::default().validate().is_ok());
+        assert!(ServiceConfig::one_project(ServeConfig::default())
+            .validate()
+            .is_ok());
+    }
+
+    #[test]
+    fn service_validation_catches_degenerate_knobs() {
+        assert!(ServiceConfig::default()
+            .with_capacity(0)
+            .validate()
+            .is_err());
+        assert!(ServiceConfig::default().with_shards(0).validate().is_err());
+        assert!(ServiceConfig::default()
+            .with_timeout(0.0)
+            .validate()
+            .is_err());
+        assert!(ServiceConfig::default()
+            .with_watermarks(0, 25.0)
+            .validate()
+            .is_err());
+        assert!(ServiceConfig::default()
+            .with_watermarks(12, f64::NAN)
+            .validate()
+            .is_err());
+        assert!(ServiceConfig::default()
+            .with_mode(ExecMode::WorkerPool { workers: 0 })
+            .validate()
+            .is_err());
+        let bad_epoch = ServiceConfig {
+            epoch: -1.0,
+            ..ServiceConfig::default()
+        };
+        assert!(bad_epoch.validate().is_err());
+        assert!(ServiceConfig::default()
+            .with_min_free_slot_ratio(1.5)
+            .validate()
+            .is_err());
+        assert!(ServiceConfig::default()
+            .with_min_free_slot_ratio(f64::NAN)
+            .validate()
+            .is_err());
+        let bad_faults = ServiceConfig::default().with_faults(FaultPlan {
+            aborts: vec![crowdrl_sim::ProjectAbort {
+                project: 0,
+                at: -1.0,
+            }],
+            ..Default::default()
+        });
+        assert!(bad_faults.validate().is_err());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Everything the *agent* does — truth inference, trust tracking,
 //! enrichment, reward credit, DQN training, and the next batch of
 //! assignments — lives in [`AgentCore`], one struct with no knowledge of
-//! threads or event queues. The pump (and each service project) calls its
-//! methods directly in one fixed sequence at every pool width; identical
+//! threads or event queues. The engine calls each project's core
+//! directly, in one fixed sequence at every pool width; identical
 //! call sequence + one owned RNG = identical decisions in every execution
 //! mode, which is the whole determinism story on the scoring side.
 //!
@@ -67,11 +67,11 @@ impl BudgetView {
     }
 }
 
-/// A refresh request from the event pump.
+/// A refresh request from the engine.
 #[derive(Debug, Clone)]
 pub struct RefreshRequest {
-    /// All answers ingested so far. Shared with the pump's live copy —
-    /// the pump hands out a cheap `Arc` clone per refresh instead of
+    /// All answers ingested so far. Shared with the engine's live copy —
+    /// the engine hands out a cheap `Arc` clone per refresh instead of
     /// deep-copying the whole answer set, and resumes sole ownership
     /// (copy-on-write) once the core drops the request.
     pub answers: Arc<AnswerSet>,
@@ -83,9 +83,9 @@ pub struct RefreshRequest {
     /// Free concurrency slots per annotator at refresh time (shared
     /// pool brokering). Selection filters out exhausted annotators the
     /// way it filters quarantined ones, and caps how many times one
-    /// annotator is reused within a single reply. `None` means
-    /// concurrency is unbounded (the single-run pump).
-    pub slots: Option<HashMap<AnnotatorId, usize>>,
+    /// annotator is reused within a single reply; an annotator missing
+    /// from the map is unbounded.
+    pub slots: HashMap<AnnotatorId, usize>,
     /// The simulated clock at the refresh.
     pub now: SimTime,
     /// Answers delivered since the previous refresh.
@@ -99,11 +99,11 @@ pub struct RefreshReply {
     pub panels: Vec<(ObjectId, Vec<AnnotatorId>)>,
     /// Labelled objects after this refresh (for the trace).
     pub labelled: usize,
-    /// True once every object is labelled — the pump stops dispatching
+    /// True once every object is labelled — the engine stops dispatching
     /// and shuts down.
     pub done: bool,
     /// Circuit-breaker transitions this refresh caused (empty unless
-    /// quarantine is enabled), for the pump's trace.
+    /// quarantine is enabled), for the trace.
     pub quarantine: Vec<QuarantineEvent>,
 }
 
@@ -615,8 +615,9 @@ impl<'a> AgentCore<'a> {
         })
     }
 
-    /// DQN training for one refresh. Called right after [`refresh`]'s
-    /// reply is dispatched, before the next event is processed. The TD
+    /// DQN training for one refresh. Called right after [`refresh`],
+    /// before the next event is processed (training draws only from the
+    /// core's own RNG, so it commutes with dispatching the reply). The TD
     /// loss lands in the trace entry the refresh opened.
     ///
     /// [`refresh`]: AgentCore::refresh
@@ -765,10 +766,7 @@ impl<'a> AgentCore<'a> {
         // when every breaker is closed and every slot free the original
         // slice is used and the run is bit-identical.
         let all_profiles = self.pool.profiles();
-        let free = |id: AnnotatorId| match &req.slots {
-            Some(slots) => slots.get(&id).copied().unwrap_or(usize::MAX) > 0,
-            None => true,
-        };
+        let free = |id: AnnotatorId| req.slots.get(&id).copied().unwrap_or(usize::MAX) > 0;
         let active_profiles: Vec<AnnotatorProfile> = all_profiles
             .iter()
             .filter(|p| !self.quarantine.is_quarantined(p.id.index()) && free(p.id))
@@ -783,7 +781,7 @@ impl<'a> AgentCore<'a> {
         let assignments = self.agent.select(
             &candidates,
             profiles,
-            req.slots.as_ref(),
+            Some(&req.slots),
             &req.answers,
             &self.labelled,
             &snapshot,

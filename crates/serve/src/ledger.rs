@@ -1,20 +1,23 @@
-//! The in-flight assignment ledger: exactly-once budget accounting.
+//! The in-flight assignment ledger and the per-project budget accounts:
+//! exactly-once budget accounting.
 //!
 //! Asynchrony is where budget bugs live: an answer can arrive after its
 //! timeout already fired, twice (a retry), or for an (object, annotator)
 //! pair that was requeued and re-asked in the meantime. The ledger makes
-//! the money side of all of that single-entry:
+//! the lifecycle side of all of that single-entry, and the
+//! [`AccountBook`] the money side:
 //!
-//! * **Reservation at dispatch.** Dispatching reserves the assignment's
-//!   cost against the budget; `spent + reserved` can never exceed the
-//!   total, so the service cannot over-commit no matter how many answers
-//!   later materialize.
+//! * **Reservation at dispatch.** The engine reserves the assignment's
+//!   cost on the project's account before it opens the record; `spent +
+//!   reserved` can never exceed the account's total, so the service
+//!   cannot over-commit no matter how many answers later materialize.
 //! * **Charge on delivery, exactly once.** Only an assignment still
-//!   `InFlight` can deliver; delivery atomically moves the reservation to
-//!   a real charge. A second delivery, or a delivery after expiry, is
-//!   rejected without touching the budget.
-//! * **Release on expiry.** Expiry frees the reservation and the
-//!   (object, annotator) pair, so the pair can be re-asked under a new
+//!   `InFlight` can deliver; [`settle_deliver`](AssignmentLedger::settle_deliver)
+//!   reports the cost exactly once, and the engine moves that reservation
+//!   to a real charge. A second delivery, or a delivery after expiry, is
+//!   rejected without touching any account.
+//! * **Release on expiry.** Expiry frees the (object, annotator) pair and
+//!   reports the cost to release, so the pair can be re-asked under a new
 //!   assignment id (a fresh question, a fresh reservation).
 //!
 //! At most one live assignment exists per (object, annotator) pair, and a
@@ -59,9 +62,10 @@ pub struct AssignmentRecord {
 /// Outcome of presenting an answer to the ledger.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Delivery {
-    /// The answer is fresh and on time; `cost` was charged to the budget.
+    /// The answer is fresh and on time; `cost` moves from reservation to
+    /// a charge on the owning account.
     Accepted {
-        /// What was charged.
+        /// What to charge.
         cost: f64,
         /// Answer latency (arrival − dispatch).
         latency: SimTime,
@@ -85,12 +89,11 @@ pub enum Expiry {
     AlreadySettled,
 }
 
-/// The in-flight assignment ledger. Owns reservations; the [`Budget`] it
-/// is used with records only *real* spend.
+/// The in-flight assignment ledger: every assignment's lifecycle and the
+/// live (object, annotator) claims. Money lives in an [`AccountBook`].
 #[derive(Debug, Default)]
 pub struct AssignmentLedger {
     records: Vec<AssignmentRecord>,
-    reserved: f64,
     /// Pairs with a live claim: one in-flight assignment, or a delivered
     /// answer (locked forever). Expired assignments release their pair.
     pairs: HashSet<(ObjectId, AnnotatorId)>,
@@ -100,11 +103,6 @@ impl AssignmentLedger {
     /// An empty ledger.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Total budget currently reserved by in-flight assignments.
-    pub fn reserved(&self) -> f64 {
-        self.reserved
     }
 
     /// Number of in-flight assignments.
@@ -136,45 +134,9 @@ impl AssignmentLedger {
         self.pairs.contains(&(object, annotator))
     }
 
-    /// Whether a dispatch of `cost` would fit the budget after existing
-    /// reservations.
-    pub fn can_reserve(&self, cost: f64, budget: &Budget) -> bool {
-        budget.spent() + self.reserved + cost <= budget.total() + 1e-9
-    }
-
-    /// Dispatch a question: reserve `cost` and open an in-flight record.
-    ///
-    /// Fails if the pair already holds a live claim or the reservation
-    /// would over-commit the budget — dispatch-time checks are what let
-    /// delivery charge unconditionally.
-    pub fn dispatch(
-        &mut self,
-        object: ObjectId,
-        annotator: AnnotatorId,
-        cost: f64,
-        now: SimTime,
-        deadline: SimTime,
-        budget: &Budget,
-    ) -> Result<AssignmentId> {
-        if cost.is_finite()
-            && cost >= 0.0
-            && deadline >= now
-            && !self.pairs.contains(&(object, annotator))
-            && !self.can_reserve(cost, budget)
-        {
-            return Err(Error::BudgetExhausted {
-                requested: cost,
-                remaining: (budget.remaining() - self.reserved).max(0.0),
-            });
-        }
-        self.dispatch_reserved(object, annotator, cost, now, deadline)
-    }
-
-    /// Dispatch a question whose budget check is made *elsewhere* — the
-    /// multi-tenant service reserves against a per-project
-    /// [`AccountBook`] account before calling this. All structural checks
-    /// (cost validity, deadline ordering, live-pair uniqueness) still
-    /// apply; only the budget-fit check is skipped.
+    /// Open an in-flight record for a question whose cost was already
+    /// reserved on an [`AccountBook`] account. Fails on an invalid cost, a
+    /// deadline before `now`, or a pair that already holds a live claim.
     pub fn dispatch_reserved(
         &mut self,
         object: ObjectId,
@@ -208,36 +170,15 @@ impl AssignmentLedger {
             deadline,
             status: AssignmentStatus::InFlight,
         });
-        self.reserved += cost;
         self.pairs.insert((object, annotator));
         Ok(id)
     }
 
-    /// Present an answer for `id` arriving at `now`.
-    ///
-    /// Exactly-once: only an `InFlight` record accepts, and acceptance
-    /// moves the reservation to a charge atomically. Everything else —
-    /// late answers, duplicates — is `Rejected` with no budget effect.
-    pub fn deliver(
-        &mut self,
-        id: AssignmentId,
-        now: SimTime,
-        budget: &mut Budget,
-    ) -> Result<Delivery> {
-        let delivery = self.settle_deliver(id, now)?;
-        if let Delivery::Accepted { cost, .. } = delivery {
-            budget.charge(cost)?;
-        }
-        Ok(delivery)
-    }
-
-    /// Settle a delivery against the ledger only: the `InFlight →
-    /// Delivered` transition and the reservation release, without
-    /// charging any budget. The caller owns the charge — the service
-    /// layer charges the owning project's account instead of a single
-    /// run-wide [`Budget`]. Exactly-once still holds: the transition
-    /// fires at most once per record, so at most one charge per record
-    /// can ever follow.
+    /// Present an answer for `id` arriving at `now`: the `InFlight →
+    /// Delivered` transition. Only an `InFlight` record accepts, and it
+    /// accepts at most once, so at most one charge per record can ever
+    /// follow; late answers and duplicates are `Rejected`. The caller
+    /// charges the reported cost to the owning account.
     pub fn settle_deliver(&mut self, id: AssignmentId, now: SimTime) -> Result<Delivery> {
         let record = self
             .records
@@ -247,15 +188,16 @@ impl AssignmentLedger {
             return Ok(Delivery::Rejected);
         }
         record.status = AssignmentStatus::Delivered;
-        self.reserved = (self.reserved - record.cost).max(0.0);
         Ok(Delivery::Accepted {
             cost: record.cost,
             latency: now - record.dispatched_at,
         })
     }
 
-    /// Fire the timeout of `id`.
-    pub fn expire(&mut self, id: AssignmentId) -> Result<Expiry> {
+    /// Fire the timeout of `id`: an in-flight record expires and frees
+    /// its pair; the caller releases the reported cost on the owning
+    /// account.
+    pub fn settle_expire(&mut self, id: AssignmentId) -> Result<Expiry> {
         let record = self
             .records
             .get_mut(id.0 as usize)
@@ -264,32 +206,22 @@ impl AssignmentLedger {
             return Ok(Expiry::AlreadySettled);
         }
         record.status = AssignmentStatus::Expired;
-        self.reserved = (self.reserved - record.cost).max(0.0);
         let pair = (record.object, record.annotator);
         let cost = record.cost;
         self.pairs.remove(&pair);
         Ok(Expiry::TimedOut { cost })
     }
 
-    /// [`expire`](Self::expire) under its service-layer name: expiry
-    /// never touches a budget, so the settlement and the classic call
-    /// are the same operation.
-    pub fn settle_expire(&mut self, id: AssignmentId) -> Result<Expiry> {
-        self.expire(id)
-    }
-
     /// Every record ever issued, in dispatch (id) order — the ledger's
-    /// whole state, since reservations and pair claims derive from it.
+    /// whole state, since the pair claims derive from it.
     pub fn records(&self) -> &[AssignmentRecord] {
         &self.records
     }
 
-    /// Rebuild a ledger from checkpointed records. `reserved` and the
-    /// pair-claim set are re-derived: in-flight records reserve their
-    /// cost and claim their pair, delivered records claim their pair
-    /// forever, expired records claim nothing.
+    /// Rebuild a ledger from checkpointed records. The pair-claim set is
+    /// re-derived: in-flight and delivered records claim their pair,
+    /// expired records claim nothing.
     pub fn restore(records: Vec<AssignmentRecord>) -> Result<Self> {
-        let mut reserved = 0.0;
         let mut pairs = HashSet::new();
         for (i, r) in records.iter().enumerate() {
             if r.id.0 as usize != i {
@@ -298,22 +230,11 @@ impl AssignmentLedger {
                     r.id
                 )));
             }
-            match r.status {
-                AssignmentStatus::InFlight => {
-                    reserved += r.cost;
-                    pairs.insert((r.object, r.annotator));
-                }
-                AssignmentStatus::Delivered => {
-                    pairs.insert((r.object, r.annotator));
-                }
-                AssignmentStatus::Expired => {}
+            if r.status != AssignmentStatus::Expired {
+                pairs.insert((r.object, r.annotator));
             }
         }
-        Ok(Self {
-            records,
-            reserved,
-            pairs,
-        })
+        Ok(Self { records, pairs })
     }
 
     /// Objects with at least one in-flight assignment.
@@ -335,11 +256,11 @@ struct Account {
     reserved: f64,
 }
 
-/// Per-project budget accounts for the multi-tenant service.
+/// Per-project budget accounts.
 ///
-/// Each account carries the same exactly-once discipline the single-run
-/// ledger enforces — reserve at dispatch, charge on delivery, release on
-/// expiry — but isolated per project: `spent + reserved ≤ total` holds
+/// Each account carries the exactly-once discipline — reserve at
+/// dispatch, charge on delivery, release on expiry — isolated per
+/// project: `spent + reserved ≤ total` holds
 /// account by account, so a project that exhausts its budget cannot
 /// reserve a cent of another's. Charging or releasing more than an
 /// account has reserved is an error, not a silent clamp: that is the
@@ -527,111 +448,11 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_reserves_and_delivery_charges_once() {
-        let mut ledger = AssignmentLedger::new();
-        let mut budget = Budget::new(10.0).unwrap();
-        let id = ledger
-            .dispatch(ObjectId(0), AnnotatorId(0), 3.0, t(0.0), t(5.0), &budget)
-            .unwrap();
-        assert_eq!(ledger.reserved(), 3.0);
-        assert_eq!(budget.spent(), 0.0);
-        let d = ledger.deliver(id, t(2.0), &mut budget).unwrap();
-        assert_eq!(
-            d,
-            Delivery::Accepted {
-                cost: 3.0,
-                latency: t(2.0)
-            }
-        );
-        assert_eq!(ledger.reserved(), 0.0);
-        assert_eq!(budget.spent(), 3.0);
-        // A duplicate delivery is rejected and charges nothing.
-        assert_eq!(
-            ledger.deliver(id, t(3.0), &mut budget).unwrap(),
-            Delivery::Rejected
-        );
-        assert_eq!(budget.spent(), 3.0);
-        // The stale timeout is a no-op.
-        assert_eq!(ledger.expire(id).unwrap(), Expiry::AlreadySettled);
-        assert_eq!(budget.spent(), 3.0);
-    }
-
-    #[test]
-    fn expiry_releases_reservation_and_frees_the_pair() {
-        let mut ledger = AssignmentLedger::new();
-        let mut budget = Budget::new(4.0).unwrap();
-        let id = ledger
-            .dispatch(ObjectId(1), AnnotatorId(2), 4.0, t(0.0), t(5.0), &budget)
-            .unwrap();
-        // Fully reserved: a second dispatch must not fit.
-        assert!(ledger
-            .dispatch(ObjectId(2), AnnotatorId(0), 1.0, t(0.0), t(5.0), &budget)
-            .is_err());
-        assert_eq!(ledger.expire(id).unwrap(), Expiry::TimedOut { cost: 4.0 });
-        assert_eq!(ledger.reserved(), 0.0);
-        assert!(!ledger.pair_claimed(ObjectId(1), AnnotatorId(2)));
-        // The same pair can be re-asked under a new id...
-        let id2 = ledger
-            .dispatch(ObjectId(1), AnnotatorId(2), 4.0, t(6.0), t(11.0), &budget)
-            .unwrap();
-        assert_ne!(id, id2);
-        // ...and the late answer for the dead assignment is rejected.
-        assert_eq!(
-            ledger.deliver(id, t(7.0), &mut budget).unwrap(),
-            Delivery::Rejected
-        );
-        assert_eq!(budget.spent(), 0.0);
-    }
-
-    #[test]
-    fn live_pairs_cannot_be_double_dispatched() {
-        let mut ledger = AssignmentLedger::new();
-        let mut budget = Budget::new(100.0).unwrap();
-        let id = ledger
-            .dispatch(ObjectId(0), AnnotatorId(0), 1.0, t(0.0), t(5.0), &budget)
-            .unwrap();
-        assert!(ledger
-            .dispatch(ObjectId(0), AnnotatorId(0), 1.0, t(0.0), t(5.0), &budget)
-            .is_err());
-        ledger.deliver(id, t(1.0), &mut budget).unwrap();
-        // Delivered pairs stay locked forever — one charge per pair.
-        assert!(ledger
-            .dispatch(ObjectId(0), AnnotatorId(0), 1.0, t(2.0), t(7.0), &budget)
-            .is_err());
-        // A different annotator on the same object is fine.
-        assert!(ledger
-            .dispatch(ObjectId(0), AnnotatorId(1), 1.0, t(2.0), t(7.0), &budget)
-            .is_ok());
-    }
-
-    #[test]
-    fn rejects_malformed_dispatches() {
-        let mut ledger = AssignmentLedger::new();
-        let budget = Budget::new(10.0).unwrap();
-        assert!(ledger
-            .dispatch(
-                ObjectId(0),
-                AnnotatorId(0),
-                f64::NAN,
-                t(0.0),
-                t(1.0),
-                &budget
-            )
-            .is_err());
-        assert!(ledger
-            .dispatch(ObjectId(0), AnnotatorId(0), 1.0, t(2.0), t(1.0), &budget)
-            .is_err());
-        assert!(ledger.is_empty());
-        assert_eq!(ledger.reserved(), 0.0);
-    }
-
-    #[test]
-    fn settlement_without_budget_matches_the_classic_path() {
+    fn delivery_settles_once_and_expiry_frees_the_pair() {
         let mut ledger = AssignmentLedger::new();
         let id = ledger
             .dispatch_reserved(ObjectId(0), AnnotatorId(0), 2.0, t(0.0), t(5.0))
             .unwrap();
-        assert_eq!(ledger.reserved(), 2.0);
         let d = ledger.settle_deliver(id, t(1.5)).unwrap();
         assert_eq!(
             d,
@@ -640,15 +461,49 @@ mod tests {
                 latency: t(1.5)
             }
         );
-        assert_eq!(ledger.reserved(), 0.0);
         // Exactly-once: the second settlement is rejected.
         assert_eq!(
             ledger.settle_deliver(id, t(2.0)).unwrap(),
             Delivery::Rejected
         );
         assert_eq!(ledger.settle_expire(id).unwrap(), Expiry::AlreadySettled);
-        // And the delivered pair stays locked.
+        // The delivered pair stays locked.
         assert!(ledger.pair_claimed(ObjectId(0), AnnotatorId(0)));
+        assert!(ledger
+            .dispatch_reserved(ObjectId(0), AnnotatorId(0), 2.0, t(2.0), t(7.0))
+            .is_err());
+
+        let id = ledger
+            .dispatch_reserved(ObjectId(1), AnnotatorId(2), 4.0, t(0.0), t(5.0))
+            .unwrap();
+        assert_eq!(
+            ledger.settle_expire(id).unwrap(),
+            Expiry::TimedOut { cost: 4.0 }
+        );
+        assert!(!ledger.pair_claimed(ObjectId(1), AnnotatorId(2)));
+        // The same pair can be re-asked under a new id, and the late
+        // answer for the dead assignment is rejected.
+        let id2 = ledger
+            .dispatch_reserved(ObjectId(1), AnnotatorId(2), 4.0, t(6.0), t(11.0))
+            .unwrap();
+        assert_ne!(id, id2);
+        assert_eq!(
+            ledger.settle_deliver(id, t(7.0)).unwrap(),
+            Delivery::Rejected
+        );
+        assert_eq!(ledger.in_flight(), 1);
+    }
+
+    #[test]
+    fn rejects_malformed_dispatches() {
+        let mut ledger = AssignmentLedger::new();
+        assert!(ledger
+            .dispatch_reserved(ObjectId(0), AnnotatorId(0), f64::NAN, t(0.0), t(1.0))
+            .is_err());
+        assert!(ledger
+            .dispatch_reserved(ObjectId(0), AnnotatorId(0), 1.0, t(2.0), t(1.0))
+            .is_err());
+        assert!(ledger.is_empty());
     }
 
     #[test]

@@ -1,12 +1,17 @@
-//! Service-level metrics for one asynchronous labelling run.
+//! Service-level metrics: one [`ServiceMetrics`] report per project, and
+//! the cross-project [`AggregateMetrics`] of a multi-tenant run.
 //!
 //! Two clocks matter and they are different things: the *simulated* clock
 //! (annotator latencies, timeouts — what the labelling service would
-//! experience) and the *wall* clock (how fast this process pumps events —
+//! experience) and the *wall* clock (how fast this process runs events —
 //! what a capacity planner cares about). The report keeps them separate:
 //! answer throughput and latency percentiles are simulated-time, event
 //! throughput is wall-time.
 
+use crate::error::ServiceError;
+use crate::event::TraceEvent;
+use crate::project::ProjectStatus;
+use crowdrl_core::outcome::LabellingOutcome;
 use crowdrl_obs as obs;
 use crowdrl_types::SimTime;
 use std::fmt;
@@ -34,7 +39,7 @@ fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
 
 /// Accumulates raw observations during the run; [`MetricsCollector::finish`]
 /// turns them into a [`ServiceMetrics`] report.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct MetricsCollector {
     /// Delivered-answer latencies, simulated time units, arrival order.
     pub latencies: Vec<f64>,
@@ -50,7 +55,7 @@ pub struct MetricsCollector {
     pub requeues: usize,
     /// Truth-inference refreshes run.
     pub refreshes: usize,
-    /// Events processed by the pump.
+    /// Events processed (every popped event, including no-op expiries).
     pub events: usize,
 }
 
@@ -63,7 +68,7 @@ impl MetricsCollector {
     /// Finalize into a report.
     ///
     /// `sim_duration` is the clock reading when the queue drained,
-    /// `wall_seconds` the measured pump time, `budget_spent` the real
+    /// `wall_seconds` the measured run time, `budget_spent` the real
     /// charges.
     pub fn finish(
         mut self,
@@ -118,11 +123,12 @@ pub struct ServiceMetrics {
     pub requeues: usize,
     /// Truth-inference refreshes triggered by the watermarks.
     pub refreshes: usize,
-    /// Events the pump processed.
+    /// Events the run processed.
     pub events_processed: usize,
     /// Final simulated-clock reading.
     pub sim_duration: SimTime,
-    /// Wall-clock seconds spent pumping events.
+    /// Wall-clock seconds spent running events (zero per project of a
+    /// multi-tenant run: wall time lives in its aggregate).
     pub wall_seconds: f64,
     /// Median delivered-answer latency, simulated time units.
     pub latency_p50: f64,
@@ -132,7 +138,7 @@ pub struct ServiceMetrics {
     pub latency_p99: f64,
     /// Delivered answers per simulated time unit.
     pub answers_per_time_unit: f64,
-    /// Pump throughput, events per wall-clock second.
+    /// Event throughput, events per wall-clock second.
     pub events_per_second: f64,
     /// Budget units actually charged.
     pub budget_spent: f64,
@@ -216,6 +222,143 @@ impl fmt::Display for ServiceMetrics {
     }
 }
 
+/// What one submitted project came back with.
+#[derive(Debug, Clone)]
+pub struct ProjectReport {
+    /// Name from the spec.
+    pub name: String,
+    /// `Completed`, `Rejected`, or `Failed` by the time the service
+    /// returns.
+    pub status: ProjectStatus,
+    /// The labelling outcome (None unless completed).
+    pub outcome: Option<LabellingOutcome>,
+    /// The per-project service metrics (None iff rejected; a failed
+    /// project keeps the metrics it accumulated before failing).
+    /// Wall-clock fields are zero — projects share one process; wall
+    /// time lives in the aggregate.
+    pub metrics: Option<ServiceMetrics>,
+    /// Why the project was rejected or failed (None iff it completed).
+    pub error: Option<ServiceError>,
+}
+
+/// Cross-project totals for one service run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AggregateMetrics {
+    /// Projects that ran (admitted immediately or from the queue).
+    pub admitted: usize,
+    /// Projects refused at admission.
+    pub rejected: usize,
+    /// Projects that failed mid-run and were isolated.
+    pub failed: usize,
+    /// Projects shed by the bounded admission queue (a subset of
+    /// `rejected` — shedding is an admission refusal with a typed
+    /// overload reason).
+    pub shed: usize,
+    /// Questions dispatched, all projects.
+    pub dispatched: usize,
+    /// Answers delivered and charged, all projects.
+    pub answers_delivered: usize,
+    /// Timeouts, all projects.
+    pub timeouts: usize,
+    /// Events processed, all projects.
+    pub events_processed: usize,
+    /// Scheduling rounds the service ran.
+    pub rounds: usize,
+    /// Final simulated clock.
+    pub sim_duration: SimTime,
+    /// Wall-clock seconds for the whole service run.
+    pub wall_seconds: f64,
+    /// Total real charges across every account.
+    pub total_spent: f64,
+    /// Delivered answers per simulated time unit, all projects.
+    pub answers_per_time_unit: f64,
+    /// Fairness of pool sharing: `(max − min) / mean` of per-project
+    /// delivered-answer counts over completed projects (0 = perfectly
+    /// even, larger = some project monopolised the pool).
+    pub fairness_spread: f64,
+}
+
+impl AggregateMetrics {
+    /// The spread statistic over per-project delivered counts.
+    pub fn spread(delivered: &[usize]) -> f64 {
+        if delivered.len() < 2 {
+            return 0.0;
+        }
+        let max = *delivered.iter().max().expect("non-empty") as f64;
+        let min = *delivered.iter().min().expect("non-empty") as f64;
+        let mean = delivered.iter().sum::<usize>() as f64 / delivered.len() as f64;
+        if mean <= 0.0 {
+            0.0
+        } else {
+            (max - min) / mean
+        }
+    }
+
+    /// Bridge the aggregate into the obs trace (no-op unless recording).
+    pub fn emit_trace(&self) {
+        if !obs::enabled() {
+            return;
+        }
+        obs::counter_add("service.projects_admitted", self.admitted as u64);
+        obs::counter_add("service.projects_rejected", self.rejected as u64);
+        obs::counter_add("service.projects_failed", self.failed as u64);
+        obs::counter_add("service.projects_shed", self.shed as u64);
+        obs::counter_add("service.dispatched", self.dispatched as u64);
+        obs::counter_add("service.answers_delivered", self.answers_delivered as u64);
+        obs::counter_add("service.timeouts", self.timeouts as u64);
+        obs::counter_add("service.events_processed", self.events_processed as u64);
+        obs::counter_add("service.rounds", self.rounds as u64);
+        obs::gauge("service.sim_duration_tu", self.sim_duration.as_f64());
+        obs::gauge("service.wall_seconds", self.wall_seconds);
+        obs::gauge("service.total_spent", self.total_spent);
+        obs::gauge("service.answers_per_tu", self.answers_per_time_unit);
+        obs::gauge("service.fairness_spread", self.fairness_spread);
+    }
+}
+
+impl fmt::Display for AggregateMetrics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "service aggregate")?;
+        writeln!(
+            f,
+            "  projects  {} admitted  {} rejected  {} failed  {} shed",
+            self.admitted, self.rejected, self.failed, self.shed
+        )?;
+        writeln!(
+            f,
+            "  dispatched {}  delivered {}  timeouts {}  events {}  rounds {}",
+            self.dispatched,
+            self.answers_delivered,
+            self.timeouts,
+            self.events_processed,
+            self.rounds
+        )?;
+        writeln!(
+            f,
+            "  sim time {}  wall {:.3}s  spent {:.2}",
+            self.sim_duration, self.wall_seconds, self.total_spent
+        )?;
+        write!(
+            f,
+            "  throughput {:.3} answers/tu  fairness spread {:.3}",
+            self.answers_per_time_unit, self.fairness_spread
+        )
+    }
+}
+
+/// Everything one service run produced.
+#[derive(Debug, Clone)]
+pub struct ServiceOutcome {
+    /// One report per submitted project, in submission order.
+    pub reports: Vec<ProjectReport>,
+    /// The merged service trace: every dispatch, delivery, expiry,
+    /// refresh, and quarantine transition, tagged with the owning
+    /// project's submission index, in deterministic merge order.
+    pub trace: Vec<(usize, TraceEvent)>,
+    /// Cross-project totals.
+    pub aggregate: AggregateMetrics,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,5 +413,16 @@ mod tests {
         assert_eq!(m.events_per_second, 0.0);
         // The Display form renders without panicking.
         assert!(m.to_string().contains("service metrics"));
+    }
+
+    #[test]
+    fn spread_is_zero_for_degenerate_inputs_and_scales_with_imbalance() {
+        assert_eq!(AggregateMetrics::spread(&[]), 0.0);
+        assert_eq!(AggregateMetrics::spread(&[10]), 0.0);
+        assert_eq!(AggregateMetrics::spread(&[0, 0, 0]), 0.0);
+        assert_eq!(AggregateMetrics::spread(&[5, 5, 5]), 0.0);
+        // One project took everything: spread = (9-0)/3 = 3.
+        assert_eq!(AggregateMetrics::spread(&[9, 0, 0]), 3.0);
+        assert!(AggregateMetrics::spread(&[6, 4, 5]) < 0.5);
     }
 }

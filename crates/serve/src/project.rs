@@ -1,10 +1,10 @@
 //! Per-project runtime state: one full CrowdRL run, sharded.
 
+use crate::core_loop::AgentCore;
+use crate::metrics::{MetricsCollector, ServiceMetrics};
 use crate::shard::Shard;
 use crowdrl_core::outcome::LabellingOutcome;
-use crowdrl_serve::core_loop::AgentCore;
-use crowdrl_serve::metrics::MetricsCollector;
-use crowdrl_serve::ServiceMetrics;
+use crowdrl_sim::FaultInjector;
 use crowdrl_types::{AnswerSet, ObjectId, SimTime};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -27,9 +27,8 @@ pub enum ProjectStatus {
     Failed,
 }
 
-/// One admitted project's live state. The decision brain ([`AgentCore`])
-/// is exactly the single-run core — the service just feeds it merged
-/// cross-shard answers instead of one pump's.
+/// One admitted project's live state: its decision brain
+/// ([`AgentCore`]) fed with merged cross-shard answers.
 pub(crate) struct Project<'a> {
     /// Submission index == account id == obs scope id.
     pub index: usize,
@@ -54,6 +53,12 @@ pub(crate) struct Project<'a> {
     pub requeues: Vec<usize>,
     /// Objects that exhausted their requeue allowance.
     pub abandoned: HashSet<ObjectId>,
+    /// Per-object supervisor backoff deadline (absolute sim time); an
+    /// object is withheld from refreshes until its deadline passes.
+    pub backoff_until: Vec<f64>,
+    /// Rewrites this project's sampled outcomes (None when the fault
+    /// plan schedules no assignment-level fault).
+    pub injector: Option<FaultInjector>,
     /// Raw service observations (dispatches, latencies, …).
     pub collector: MetricsCollector,
     /// When the project activated (queued projects start late).
@@ -122,13 +127,21 @@ impl Project<'_> {
             || self.is_idle()
     }
 
-    /// Objects the core must not select: in flight on any shard, or
-    /// abandoned.
-    pub fn blocked(&self) -> HashSet<ObjectId> {
+    /// Objects the core must not select at `now`: in flight on any
+    /// shard, abandoned, or still backing off after a timeout.
+    pub fn blocked(&self, now: SimTime) -> HashSet<ObjectId> {
         let mut blocked: HashSet<ObjectId> = self.abandoned.iter().copied().collect();
         for shard in &self.shards {
             blocked.extend(shard.objects_in_flight());
         }
+        let now = now.as_f64();
+        blocked.extend(
+            self.backoff_until
+                .iter()
+                .enumerate()
+                .filter(|&(_, &until)| until > now)
+                .map(|(i, _)| ObjectId(i)),
+        );
         blocked
     }
 }

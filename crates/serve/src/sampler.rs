@@ -41,8 +41,8 @@ pub struct SampledOutcome {
 const SAMPLE_CHUNK: usize = 64;
 
 /// Sample every job's outcome, fanned out over the `crowdrl_linalg` pool
-/// in fixed chunks and returned in job order. Both the single-project pump
-/// and the multi-tenant service sample through here.
+/// in fixed chunks and returned in job order. The engine samples every
+/// granted assignment through here.
 pub fn sample_outcomes(
     sampling_seed: u64,
     jobs: &[SampleJob],

@@ -1,5 +1,8 @@
-//! The service orchestrator: admission, scheduling rounds, the
-//! deterministic cross-shard merge, and pool arbitration.
+//! The engine: admission, scheduling rounds, the deterministic
+//! cross-shard merge, and pool arbitration. Every run goes through it — a
+//! multi-tenant [`Service`] with many projects, and a single
+//! [`AsyncRuntime`](crate::AsyncRuntime) run as one project on one shard
+//! (capacity 1, epoch 0, unbounded annotator slots).
 //!
 //! # One scheduling round
 //!
@@ -10,20 +13,24 @@
 //!    advances to the horizon concurrently on the shared thread pool.
 //!    Shards own disjoint state, so this is embarrassingly parallel;
 //!    each produces a [`ShardBatch`] of settlements in its own event
-//!    order.
+//!    order. Every event at or before the horizon settles before any
+//!    watermark is checked.
 //! 3. **Merge (sequential).** Batches are applied in *(project, shard,
 //!    event)* order: deliveries charge the project's account
 //!    ([`AccountBook`]) and release broker slots, expiries release
-//!    reservations and requeue objects. The merged answer stream, money
-//!    movement, and trace are therefore identical at any thread count.
-//! 4. **Refresh (parallel).** Projects whose watermark is due run truth
-//!    inference + DQN training concurrently — each project's
-//!    [`AgentCore`] is private state.
+//!    reservations, requeue objects and start their supervisor backoff.
+//!    The merged answer stream, money movement, and trace are therefore
+//!    identical at any thread count.
+//! 4. **Refresh (parallel).** Projects whose watermark is due — or that
+//!    have nothing pending — run truth inference + DQN training
+//!    concurrently; each project's [`AgentCore`] is private state.
 //! 5. **Grant (sequential).** Panels are arbitrated through the
 //!    [`PoolBroker`] in *(priority descending, submission index
 //!    ascending)* order; response sampling for the granted assignments
-//!    fans out on the pool (pure per-uid streams), and the assignments
-//!    open on their shards.
+//!    fans out on the pool (pure per-uid streams), the fault plan
+//!    rewrites the sampled outcomes, and the assignments open on their
+//!    shards. A project whose refresh dispatched nothing while nothing is
+//!    pending is finished.
 //!
 //! # Why both exec modes are bit-identical
 //!
@@ -35,29 +42,27 @@
 //! the sequential merge/grant phases, so the trace is invariant by
 //! construction, not by testing luck.
 //!
-//! [`ExecMode`]: crowdrl_serve::ExecMode
+//! [`ExecMode`]: crate::ExecMode
 //! [`ShardBatch`]: crate::shard::ShardBatch
-//! [`AccountBook`]: crowdrl_serve::AccountBook
-//! [`AgentCore`]: crowdrl_serve::core_loop::AgentCore
 
 use crate::broker::PoolBroker;
 use crate::checkpoint::{
-    service_fingerprint, ActiveProjectState, CollectorState, ProjectCheckpoint, ServiceCheckpoint,
+    service_fingerprint, ActiveProjectState, ProjectCheckpoint, RunCheckpoint,
 };
 use crate::config::{AdmissionPolicy, ProjectSpec, ServiceConfig};
+use crate::core_loop::{AgentCore, BudgetView, FinalizeRequest, RefreshReply, RefreshRequest};
 use crate::error::ServiceError;
-use crate::metrics::{AggregateMetrics, ProjectReport, ServiceOutcome};
+use crate::event::TraceEvent;
+use crate::ledger::AccountBook;
+use crate::metrics::{
+    AggregateMetrics, MetricsCollector, ProjectReport, ServiceMetrics, ServiceOutcome,
+};
 use crate::project::{Project, ProjectStatus};
+use crate::sampler::{sample_outcomes, SampleJob};
 use crate::shard::{Shard, ShardBatch, ShardEvent};
 use crowdrl_linalg::pool as tpool;
 use crowdrl_obs as obs;
-use crowdrl_serve::core_loop::{
-    AgentCore, BudgetView, FinalizeRequest, RefreshReply, RefreshRequest,
-};
-use crowdrl_serve::metrics::MetricsCollector;
-use crowdrl_serve::sampler::{sample_outcomes, SampleJob};
-use crowdrl_serve::{AccountBook, RunControl, TraceEvent};
-use crowdrl_sim::{AnnotatorDynamics, AnnotatorPool};
+use crowdrl_sim::{AnnotatorDynamics, AnnotatorPool, FaultInjector, FaultRecord};
 use crowdrl_types::{
     AnnotatorId, Answer, AnswerSet, AssignmentId, Error, ObjectId, Result, SimTime,
 };
@@ -66,9 +71,19 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Receives each [`ServiceCheckpoint`] as it is cut and decides whether
-/// the run continues (mirrors `crowdrl-serve`'s `CheckpointSink`).
-pub type ServiceCheckpointSink<'s> = &'s mut dyn FnMut(ServiceCheckpoint) -> RunControl;
+/// What a checkpoint sink tells the engine to do after each snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunControl {
+    /// Keep running.
+    Continue,
+    /// Stop here; the run ends halted. The checkpoint just handed to the
+    /// sink resumes the run exactly where it stopped.
+    Halt,
+}
+
+/// Receives each [`RunCheckpoint`] as it is cut and decides whether the
+/// run continues.
+pub type CheckpointSink<'s> = &'s mut dyn FnMut(RunCheckpoint) -> RunControl;
 
 /// How a checkpoint-aware service run ended.
 #[derive(Debug)]
@@ -108,7 +123,7 @@ impl Service {
     /// project's agent core, all drawn up front in submission order —
     /// the run itself is deterministic given (specs, pool, rng state,
     /// config) and bit-identical across
-    /// [`ExecMode`](crowdrl_serve::ExecMode)s.
+    /// [`ExecMode`](crate::ExecMode)s.
     pub fn run<R: Rng + ?Sized>(
         &self,
         specs: &[ProjectSpec],
@@ -121,18 +136,19 @@ impl Service {
         }
     }
 
-    /// [`run`](Self::run), cutting a [`ServiceCheckpoint`] into `sink`
-    /// every [`ServiceConfig::checkpoint_every_rounds`] scheduling
-    /// rounds. The sink returning [`RunControl::Halt`] stops the run as
+    /// [`run`](Self::run), cutting a [`RunCheckpoint`] into `sink` every
+    /// [`ServeConfig::checkpoint_every`](crate::ServeConfig::checkpoint_every)
+    /// scheduling rounds in which some project refreshed. The sink
+    /// returning [`RunControl::Halt`] stops the run as
     /// [`ServiceRunOutcome::Halted`]; [`resume`](Self::resume) with the
     /// last checkpoint finishes it bit-identically to an uninterrupted
-    /// run — in either [`ExecMode`](crowdrl_serve::ExecMode).
+    /// run — in either [`ExecMode`](crate::ExecMode).
     pub fn run_with_checkpoints<R: Rng + ?Sized>(
         &self,
         specs: &[ProjectSpec],
         pool: &AnnotatorPool,
         rng: &mut R,
-        sink: ServiceCheckpointSink<'_>,
+        sink: CheckpointSink<'_>,
     ) -> Result<ServiceRunOutcome> {
         self.run_inner(specs, pool, rng, Some(sink), None)
     }
@@ -148,8 +164,8 @@ impl Service {
         specs: &[ProjectSpec],
         pool: &AnnotatorPool,
         rng: &mut R,
-        checkpoint: ServiceCheckpoint,
-        sink: ServiceCheckpointSink<'_>,
+        checkpoint: RunCheckpoint,
+        sink: CheckpointSink<'_>,
     ) -> Result<ServiceRunOutcome> {
         self.run_inner(specs, pool, rng, Some(sink), Some(checkpoint))
     }
@@ -159,64 +175,20 @@ impl Service {
         specs: &[ProjectSpec],
         pool: &AnnotatorPool,
         rng: &mut R,
-        mut sink: Option<ServiceCheckpointSink<'_>>,
-        checkpoint: Option<ServiceCheckpoint>,
+        sink: Option<CheckpointSink<'_>>,
+        checkpoint: Option<RunCheckpoint>,
     ) -> Result<ServiceRunOutcome> {
-        if specs.is_empty() {
-            return Err(Error::InvalidParameter(
-                "service run needs at least one project".into(),
-            ));
-        }
-        if pool.is_empty() {
-            return Err(Error::InvalidParameter("annotator pool is empty".into()));
-        }
-        for spec in specs {
-            spec.config.validate()?;
-            if spec.dataset.is_empty() {
-                return Err(Error::InvalidParameter(format!(
-                    "project '{}' has an empty dataset",
-                    spec.name
-                )));
-            }
-        }
         obs::init_from_env();
         let run_span = obs::span("service.run");
-
-        // All randomness is drawn here, in submission order, before any
-        // scheduling happens — the engine itself never touches `rng`.
-        // Resume draws identically, so the same rng reproduces the same
-        // virtual crowd and the same per-project seeds.
-        let dynamics = self.config.dynamics.generate(pool, rng)?;
-        let capacities = self.config.annotator_capacity.generate(pool)?;
-        let seeds: Vec<u64> = specs.iter().map(|_| rng.random()).collect();
-
-        // ExecMode = thread cap around one shared implementation.
-        let started = Instant::now();
-        let outcome = tpool::with_threads(self.config.mode.threads(), || -> Result<_> {
-            let mut engine = Engine::new(
-                &self.config,
-                specs,
-                pool,
-                &dynamics,
-                capacities.clone(),
-                &seeds,
-            )?;
-            if let Some(cp) = checkpoint {
-                let t0 = Instant::now();
-                engine.restore(cp, capacities)?;
-                obs::counter_add("service.checkpoint.restore", 1);
-                obs::gauge(
-                    "service.checkpoint.restore_ns",
-                    t0.elapsed().as_nanos() as f64,
-                );
-            }
-            if engine.run(&mut sink)? {
-                return Ok(ServiceRunOutcome::Halted);
-            }
-            Ok(ServiceRunOutcome::Completed(Box::new(
-                engine.into_outcome(started.elapsed().as_secs_f64()),
-            )))
-        })?;
+        let outcome = drive(
+            &self.config,
+            specs,
+            pool,
+            rng,
+            sink,
+            checkpoint,
+            Entry::Service,
+        )?;
         drop(run_span);
         if let ServiceRunOutcome::Completed(o) = &outcome {
             o.aggregate.emit_trace();
@@ -224,6 +196,106 @@ impl Service {
         obs::checkpoint();
         Ok(outcome)
     }
+}
+
+/// Which entry point drives the engine. It changes only how the run
+/// names its obs output and whether project metrics carry wall time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Entry {
+    /// One project through [`AsyncRuntime`](crate::AsyncRuntime): the
+    /// unscoped metric names of a single run, and wall-clock fields in
+    /// its metrics.
+    Run,
+    /// A multi-tenant [`Service`]: every project's metrics under
+    /// `project.<id>.`, `service.`-prefixed checkpoint counters, and
+    /// wall time only in the aggregate.
+    Service,
+}
+
+impl Entry {
+    /// Prefix of the engine's own checkpoint counters.
+    fn prefix(self) -> &'static str {
+        match self {
+            Entry::Run => "",
+            Entry::Service => "service.",
+        }
+    }
+
+    /// Obs scope of project `i`'s metrics.
+    fn scope(self, i: usize) -> String {
+        match self {
+            Entry::Run => String::new(),
+            Entry::Service => format!("project.{i}."),
+        }
+    }
+}
+
+/// Validate, draw every random input, and run the engine to completion
+/// (or to a halting checkpoint) with the pool capped at the execution
+/// mode's width. Both entry points call this inside their envelope span.
+pub(crate) fn drive<R: Rng + ?Sized>(
+    cfg: &ServiceConfig,
+    specs: &[ProjectSpec],
+    pool: &AnnotatorPool,
+    rng: &mut R,
+    mut sink: Option<CheckpointSink<'_>>,
+    checkpoint: Option<RunCheckpoint>,
+    entry: Entry,
+) -> Result<ServiceRunOutcome> {
+    cfg.validate()?;
+    if specs.is_empty() {
+        return Err(Error::InvalidParameter(
+            "service run needs at least one project".into(),
+        ));
+    }
+    if pool.is_empty() {
+        return Err(Error::InvalidParameter("annotator pool is empty".into()));
+    }
+    for spec in specs {
+        spec.config.validate()?;
+        if spec.dataset.is_empty() {
+            return Err(Error::InvalidParameter(format!(
+                "project '{}' has an empty dataset",
+                spec.name
+            )));
+        }
+    }
+
+    // All randomness is drawn here, in submission order, before any
+    // scheduling happens — the engine itself never touches `rng`.
+    // Resume draws identically, so the same rng reproduces the same
+    // virtual crowd and the same per-project seeds.
+    let dynamics = cfg.serve.dynamics.generate(pool, rng)?;
+    let capacities = cfg.annotator_capacity.generate(pool)?;
+    let seeds: Vec<u64> = specs.iter().map(|_| rng.random()).collect();
+
+    // ExecMode = thread cap around one shared implementation.
+    tpool::with_threads(cfg.serve.mode.threads(), || -> Result<_> {
+        let mut engine = Engine::new(
+            cfg,
+            specs,
+            pool,
+            &dynamics,
+            capacities.clone(),
+            &seeds,
+            entry,
+        )?;
+        if let Some(cp) = checkpoint {
+            let t0 = Instant::now();
+            engine.restore(cp, capacities)?;
+            obs::counter_add(&format!("{}checkpoint.restore", entry.prefix()), 1);
+            obs::gauge(
+                &format!("{}checkpoint.restore_ns", entry.prefix()),
+                t0.elapsed().as_nanos() as f64,
+            );
+        }
+        if engine.run(&mut sink)? {
+            return Ok(ServiceRunOutcome::Halted);
+        }
+        Ok(ServiceRunOutcome::Completed(Box::new(
+            engine.into_outcome(),
+        )))
+    })
 }
 
 /// One granted assignment, between arbitration and opening on a shard.
@@ -267,6 +339,13 @@ struct Engine<'a> {
     /// of the rejected count). Recomputed deterministically from the
     /// config at construction, so checkpoints need not carry it.
     shed: usize,
+    /// Rounds with a refresh since the last checkpoint cut. Zero right
+    /// after a cut, so checkpoints need not carry it.
+    refreshes_since_cut: usize,
+    entry: Entry,
+    /// Wall clock at construction: the aggregate's wall time, and a
+    /// one-project run's.
+    started: Instant,
 }
 
 /// What one shard's parallel advance produced: a normal batch, or the
@@ -287,6 +366,16 @@ struct AdvanceWork<'s> {
     slot: Option<AdvanceSlot>,
 }
 
+/// [`tpool::for_each_mut`], except that a lone item runs directly on the
+/// caller: there is nothing to fan out, so it is not pool work (and is
+/// not traced as a pool chunk).
+fn fan_out<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+    match items {
+        [only] => f(0, only),
+        _ => tpool::for_each_mut(items, f),
+    }
+}
+
 /// Render a caught panic payload for the typed `ProjectFailed` error.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -298,6 +387,25 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Bump the `fault.injected.*` trace counters for one injected outcome.
+fn count_faults(faults: &FaultRecord) {
+    if faults.is_clean() {
+        return;
+    }
+    for (hit, name) in [
+        (faults.no_show, "fault.injected.no_show"),
+        (faults.abandoned, "fault.injected.abandon"),
+        (faults.straggler, "fault.injected.straggler"),
+        (faults.outage, "fault.injected.outage"),
+        (faults.duplicate, "fault.injected.duplicate"),
+        (faults.drifted, "fault.injected.drift"),
+    ] {
+        if hit {
+            obs::counter_add(name, 1);
+        }
+    }
+}
+
 impl<'a> Engine<'a> {
     fn new(
         cfg: &'a ServiceConfig,
@@ -306,6 +414,7 @@ impl<'a> Engine<'a> {
         dynamics: &'a [AnnotatorDynamics],
         capacities: Vec<usize>,
         seeds: &[u64],
+        entry: Entry,
     ) -> Result<Self> {
         let mut accounts = AccountBook::new();
         let mut projects: Vec<Option<Project<'a>>> = Vec::with_capacity(specs.len());
@@ -345,9 +454,17 @@ impl<'a> Engine<'a> {
                 &spec.dataset,
                 pool,
                 seeds[i],
-                cfg.quarantine.clone(),
+                cfg.serve.quarantine.clone(),
             )?;
-            core.set_obs_scope(format!("project.{i}."));
+            core.set_obs_scope(entry.scope(i));
+            let injector = if cfg.serve.faults.rewrites_outcomes() {
+                Some(FaultInjector::new(
+                    cfg.serve.faults.clone(),
+                    spec.dataset.num_classes(),
+                )?)
+            } else {
+                None
+            };
             projects.push(Some(Project {
                 index: i,
                 name: spec.name.clone(),
@@ -359,6 +476,8 @@ impl<'a> Engine<'a> {
                 last_refresh: SimTime::ZERO,
                 requeues: vec![0; spec.dataset.len()],
                 abandoned: HashSet::new(),
+                backoff_until: vec![0.0; spec.dataset.len()],
+                injector,
                 collector: MetricsCollector::default(),
                 started_at: SimTime::ZERO,
                 status: ProjectStatus::Queued,
@@ -386,9 +505,12 @@ impl<'a> Engine<'a> {
             next_uid: 0,
             now: SimTime::ZERO,
             rounds: 0,
-            timeout: SimTime::new(cfg.timeout)?,
+            timeout: SimTime::new(cfg.serve.timeout)?,
             errors,
             shed,
+            refreshes_since_cut: 0,
+            entry,
+            started: Instant::now(),
         })
     }
 
@@ -514,8 +636,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Sample the virtual crowd's responses for a batch of grants (in
-    /// parallel — each uid keys an independent stream) and open the
-    /// assignments on their shards.
+    /// parallel — each uid keys an independent stream), let the fault
+    /// plan rewrite them, and open the assignments on their shards.
     fn dispatch(&mut self, grants: Vec<Grant>) -> Result<usize> {
         if grants.is_empty() {
             return Ok(0);
@@ -529,21 +651,45 @@ impl<'a> Engine<'a> {
                 truth: self.specs[g.project].dataset.truth(g.object.index()),
             })
             .collect();
-        let outcomes = sample_outcomes(self.cfg.sampling_seed, &jobs, self.pool, self.dynamics);
+        let sample_span = obs::span("serve.sample");
+        let outcomes = sample_outcomes(
+            self.cfg.serve.sampling_seed,
+            &jobs,
+            self.pool,
+            self.dynamics,
+        );
+        drop(sample_span);
         let deadline = self.now + self.timeout;
         let now = self.now;
-        let cfg = self.cfg;
+        let faults = &self.cfg.serve.faults;
         for (grant, outcome) in grants.iter().zip(outcomes) {
             debug_assert_eq!(outcome.id.0, grant.uid);
+            let p = self.projects[grant.project]
+                .as_mut()
+                .expect("granted project");
+            let (response, duplicate_at) = match &p.injector {
+                Some(injector) => {
+                    let injected = injector.apply(
+                        outcome.id,
+                        grant.annotator,
+                        now,
+                        self.cfg.serve.timeout,
+                        outcome.response,
+                    );
+                    count_faults(&injected.faults);
+                    (injected.response, injected.duplicate_at)
+                }
+                None => (outcome.response, None),
+            };
             // Project-scoped outage windows push the arrival past the
             // window's end (fixed point — windows may chain); an arrival
             // deferred past the deadline late-rejects as usual. Untouched
             // arrivals keep their exact latency bits, so projects without
             // outages are bit-identical to a no-fault run.
-            let response = match outcome.response {
+            let response = match response {
                 Some((label, latency)) => {
                     let arrival = now + latency;
-                    let deferred = cfg.faults.defer(grant.project, arrival.as_f64());
+                    let deferred = faults.project_defer(grant.project, arrival.as_f64());
                     if deferred == arrival.as_f64() {
                         Some((label, latency))
                     } else {
@@ -553,7 +699,7 @@ impl<'a> Engine<'a> {
                 }
                 None => None,
             };
-            self.project_mut(grant.project).shards[grant.shard].open(
+            p.shards[grant.shard].open(
                 grant.object,
                 grant.annotator,
                 grant.cost,
@@ -561,6 +707,7 @@ impl<'a> Engine<'a> {
                 now,
                 deadline,
                 response,
+                duplicate_at,
             )?;
         }
         Ok(grants.len())
@@ -578,7 +725,7 @@ impl<'a> Engine<'a> {
         // One slot per (active project, shard), in merge order. Injected
         // panics fire on the project's first shard, in the first round
         // whose horizon passes the scheduled time.
-        let faults = &self.cfg.faults;
+        let faults = &self.cfg.serve.faults;
         let mut projects: Vec<Option<&mut Project<'a>>> =
             self.projects.iter_mut().map(Option::as_mut).collect();
         let mut work: Vec<AdvanceWork<'_>> = Vec::new();
@@ -600,7 +747,7 @@ impl<'a> Engine<'a> {
         // Each chunk mutates only its own shard and slot. A panic unwinds
         // only out of `Shard::advance`, whose staged-batch design keeps
         // the shard's settled-but-unreported events recoverable.
-        tpool::for_each_mut(&mut work, |_, w| {
+        fan_out(&mut work, |_, w| {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if let Some(at) = w.panic_at {
                     panic!("injected shard panic at t={at}");
@@ -700,13 +847,8 @@ impl<'a> Engine<'a> {
             self.accounts.release(i, cost)?;
         }
         self.broker.clear_project(i);
-        let spent = self.accounts.spent(i);
+        let metrics = self.close_metrics(i);
         let p = self.projects[i].as_mut().expect("failing project");
-        let duration = p.watermark() - p.started_at;
-        let scope = format!("project.{}.", p.index);
-        let collector = std::mem::take(&mut p.collector);
-        let metrics = collector.finish(duration, 0.0, spent);
-        metrics.emit_trace_scoped(&scope);
         p.metrics = Some(metrics);
         p.status = ProjectStatus::Failed;
         self.errors[i] = Some(ServiceError::ProjectFailed { project: i, reason });
@@ -723,6 +865,7 @@ impl<'a> Engine<'a> {
             .iter()
             .filter_map(|&i| {
                 self.cfg
+                    .serve
                     .faults
                     .abort_at(i)
                     .filter(|&at| at <= self.now.as_f64())
@@ -792,13 +935,19 @@ impl<'a> Engine<'a> {
             } => {
                 self.accounts.release(i, cost)?;
                 self.broker.release(annotator.index());
-                let max_requeues = self.cfg.max_requeues;
+                let serve = &self.cfg.serve;
                 let p = self.projects[i].as_mut().expect("active project");
                 p.collector.timeouts += 1;
                 p.requeues[object.index()] += 1;
-                let requeued = p.requeues[object.index()] <= max_requeues;
+                let retries = p.requeues[object.index()];
+                let requeued = retries <= serve.max_requeues;
                 if requeued {
                     p.collector.requeues += 1;
+                    obs::counter_add("retry.count", 1);
+                    let delay = serve.supervisor.backoff_delay(retries);
+                    if delay > 0.0 {
+                        p.backoff_until[object.index()] = at.as_f64() + delay;
+                    }
                 } else {
                     p.abandoned.insert(object);
                 }
@@ -837,6 +986,7 @@ impl<'a> Engine<'a> {
         let mut requests = Vec::with_capacity(due.len());
         for &i in due {
             let p = self.project(i);
+            let now = p.watermark();
             requests.push(RefreshRequest {
                 answers: Arc::clone(&p.answers),
                 view: BudgetView {
@@ -844,9 +994,9 @@ impl<'a> Engine<'a> {
                     spent: self.accounts.spent(i),
                     reserved: self.accounts.reserved(i),
                 },
-                blocked: p.blocked(),
-                slots: Some(slots.clone()),
-                now: p.watermark(),
+                blocked: p.blocked(now),
+                slots: slots.clone(),
+                now,
                 answers_since: p.answers_since,
             });
         }
@@ -858,7 +1008,7 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|&i| (projects[i].take().expect("active project"), None))
             .collect();
-        tpool::for_each_mut(&mut work, |k, (p, reply)| {
+        fan_out(&mut work, |k, (p, reply)| {
             *reply = Some(p.core.refresh(&requests[k]).inspect(|_| p.core.train()));
         });
         let replies: Vec<Result<RefreshReply>> = work
@@ -935,11 +1085,8 @@ impl<'a> Engine<'a> {
             budget_spent: spent,
         };
         let outcome = p.core.finalize(&request)?;
-        let duration = p.watermark() - p.started_at;
-        let scope = format!("project.{}.", p.index);
-        let collector = std::mem::take(&mut p.collector);
-        let metrics = collector.finish(duration, 0.0, spent);
-        metrics.emit_trace_scoped(&scope);
+        let metrics = self.close_metrics(i);
+        let p = self.projects[i].as_mut().expect("active project");
         p.outcome = Some(outcome);
         p.metrics = Some(metrics);
         p.status = ProjectStatus::Completed;
@@ -947,9 +1094,26 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
+    /// Freeze project `i`'s metrics and emit them to the trace under its
+    /// scope. Only a one-project run reports wall time per project; a
+    /// service's projects share one process, so theirs lives in the
+    /// aggregate.
+    fn close_metrics(&mut self, i: usize) -> ServiceMetrics {
+        let spent = self.accounts.spent(i);
+        let wall = match self.entry {
+            Entry::Run => self.started.elapsed().as_secs_f64(),
+            Entry::Service => 0.0,
+        };
+        let p = self.projects[i].as_mut().expect("admitted project");
+        let duration = p.watermark() - p.started_at;
+        let metrics = std::mem::take(&mut p.collector).finish(duration, wall, spent);
+        metrics.emit_trace_scoped(&self.entry.scope(i));
+        metrics
+    }
+
     /// The round loop (see module docs). Returns `true` if a checkpoint
     /// sink halted the run mid-way.
-    fn run(&mut self, sink: &mut Option<ServiceCheckpointSink<'_>>) -> Result<bool> {
+    fn run(&mut self, sink: &mut Option<CheckpointSink<'_>>) -> Result<bool> {
         self.fill_active()?;
         while !self.active.is_empty() {
             self.rounds += 1;
@@ -964,9 +1128,10 @@ impl<'a> Engine<'a> {
                 self.now = horizon;
                 self.advance_and_merge(horizon)?;
             }
-            if !self.cfg.faults.is_noop() {
+            if !self.cfg.serve.faults.aborts.is_empty() {
                 self.apply_aborts()?;
             }
+            let serve = &self.cfg.serve;
             let mut due: Vec<usize> = self
                 .active
                 .iter()
@@ -977,7 +1142,7 @@ impl<'a> Engine<'a> {
                     // bound must drain before it may dispatch more work.
                     (self.cfg.max_settlement_backlog == 0
                         || p.backlog() <= self.cfg.max_settlement_backlog)
-                        && p.refresh_due(self.cfg.answer_watermark, self.cfg.time_watermark)
+                        && p.refresh_due(serve.answer_watermark, serve.time_watermark)
                 })
                 .collect();
             due.sort_by(|&a, &b| {
@@ -1012,24 +1177,29 @@ impl<'a> Engine<'a> {
                 }
             }
             self.fill_active()?;
-            // Checkpoint cut: end of round, after settlements merged,
-            // finished projects finalized, and the queue refilled —
-            // nothing is mid-flight, so the snapshot is consistent.
-            if self.cfg.checkpoint_every_rounds > 0
-                && self.rounds.is_multiple_of(self.cfg.checkpoint_every_rounds)
-                && !self.active.is_empty()
-            {
-                if let Some(sink) = sink.as_deref_mut() {
-                    let t0 = Instant::now();
-                    let cp = self.checkpoint();
-                    obs::counter_add("service.checkpoint.write", 1);
-                    obs::gauge(
-                        "service.checkpoint.write_ns",
-                        t0.elapsed().as_nanos() as f64,
-                    );
-                    if sink(cp) == RunControl::Halt {
-                        return Ok(true);
-                    }
+            // Checkpoint cut: end of a round in which some project
+            // refreshed, after settlements merged, finished projects
+            // finalized, and the queue refilled — nothing is mid-flight,
+            // so the snapshot is consistent.
+            if due.is_empty() || self.active.is_empty() || self.cfg.serve.checkpoint_every == 0 {
+                continue;
+            }
+            self.refreshes_since_cut += 1;
+            if self.refreshes_since_cut < self.cfg.serve.checkpoint_every {
+                continue;
+            }
+            self.refreshes_since_cut = 0;
+            if let Some(sink) = sink.as_deref_mut() {
+                let t0 = Instant::now();
+                let cp = self.checkpoint();
+                let prefix = self.entry.prefix();
+                obs::counter_add(&format!("{prefix}checkpoint.write"), 1);
+                obs::gauge(
+                    &format!("{prefix}checkpoint.write_ns"),
+                    t0.elapsed().as_nanos() as f64,
+                );
+                if sink(cp) == RunControl::Halt {
+                    return Ok(true);
                 }
             }
         }
@@ -1037,7 +1207,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Snapshot the whole engine at the current round boundary.
-    fn checkpoint(&self) -> ServiceCheckpoint {
+    fn checkpoint(&self) -> RunCheckpoint {
         let (broker_load, broker_evidence) = self.broker.export();
         let projects = (0..self.specs.len())
             .map(|i| match &self.projects[i] {
@@ -1055,16 +1225,8 @@ impl<'a> Engine<'a> {
                             last_refresh: p.last_refresh,
                             requeues: p.requeues.clone(),
                             abandoned,
-                            collector: CollectorState {
-                                latencies: p.collector.latencies.clone(),
-                                dispatched: p.collector.dispatched,
-                                delivered: p.collector.delivered,
-                                rejected: p.collector.rejected,
-                                timeouts: p.collector.timeouts,
-                                requeues: p.collector.requeues,
-                                refreshes: p.collector.refreshes,
-                                events: p.collector.events,
-                            },
+                            backoff_until: p.backoff_until.clone(),
+                            collector: p.collector.clone(),
                             started_at: p.started_at,
                             done: p.done,
                             starved: p.starved,
@@ -1085,7 +1247,7 @@ impl<'a> Engine<'a> {
                 },
             })
             .collect();
-        ServiceCheckpoint {
+        RunCheckpoint {
             fingerprint: service_fingerprint(self.cfg, self.specs, self.pool),
             annotators: self.pool.len(),
             now: self.now,
@@ -1107,7 +1269,7 @@ impl<'a> Engine<'a> {
     /// cores [`new`](Self::new) built from the same submission-order
     /// seeds, active projects get their cores, shards, and scheduling
     /// state rebuilt bit-exactly.
-    fn restore(&mut self, cp: ServiceCheckpoint, capacities: Vec<usize>) -> Result<()> {
+    fn restore(&mut self, cp: RunCheckpoint, capacities: Vec<usize>) -> Result<()> {
         let expected = service_fingerprint(self.cfg, self.specs, self.pool);
         if cp.fingerprint != expected {
             return Err(ServiceError::ConfigMismatch {
@@ -1171,14 +1333,25 @@ impl<'a> Engine<'a> {
                 ProjectCheckpoint::Active(state) => {
                     let state = *state;
                     let spec = &specs[i];
+                    let n = spec.dataset.len();
+                    if state.requeues.len() != n
+                        || state.backoff_until.len() != n
+                        || state.answers.num_objects() != n
+                    {
+                        return Err(ServiceError::CorruptCheckpoint(format!(
+                            "project {i} state is sized for {} objects, its dataset has {n}",
+                            state.requeues.len()
+                        ))
+                        .into());
+                    }
                     let mut core = AgentCore::restore(
                         spec.config.clone(),
                         &spec.dataset,
                         pool,
-                        cfg.quarantine.clone(),
+                        cfg.serve.quarantine.clone(),
                         state.core,
                     )?;
-                    core.set_obs_scope(format!("project.{i}."));
+                    core.set_obs_scope(self.entry.scope(i));
                     let shards = state
                         .shards
                         .into_iter()
@@ -1197,16 +1370,8 @@ impl<'a> Engine<'a> {
                     p.last_refresh = state.last_refresh;
                     p.requeues = state.requeues;
                     p.abandoned = state.abandoned.into_iter().collect();
-                    p.collector = MetricsCollector {
-                        latencies: state.collector.latencies,
-                        dispatched: state.collector.dispatched,
-                        delivered: state.collector.delivered,
-                        rejected: state.collector.rejected,
-                        timeouts: state.collector.timeouts,
-                        requeues: state.collector.requeues,
-                        refreshes: state.collector.refreshes,
-                        events: state.collector.events,
-                    };
+                    p.backoff_until = state.backoff_until;
+                    p.collector = state.collector;
                     p.started_at = state.started_at;
                     p.status = ProjectStatus::Active;
                     p.done = state.done;
@@ -1241,7 +1406,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Assemble the reports (submission order), aggregate, and trace.
-    fn into_outcome(self, wall_seconds: f64) -> ServiceOutcome {
+    fn into_outcome(self) -> ServiceOutcome {
+        let wall_seconds = self.started.elapsed().as_secs_f64();
         let mut reports = Vec::with_capacity(self.specs.len());
         for (i, spec) in self.specs.iter().enumerate() {
             match &self.projects[i] {
@@ -1270,7 +1436,7 @@ impl<'a> Engine<'a> {
             .filter_map(|r| r.metrics.as_ref())
             .map(|m| m.answers_delivered)
             .collect();
-        let sum = |f: &dyn Fn(&crowdrl_serve::ServiceMetrics) -> usize| -> usize {
+        let sum = |f: &dyn Fn(&ServiceMetrics) -> usize| -> usize {
             completed
                 .iter()
                 .filter_map(|r| r.metrics.as_ref())

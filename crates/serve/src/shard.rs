@@ -17,11 +17,12 @@
 //! the merge applies it to the owning project's [`AccountBook`] account.
 //!
 //! [`settle_expire`]: AssignmentLedger::settle_expire
-//! [`AccountBook`]: crowdrl_serve::AccountBook
+//! [`AccountBook`]: crate::AccountBook
 
-use crowdrl_serve::clock::EventQueue;
-use crowdrl_serve::event::EventKind;
-use crowdrl_serve::ledger::{AssignmentLedger, Delivery, Expiry};
+use crate::checkpoint::ShardState;
+use crate::clock::EventQueue;
+use crate::event::EventKind;
+use crate::ledger::{AssignmentLedger, AssignmentStatus, Delivery, Expiry};
 use crowdrl_types::{AnnotatorId, AssignmentId, ClassId, ObjectId, Result, SimTime};
 use std::collections::HashSet;
 
@@ -47,8 +48,8 @@ pub(crate) enum ShardEvent {
         /// Arrival time.
         at: SimTime,
     },
-    /// An answer arrived after its assignment already expired — dropped,
-    /// nothing charged (the expiry already released everything).
+    /// An answer arrived after its assignment already settled (expired,
+    /// or delivered by an earlier copy) — dropped, nothing charged.
     RejectedLate {
         /// Service-wide assignment id.
         uid: u64,
@@ -148,7 +149,9 @@ impl Shard {
 
     /// Open an assignment whose budget was already reserved on the
     /// project's account: record it in the shard ledger and schedule its
-    /// delivery (if the crowd answered) and its timeout.
+    /// delivery (if the crowd answered), a duplicate copy of that
+    /// delivery (if the fault plan injected one — the ledger rejects it
+    /// on arrival), and its timeout, in that push order.
     #[allow(clippy::too_many_arguments)]
     pub fn open(
         &mut self,
@@ -159,6 +162,7 @@ impl Shard {
         now: SimTime,
         deadline: SimTime,
         response: Option<(ClassId, SimTime)>,
+        duplicate_at: Option<SimTime>,
     ) -> Result<()> {
         let local = self
             .ledger
@@ -168,6 +172,9 @@ impl Shard {
         self.labels.push(response.map(|(label, _)| label));
         if let Some((_, latency)) = response {
             self.queue.push(now + latency, EventKind::Deliver(local))?;
+        }
+        if let Some(at) = duplicate_at {
+            self.queue.push(at, EventKind::Deliver(local))?;
         }
         self.queue.push(deadline, EventKind::Expire(local))?;
         Ok(())
@@ -244,7 +251,7 @@ impl Shard {
             .ledger
             .records()
             .iter()
-            .filter(|r| r.status == crowdrl_serve::AssignmentStatus::InFlight)
+            .filter(|r| r.status == AssignmentStatus::InFlight)
             .map(|r| r.id)
             .collect();
         let mut released = Vec::with_capacity(live.len());
@@ -260,13 +267,13 @@ impl Shard {
     /// Snapshot for checkpointing. Only meaningful at a round boundary:
     /// the staging area must be empty (an interrupted advance means the
     /// project is being failed, not checkpointed).
-    pub fn export(&self) -> crate::checkpoint::ShardState {
+    pub fn export(&self) -> ShardState {
         debug_assert!(
             self.staged.events.is_empty() && self.staged.processed == 0,
             "checkpointing a shard with staged settlements"
         );
         let (now, next_seq, events) = self.queue.snapshot();
-        crate::checkpoint::ShardState {
+        ShardState {
             now,
             next_seq,
             events,
@@ -278,7 +285,7 @@ impl Shard {
     }
 
     /// Rebuild a shard from an [`export`](Self::export) snapshot.
-    pub fn restore(state: crate::checkpoint::ShardState) -> Result<Self> {
+    pub fn restore(state: ShardState) -> Result<Self> {
         let queue = EventQueue::restore(state.now, state.next_seq, state.events)?;
         let ledger = AssignmentLedger::restore(state.records)?;
         if state.uids.len() != ledger.len() || state.labels.len() != ledger.len() {
@@ -321,11 +328,21 @@ mod tests {
                 t(0.0),
                 t(10.0),
                 Some((ClassId(1), t(3.0))),
+                None,
             )
             .unwrap();
         // Dropped: only the timeout at 5 will resolve it.
         shard
-            .open(ObjectId(2), AnnotatorId(1), 2.0, 8, t(0.0), t(5.0), None)
+            .open(
+                ObjectId(2),
+                AnnotatorId(1),
+                2.0,
+                8,
+                t(0.0),
+                t(5.0),
+                None,
+                None,
+            )
             .unwrap();
         let batch = shard.advance(t(4.0)).unwrap();
         assert_eq!(batch.processed, 1);
@@ -352,6 +369,38 @@ mod tests {
     }
 
     #[test]
+    fn a_duplicate_delivery_settles_between_the_answer_and_the_timeout() {
+        let mut shard = Shard::new(SimTime::ZERO);
+        // Answer at 3, its duplicate copy also at 3, timeout at 10.
+        shard
+            .open(
+                ObjectId(0),
+                AnnotatorId(0),
+                1.0,
+                4,
+                t(0.0),
+                t(10.0),
+                Some((ClassId(1), t(3.0))),
+                Some(t(3.0)),
+            )
+            .unwrap();
+        let batch = shard.advance(t(3.0)).unwrap();
+        assert_eq!(batch.processed, 2);
+        assert!(matches!(
+            batch.events[0],
+            ShardEvent::Delivered { uid: 4, .. }
+        ));
+        // The copy replays the same assignment and is rejected.
+        assert_eq!(
+            batch.events[1],
+            ShardEvent::RejectedLate { uid: 4, at: t(3.0) }
+        );
+        let batch = shard.advance(t(10.0)).unwrap();
+        assert_eq!(batch.processed, 1);
+        assert!(batch.events.is_empty());
+    }
+
+    #[test]
     fn cancel_returns_every_live_reservation() {
         let mut shard = Shard::new(SimTime::ZERO);
         shard
@@ -363,10 +412,20 @@ mod tests {
                 t(0.0),
                 t(10.0),
                 Some((ClassId(0), t(2.0))),
+                None,
             )
             .unwrap();
         shard
-            .open(ObjectId(1), AnnotatorId(4), 2.5, 1, t(0.0), t(10.0), None)
+            .open(
+                ObjectId(1),
+                AnnotatorId(4),
+                2.5,
+                1,
+                t(0.0),
+                t(10.0),
+                None,
+                None,
+            )
             .unwrap();
         shard.advance(t(2.0)).unwrap(); // first one delivers
         let released = shard.cancel_in_flight().unwrap();

@@ -1,14 +1,17 @@
-//! Property tests for the assignment ledger's exactly-once guarantee.
+//! Property tests for the exactly-once money guarantee.
 //!
 //! Arbitrary interleavings of dispatch / deliver / expire — including
 //! duplicates, stale deliveries for expired assignments, and re-dispatch
 //! of freed pairs — must never overdraw the budget or charge an
-//! (object, annotator) pair twice. This is the money invariant the whole
-//! asynchronous runtime leans on.
+//! (object, annotator) pair twice. The ledger settles each assignment's
+//! lifecycle and the [`AccountBook`] holds the money, exactly as the
+//! engine drives them: reserve, then open; charge what a delivery
+//! settles; release what an expiry settles. This is the money invariant
+//! the whole asynchronous runtime leans on.
 
 use crowdrl_serve::{AccountBook, AssignmentLedger, Delivery, Expiry};
 use crowdrl_sim::{FaultInjector, FaultPlan};
-use crowdrl_types::{AnnotatorId, AssignmentId, Budget, ClassId, ObjectId, SimTime};
+use crowdrl_types::{AnnotatorId, AssignmentId, ClassId, ObjectId, SimTime};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -28,7 +31,8 @@ proptest! {
         ops in proptest::collection::vec((0u8..4, 0u64..8, 0u64..5, 0.5f64..3.0), 1..250),
     ) {
         let mut ledger = AssignmentLedger::new();
-        let mut budget = Budget::new(total).unwrap();
+        let mut book = AccountBook::new();
+        let account = book.open(total).unwrap();
         // Ground truth maintained independently of the ledger.
         let mut charged_pairs: HashSet<(ObjectId, AnnotatorId)> = HashSet::new();
         let mut expected_spent = 0.0f64;
@@ -38,18 +42,24 @@ proptest! {
             clock += 1.0;
             let now = t(clock);
             match kind {
-                // Dispatch a random pair at a random cost.
+                // Dispatch a random pair at a random cost: reserve on the
+                // account, then open the record — skipped when the pair
+                // holds a live claim or the reservation does not fit.
                 0 => {
                     let object = ObjectId(x as usize);
                     let annotator = AnnotatorId(y as usize);
-                    let _ = ledger.dispatch(object, annotator, cost, now, t(clock + 5.0), &budget);
+                    if !ledger.pair_claimed(object, annotator) && book.can_reserve(account, cost) {
+                        book.reserve(account, cost).unwrap();
+                        ledger
+                            .dispatch_reserved(object, annotator, cost, now, t(clock + 5.0))
+                            .unwrap();
+                    }
                 }
                 // Deliver a (possibly unknown, possibly settled) assignment.
                 1 | 3 => {
                     let id = AssignmentId(x % (ledger.len() as u64 + 1));
-                    if let Ok(Delivery::Accepted { cost, .. }) =
-                        ledger.deliver(id, now, &mut budget)
-                    {
+                    if let Ok(Delivery::Accepted { cost, .. }) = ledger.settle_deliver(id, now) {
+                        book.charge(account, cost).unwrap();
                         let record = ledger.record(id).unwrap();
                         let pair = (record.object, record.annotator);
                         // Exactly-once: this pair was never charged before.
@@ -60,7 +70,8 @@ proptest! {
                 // Expire a (possibly unknown, possibly settled) assignment.
                 _ => {
                     let id = AssignmentId(x % (ledger.len() as u64 + 1));
-                    if let Ok(Expiry::TimedOut { .. }) = ledger.expire(id) {
+                    if let Ok(Expiry::TimedOut { cost }) = ledger.settle_expire(id) {
+                        book.release(account, cost).unwrap();
                         let record = ledger.record(id).unwrap();
                         prop_assert!(
                             !charged_pairs.contains(&(record.object, record.annotator))
@@ -72,32 +83,31 @@ proptest! {
             }
 
             // Invariants that must hold after every single operation.
-            prop_assert!(ledger.reserved() >= 0.0);
+            let (spent, reserved) = (book.spent(account), book.reserved(account));
+            prop_assert!(reserved >= 0.0);
+            prop_assert!(spent <= total + 1e-9, "spent {spent} over total {total}");
             prop_assert!(
-                budget.spent() <= total + 1e-9,
-                "spent {} over total {total}", budget.spent()
-            );
-            prop_assert!(
-                budget.spent() + ledger.reserved() <= total + 1e-9,
+                spent + reserved <= total + 1e-9,
                 "committed {} over total {total}",
-                budget.spent() + ledger.reserved()
+                spent + reserved
             );
             prop_assert!(
-                (budget.spent() - expected_spent).abs() < 1e-9,
-                "ledger spent {} diverged from accepted deliveries {expected_spent}",
-                budget.spent()
+                (spent - expected_spent).abs() < 1e-9,
+                "account spent {spent} diverged from accepted deliveries {expected_spent}"
             );
         }
 
         // Closing the books: every in-flight reservation is released and
         // the spend still matches the accepted deliveries exactly.
         for i in 0..ledger.len() as u64 {
-            let _ = ledger.expire(AssignmentId(i));
+            if let Ok(Expiry::TimedOut { cost }) = ledger.settle_expire(AssignmentId(i)) {
+                book.release(account, cost).unwrap();
+            }
         }
-        prop_assert!(ledger.reserved().abs() < 1e-9);
+        prop_assert!(book.reserved(account).abs() < 1e-9);
         prop_assert_eq!(ledger.in_flight(), 0);
-        prop_assert!((budget.spent() - expected_spent).abs() < 1e-9);
-        prop_assert_eq!(charged_pairs.len(), budget.charge_count());
+        prop_assert!((book.spent(account) - expected_spent).abs() < 1e-9);
+        prop_assert_eq!(charged_pairs.len(), book.charge_count(account));
     }
 
     /// The same invariants under *injected* faults: random dispatch
@@ -133,7 +143,8 @@ proptest! {
         let injector = FaultInjector::new(plan, 3).unwrap();
         let timeout = 6.0;
         let mut ledger = AssignmentLedger::new();
-        let mut budget = Budget::new(total).unwrap();
+        let mut book = AccountBook::new();
+        let account = book.open(total).unwrap();
 
         // Dispatch on a staggered clock and build the event schedule the
         // runtime would enqueue: the (possibly rewritten) delivery, the
@@ -146,17 +157,15 @@ proptest! {
             clock += 0.5;
             let now = t(clock);
             let deadline = t(clock + timeout);
-            let Ok(id) = ledger.dispatch(
-                ObjectId(obj as usize),
-                AnnotatorId(ann as usize),
-                cost,
-                now,
-                deadline,
-                &budget,
-            ) else {
+            let (object, annotator) = (ObjectId(obj as usize), AnnotatorId(ann as usize));
+            if ledger.pair_claimed(object, annotator) || !book.can_reserve(account, cost) {
                 continue;
-            };
-            let out = injector.apply(id, AnnotatorId(ann as usize), now, timeout,
+            }
+            book.reserve(account, cost).unwrap();
+            let id = ledger
+                .dispatch_reserved(object, annotator, cost, now, deadline)
+                .unwrap();
+            let out = injector.apply(id, annotator, now, timeout,
                 Some((ClassId(0), t(latency))));
             if let Some((_, lat)) = out.response {
                 events.push((clock + lat.as_f64(), seq, id, true));
@@ -178,13 +187,15 @@ proptest! {
         let mut charged_pairs: HashSet<(ObjectId, AnnotatorId)> = HashSet::new();
         for (time, _, id, is_delivery) in events {
             if is_delivery {
-                if let Ok(Delivery::Accepted { .. }) = ledger.deliver(id, t(time), &mut budget) {
+                if let Ok(Delivery::Accepted { cost, .. }) = ledger.settle_deliver(id, t(time)) {
+                    book.charge(account, cost).unwrap();
                     prop_assert!(accepted.insert(id), "assignment {id:?} charged twice");
                     let record = ledger.record(id).unwrap();
                     let pair = (record.object, record.annotator);
                     prop_assert!(charged_pairs.insert(pair), "pair {pair:?} charged twice");
                 }
-            } else if let Ok(Expiry::TimedOut { .. }) = ledger.expire(id) {
+            } else if let Ok(Expiry::TimedOut { cost }) = ledger.settle_expire(id) {
+                book.release(account, cost).unwrap();
                 // At most one timeout per assignment — the runtime
                 // requeues on TimedOut, so this is the no-double-requeue
                 // guarantee.
@@ -192,16 +203,16 @@ proptest! {
                 prop_assert!(!accepted.contains(&id), "timed out after acceptance");
             }
             prop_assert!(
-                budget.spent() + ledger.reserved() <= total + 1e-9,
+                book.spent(account) + book.reserved(account) <= total + 1e-9,
                 "committed {} over total {total}",
-                budget.spent() + ledger.reserved()
+                book.spent(account) + book.reserved(account)
             );
         }
 
         // Every assignment settled exactly one way; the books balance.
         prop_assert_eq!(ledger.in_flight(), 0);
-        prop_assert!(ledger.reserved().abs() < 1e-9);
-        prop_assert_eq!(charged_pairs.len(), budget.charge_count());
+        prop_assert!(book.reserved(account).abs() < 1e-9);
+        prop_assert_eq!(charged_pairs.len(), book.charge_count(account));
     }
 
     /// Multi-tenant money: arbitrary interleavings of reserve / charge /

@@ -3,10 +3,9 @@
 //! Multi-tenant **sharded serving** of concurrent CrowdRL labelling
 //! projects over one shared annotator pool.
 //!
-//! `crowdrl-serve` runs *one* project's asynchronous event loop. A real
-//! labelling platform runs many at once — each with its own dataset,
-//! budget, and inference state — all dispatching into the *same* crowd.
-//! This crate adds that layer:
+//! The engine lives in `crowdrl-serve`, which runs every labelling job —
+//! a single asynchronous run is a one-tenant, one-shard service. This
+//! crate re-exports the multi-tenant surface under its historical name:
 //!
 //! * a [`Service`] owning N concurrent projects ([`ProjectSpec`]), with
 //!   **admission control** ([`AdmissionPolicy`]): reject or queue
@@ -31,8 +30,8 @@
 //!   typed [`ServiceError::ProjectFailed`], reservations released,
 //!   quarantine evidence withdrawn, a queued project promoted in its
 //!   place — while every other tenant keeps running bit-identically;
-//! * **crash-consistent checkpoints** ([`ServiceCheckpoint`]) cut at
-//!   round boundaries: kill-and-resume finishes bit-identically to an
+//! * **crash-consistent checkpoints** ([`RunCheckpoint`]) cut at round
+//!   boundaries: kill-and-resume finishes bit-identically to an
 //!   uninterrupted run, across exec modes, guarded by a config
 //!   fingerprint;
 //! * **overload protection**: a bounded admission queue that sheds with
@@ -69,22 +68,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod broker;
-pub mod checkpoint;
-pub mod config;
-pub mod error;
-pub mod metrics;
-pub mod project;
-pub mod service;
-pub(crate) mod shard;
-
-pub use broker::PoolBroker;
-pub use checkpoint::{
-    service_fingerprint, ActiveProjectState, CollectorState, ProjectCheckpoint, ServiceCheckpoint,
-    ShardState,
+pub use crowdrl_serve::{
+    service_fingerprint, ActiveProjectState, AdmissionPolicy, AggregateMetrics, CheckpointSink,
+    PoolBroker, ProjectCheckpoint, ProjectReport, ProjectSpec, ProjectStatus, RunCheckpoint,
+    Service, ServiceConfig, ServiceError, ServiceOutcome, ServiceRunOutcome, ShardState,
 };
-pub use config::{AdmissionPolicy, ProjectSpec, ServiceConfig};
-pub use error::ServiceError;
-pub use metrics::{AggregateMetrics, ProjectReport, ServiceOutcome};
-pub use project::ProjectStatus;
-pub use service::{Service, ServiceCheckpointSink, ServiceRunOutcome};

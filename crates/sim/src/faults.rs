@@ -82,7 +82,9 @@ impl QualityDrift {
 /// The default plan injects nothing, so wiring a `FaultPlan` through a
 /// runtime config cannot perturb existing runs. Rates are per-assignment
 /// probabilities; every draw comes from a stream keyed by the assignment
-/// id, never from the run's main RNG.
+/// id, never from the run's main RNG. The last three fields schedule
+/// faults scoped to one project of a multi-tenant run (outages, aborts,
+/// shard panics) by submission index; a one-project run is project 0.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault stream (independent of the sampling seed).
@@ -107,6 +109,13 @@ pub struct FaultPlan {
     pub outages: Vec<OutageWindow>,
     /// Scheduled per-annotator quality collapses.
     pub drifts: Vec<QualityDrift>,
+    /// Outage windows scoped to one project of a multi-tenant run: only
+    /// that project's arrivals are buffered through the window.
+    pub project_outages: Vec<ProjectOutage>,
+    /// Scheduled mid-run project aborts.
+    pub aborts: Vec<ProjectAbort>,
+    /// Scheduled panics inside one project's shard advance.
+    pub panics: Vec<ProjectPanic>,
 }
 
 impl Default for FaultPlan {
@@ -121,6 +130,9 @@ impl Default for FaultPlan {
             duplicate_delay: 1.0,
             outages: Vec::new(),
             drifts: Vec::new(),
+            project_outages: Vec::new(),
+            aborts: Vec::new(),
+            panics: Vec::new(),
         }
     }
 }
@@ -128,12 +140,21 @@ impl Default for FaultPlan {
 impl FaultPlan {
     /// True when this plan injects nothing at all.
     pub fn is_noop(&self) -> bool {
-        self.no_show_rate == 0.0
-            && self.abandon_rate == 0.0
-            && self.straggler_rate == 0.0
-            && self.duplicate_rate == 0.0
-            && self.outages.is_empty()
-            && self.drifts.is_empty()
+        !self.rewrites_outcomes()
+            && self.project_outages.is_empty()
+            && self.aborts.is_empty()
+            && self.panics.is_empty()
+    }
+
+    /// True when some assignment-level fault is scheduled: the part of
+    /// the plan a [`FaultInjector`] applies to sampled outcomes.
+    pub fn rewrites_outcomes(&self) -> bool {
+        self.no_show_rate != 0.0
+            || self.abandon_rate != 0.0
+            || self.straggler_rate != 0.0
+            || self.duplicate_rate != 0.0
+            || !self.outages.is_empty()
+            || !self.drifts.is_empty()
     }
 
     /// Validate every rate, factor, window and drift; degenerate plans
@@ -170,7 +191,57 @@ impl FaultPlan {
         for d in &self.drifts {
             d.validate()?;
         }
+        for o in &self.project_outages {
+            o.window.validate()?;
+        }
+        for (what, at) in self
+            .aborts
+            .iter()
+            .map(|a| ("abort", a.at))
+            .chain(self.panics.iter().map(|p| ("panic", p.at)))
+        {
+            if !at.is_finite() || at < 0.0 {
+                return Err(Error::InvalidParameter(format!(
+                    "project {what} time must be finite and non-negative, got {at}"
+                )));
+            }
+        }
         Ok(())
+    }
+
+    /// Push an arrival at `t` for `project` past every one of that
+    /// project's outage windows (fixed point — windows may chain).
+    pub fn project_defer(&self, project: usize, mut t: f64) -> f64 {
+        loop {
+            let mut moved = false;
+            for o in &self.project_outages {
+                if o.project == project && o.window.contains(t) {
+                    t = o.window.end;
+                    moved = true;
+                }
+            }
+            if !moved {
+                return t;
+            }
+        }
+    }
+
+    /// The earliest scheduled abort for `project`, if any.
+    pub fn abort_at(&self, project: usize) -> Option<f64> {
+        self.aborts
+            .iter()
+            .filter(|a| a.project == project)
+            .map(|a| a.at)
+            .min_by(f64::total_cmp)
+    }
+
+    /// The earliest scheduled panic for `project`, if any.
+    pub fn panic_at(&self, project: usize) -> Option<f64> {
+        self.panics
+            .iter()
+            .filter(|p| p.project == project)
+            .map(|p| p.at)
+            .min_by(f64::total_cmp)
     }
 }
 
@@ -205,82 +276,6 @@ pub struct ProjectPanic {
     /// The panic fires in the first scheduling round whose horizon
     /// passes this service simulated time.
     pub at: f64,
-}
-
-/// Service-level fault schedule for the multi-tenant runtime: faults
-/// scoped to individual tenants rather than to assignments. The default
-/// plan injects nothing, so wiring it through a service config cannot
-/// perturb existing runs.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServiceFaultPlan {
-    /// Project-scoped outage windows.
-    pub outages: Vec<ProjectOutage>,
-    /// Scheduled mid-run project aborts.
-    pub aborts: Vec<ProjectAbort>,
-    /// Scheduled per-project shard panics.
-    pub panics: Vec<ProjectPanic>,
-}
-
-impl ServiceFaultPlan {
-    /// True when this plan injects nothing at all.
-    pub fn is_noop(&self) -> bool {
-        self.outages.is_empty() && self.aborts.is_empty() && self.panics.is_empty()
-    }
-
-    /// Validate every window and schedule entry.
-    pub fn validate(&self) -> Result<()> {
-        for o in &self.outages {
-            o.window.validate()?;
-        }
-        for (what, at) in self
-            .aborts
-            .iter()
-            .map(|a| ("abort", a.at))
-            .chain(self.panics.iter().map(|p| ("panic", p.at)))
-        {
-            if !at.is_finite() || at < 0.0 {
-                return Err(Error::InvalidParameter(format!(
-                    "service fault {what} time must be finite and non-negative, got {at}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Push an arrival at `t` for `project` past every one of that
-    /// project's outage windows (fixed point — windows may chain).
-    pub fn defer(&self, project: usize, mut t: f64) -> f64 {
-        loop {
-            let mut moved = false;
-            for o in &self.outages {
-                if o.project == project && o.window.contains(t) {
-                    t = o.window.end;
-                    moved = true;
-                }
-            }
-            if !moved {
-                return t;
-            }
-        }
-    }
-
-    /// The earliest scheduled abort for `project`, if any.
-    pub fn abort_at(&self, project: usize) -> Option<f64> {
-        self.aborts
-            .iter()
-            .filter(|a| a.project == project)
-            .map(|a| a.at)
-            .min_by(f64::total_cmp)
-    }
-
-    /// The earliest scheduled panic for `project`, if any.
-    pub fn panic_at(&self, project: usize) -> Option<f64> {
-        self.panics
-            .iter()
-            .filter(|p| p.project == project)
-            .map(|p| p.at)
-            .min_by(f64::total_cmp)
-    }
 }
 
 /// Which faults were injected into one assignment — the runtime feeds
@@ -373,7 +368,7 @@ impl FaultInjector {
         response: Option<(ClassId, SimTime)>,
     ) -> InjectedOutcome {
         let mut faults = FaultRecord::default();
-        if self.plan.is_noop() {
+        if !self.plan.rewrites_outcomes() {
             return InjectedOutcome {
                 response,
                 duplicate_at: None,
@@ -479,13 +474,14 @@ mod tests {
                 annotator: AnnotatorId(1),
                 at: 40.0,
             }],
+            ..FaultPlan::default()
         }
     }
 
     #[test]
-    fn service_plan_defers_only_the_named_project() {
-        let plan = ServiceFaultPlan {
-            outages: vec![
+    fn project_outages_defer_only_the_named_project() {
+        let plan = FaultPlan {
+            project_outages: vec![
                 ProjectOutage {
                     project: 2,
                     window: OutageWindow {
@@ -502,19 +498,21 @@ mod tests {
                     },
                 },
             ],
-            ..ServiceFaultPlan::default()
+            ..FaultPlan::default()
         };
         plan.validate().unwrap();
         assert!(!plan.is_noop());
-        assert_eq!(plan.defer(2, 12.0), 25.0);
-        assert_eq!(plan.defer(2, 30.0), 30.0);
+        // Project-level faults never rewrite a sampled outcome.
+        assert!(!plan.rewrites_outcomes());
+        assert_eq!(plan.project_defer(2, 12.0), 25.0);
+        assert_eq!(plan.project_defer(2, 30.0), 30.0);
         // Other projects pass through the same clock untouched.
-        assert_eq!(plan.defer(0, 12.0), 12.0);
+        assert_eq!(plan.project_defer(0, 12.0), 12.0);
     }
 
     #[test]
-    fn service_plan_schedules_and_validates_kills() {
-        let plan = ServiceFaultPlan {
+    fn project_kills_are_scheduled_and_validated() {
+        let plan = FaultPlan {
             aborts: vec![ProjectAbort {
                 project: 1,
                 at: 40.0,
@@ -529,30 +527,29 @@ mod tests {
                     at: 15.0,
                 },
             ],
-            ..ServiceFaultPlan::default()
+            ..FaultPlan::default()
         };
         plan.validate().unwrap();
         assert_eq!(plan.abort_at(1), Some(40.0));
         assert_eq!(plan.abort_at(0), None);
         assert_eq!(plan.panic_at(3), Some(15.0), "earliest panic wins");
-        assert!(ServiceFaultPlan::default().is_noop());
-        let bad = ServiceFaultPlan {
+        let bad = FaultPlan {
             aborts: vec![ProjectAbort {
                 project: 0,
                 at: f64::NAN,
             }],
-            ..ServiceFaultPlan::default()
+            ..FaultPlan::default()
         };
         assert!(bad.validate().is_err());
-        let bad = ServiceFaultPlan {
-            outages: vec![ProjectOutage {
+        let bad = FaultPlan {
+            project_outages: vec![ProjectOutage {
                 project: 0,
                 window: OutageWindow {
                     start: 5.0,
                     end: 2.0,
                 },
             }],
-            ..ServiceFaultPlan::default()
+            ..FaultPlan::default()
         };
         assert!(bad.validate().is_err());
     }

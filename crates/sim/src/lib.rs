@@ -23,7 +23,8 @@
 //! * [`faults`] — deterministic fault injection for chaos testing: a seeded
 //!   [`FaultPlan`] of no-shows, abandonment, stragglers, platform outages,
 //!   duplicate deliveries and mid-run annotator quality drift, applied to
-//!   sampled outcomes by a stateless [`FaultInjector`].
+//!   sampled outcomes by a stateless [`FaultInjector`], plus project-scoped
+//!   outages, aborts and panics for the multi-tenant service.
 
 #![forbid(unsafe_code)]
 
@@ -37,7 +38,7 @@ pub use annotators::{AnnotatorPool, PoolSpec};
 pub use datasets::{DatasetSpec, FashionSpec, SpeechSpec, SpeechViews};
 pub use faults::{
     FaultInjector, FaultPlan, FaultRecord, InjectedOutcome, OutageWindow, ProjectAbort,
-    ProjectOutage, ProjectPanic, QualityDrift, ServiceFaultPlan,
+    ProjectOutage, ProjectPanic, QualityDrift,
 };
 pub use latency::{AnnotatorDynamics, CapacitySpec, DynamicsSpec, LatencyModel};
 pub use platform::Platform;

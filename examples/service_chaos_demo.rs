@@ -16,7 +16,7 @@ use crowdrl::obs;
 use crowdrl::obs::analyze::{read_trace, report};
 use crowdrl::prelude::*;
 use crowdrl::serve::RunControl;
-use crowdrl::sim::{OutageWindow, ProjectOutage, ProjectPanic, ServiceFaultPlan};
+use crowdrl::sim::{FaultPlan, OutageWindow, ProjectOutage, ProjectPanic};
 use crowdrl::types::rng::seeded;
 
 fn build_specs(projects: usize) -> Vec<ProjectSpec> {
@@ -79,8 +79,8 @@ fn main() {
         .with_watermarks(8, 20.0)
         .with_max_queue_depth(3)
         .with_checkpoint_every(2)
-        .with_faults(ServiceFaultPlan {
-            outages: vec![ProjectOutage {
+        .with_faults(FaultPlan {
+            project_outages: vec![ProjectOutage {
                 project: 1,
                 window: OutageWindow {
                     start: 20.0,
@@ -91,13 +91,13 @@ fn main() {
                 project: 0,
                 at: 1.0,
             }],
-            ..ServiceFaultPlan::default()
+            ..FaultPlan::default()
         });
     let service = Service::new(config).expect("service config");
 
     // The reference: one uninterrupted faulted run.
     let mut cuts = 0usize;
-    let mut count = |_: ServiceCheckpoint| {
+    let mut count = |_: RunCheckpoint| {
         cuts += 1;
         RunControl::Continue
     };
@@ -128,7 +128,7 @@ fn main() {
     // the JSON string that would sit on disk.
     let mut seen = 0usize;
     let mut snapshot: Option<String> = None;
-    let mut kill = |ckpt: ServiceCheckpoint| {
+    let mut kill = |ckpt: RunCheckpoint| {
         seen += 1;
         if seen == 2 {
             snapshot = Some(ckpt.encode());
@@ -148,7 +148,7 @@ fn main() {
     );
 
     // Restore and run to completion; the outcome must be bit-identical.
-    let ckpt = ServiceCheckpoint::decode(&snapshot).expect("decode snapshot");
+    let ckpt = RunCheckpoint::decode(&snapshot).expect("decode snapshot");
     let resumed = match service
         .resume(&specs, &pool, &mut seeded(0xFA11_0003), ckpt, &mut |_| {
             RunControl::Continue

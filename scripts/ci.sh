@@ -27,6 +27,14 @@ timed() {
 echo "== cargo build --release =="
 timed "build" cargo build --release --offline
 
+echo "== perfbench check (locked) =="
+# The benchmark package builds the workspace crates by path under its
+# own committed perfbench/Cargo.lock, which records every crate's
+# dependency list. --locked fails as soon as a crate in that graph
+# changes its dependencies, so the benchmark keeps building the same
+# graph at every commit.
+timed "perfbench check" cargo check --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test (workspace, CROWDRL_THREADS=1) =="
 timed "tests @1 thread" env CROWDRL_THREADS=1 cargo test -q --offline --workspace
 

@@ -31,8 +31,8 @@
 //! | [`core`] | `crowdrl-core` | the CrowdRL workflow itself |
 //! | [`baselines`] | `crowdrl-baselines` | DLTA / OBA / IDLE / DALC / Hybrid |
 //! | [`eval`] | `crowdrl-eval` | metrics and experiment runner |
-//! | [`serve`] | `crowdrl-serve` | discrete-event asynchronous labelling runtime |
-//! | [`service`] | `crowdrl-service` | multi-tenant sharded serving over one shared pool |
+//! | [`serve`] | `crowdrl-serve` | the labelling engine: one project or many tenants over one shared pool |
+//! | [`service`] | `crowdrl-service` | re-export of the engine's multi-tenant surface |
 //!
 //! ## Quickstart
 //!
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crowdrl_linalg::NumericMode;
     pub use crowdrl_serve::{AsyncOutcome, ExecMode, RunAsync, ServeConfig, ServiceMetrics};
     pub use crowdrl_service::{
-        AdmissionPolicy, ProjectSpec, ProjectStatus, Service, ServiceCheckpoint, ServiceConfig,
+        AdmissionPolicy, ProjectSpec, ProjectStatus, RunCheckpoint, Service, ServiceConfig,
         ServiceError, ServiceOutcome, ServiceRunOutcome,
     };
     pub use crowdrl_sim::{AnnotatorPool, DatasetSpec, PoolSpec};

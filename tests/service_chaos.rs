@@ -14,7 +14,7 @@
 
 use crowdrl::prelude::*;
 use crowdrl::serve::RunControl;
-use crowdrl::sim::{OutageWindow, ProjectAbort, ProjectOutage, ProjectPanic, ServiceFaultPlan};
+use crowdrl::sim::{FaultPlan, OutageWindow, ProjectAbort, ProjectOutage, ProjectPanic};
 use crowdrl::types::rng::seeded;
 
 /// Labels rendered one character per object (class digit, `.` for
@@ -56,9 +56,9 @@ fn scenario(n: usize) -> (Vec<ProjectSpec>, AnnotatorPool) {
 /// A tenant that is both flaky and doomed: every arrival it would
 /// receive is deferred past the horizon, and its first shard advance
 /// panics.
-fn doomed_tenant_plan(project: usize) -> ServiceFaultPlan {
-    ServiceFaultPlan {
-        outages: vec![ProjectOutage {
+fn doomed_tenant_plan(project: usize) -> FaultPlan {
+    FaultPlan {
+        project_outages: vec![ProjectOutage {
             project,
             window: OutageWindow {
                 start: 0.0,
@@ -66,7 +66,7 @@ fn doomed_tenant_plan(project: usize) -> ServiceFaultPlan {
             },
         }],
         panics: vec![ProjectPanic { project, at: 1.0 }],
-        ..ServiceFaultPlan::default()
+        ..FaultPlan::default()
     }
 }
 
@@ -139,12 +139,12 @@ fn concurrent_config(mode: ExecMode) -> ServiceConfig {
         .with_shards(2)
         .with_mode(mode)
         .with_watermarks(8, 20.0)
-        .with_faults(ServiceFaultPlan {
+        .with_faults(FaultPlan {
             panics: vec![ProjectPanic {
                 project: 0,
                 at: 1.0,
             }],
-            ..ServiceFaultPlan::default()
+            ..FaultPlan::default()
         })
 }
 
@@ -225,12 +225,12 @@ fn a_scheduled_abort_fails_only_its_project() {
         .with_capacity(3)
         .with_shards(2)
         .with_watermarks(8, 20.0)
-        .with_faults(ServiceFaultPlan {
+        .with_faults(FaultPlan {
             aborts: vec![ProjectAbort {
                 project: 1,
                 at: 25.0,
             }],
-            ..ServiceFaultPlan::default()
+            ..FaultPlan::default()
         });
     let outcome = Service::new(config)
         .unwrap()
@@ -268,7 +268,7 @@ fn run_reference(mode: ExecMode) -> (ServiceOutcome, usize) {
     let (specs, pool) = scenario(5);
     let service = Service::new(checkpointed_config(mode)).unwrap();
     let mut cuts = 0usize;
-    let mut sink = |_cp: ServiceCheckpoint| {
+    let mut sink = |_cp: RunCheckpoint| {
         cuts += 1;
         RunControl::Continue
     };
@@ -288,7 +288,7 @@ fn run_killed(mode: ExecMode, halt_at: usize) -> String {
     let service = Service::new(checkpointed_config(mode)).unwrap();
     let mut seen = 0usize;
     let mut encoded = String::new();
-    let mut sink = |cp: ServiceCheckpoint| {
+    let mut sink = |cp: RunCheckpoint| {
         seen += 1;
         if seen == halt_at {
             encoded = cp.encode();
@@ -309,10 +309,10 @@ fn run_killed(mode: ExecMode, halt_at: usize) -> String {
 /// exactly as for the original run — the service re-derives the crowd
 /// and per-project seeds from it, which is what makes the resume exact.
 fn resume_from(mode: ExecMode, encoded: &str) -> ServiceOutcome {
-    let checkpoint = ServiceCheckpoint::decode(encoded).unwrap();
+    let checkpoint = RunCheckpoint::decode(encoded).unwrap();
     let (specs, pool) = scenario(5);
     let service = Service::new(checkpointed_config(mode)).unwrap();
-    let mut sink = |_cp: ServiceCheckpoint| RunControl::Continue;
+    let mut sink = |_cp: RunCheckpoint| RunControl::Continue;
     let outcome = service
         .resume(&specs, &pool, &mut seeded(0xBEEF), checkpoint, &mut sink)
         .unwrap();
@@ -388,12 +388,12 @@ fn kill_and_resume_is_bit_identical_to_the_uninterrupted_run() {
 #[test]
 fn restore_rejects_a_checkpoint_from_a_different_configuration() {
     let encoded = run_killed(ExecMode::SingleThread, 1);
-    let checkpoint = ServiceCheckpoint::decode(&encoded).unwrap();
+    let checkpoint = RunCheckpoint::decode(&encoded).unwrap();
     let (specs, pool) = scenario(5);
 
     let drifted =
         Service::new(checkpointed_config(ExecMode::SingleThread).with_capacity(4)).unwrap();
-    let mut sink = |_cp: ServiceCheckpoint| RunControl::Continue;
+    let mut sink = |_cp: RunCheckpoint| RunControl::Continue;
     let err = drifted
         .resume(&specs, &pool, &mut seeded(0xBEEF), checkpoint, &mut sink)
         .unwrap_err();
