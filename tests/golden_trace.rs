@@ -4,12 +4,24 @@
 //! — must reproduce the snapshot bit-for-bit; both the batch workflow and
 //! the asynchronous runtime are covered.
 //!
+//! The labels alone do not see the learning side of the loop, so a second
+//! layer pins whole trajectories: an FNV-1a digest over every label
+//! state, the run's totals, every per-iteration statistic (reward, spend
+//! and TD loss as bits) and, for batch runs, the trained DQN weights.
+//! Both drivers are digested under every inference model, the cold
+//! engine, the M1/M2 ablations, ε-greedy exploration and a run without
+//! the classifier fallback, plus the faulted and quarantine runs of
+//! `tests/chaos.rs`.
+//!
 //! If a PR *intentionally* changes the numerics (new algorithm, not a new
 //! schedule), re-capture by running with `GOLDEN_CAPTURE=1` and paste the
 //! printed constants below.
 
+use crowdrl::core::{Ablation, EngineConfig, Exploration, InferenceModel, IterationStats};
 use crowdrl::eval::evaluate_labels;
 use crowdrl::prelude::*;
+use crowdrl::serve::{AsyncRuntime, QuarantineConfig, SupervisorConfig};
+use crowdrl::sim::{FaultPlan, QualityDrift};
 use crowdrl::types::rng::seeded;
 
 /// Labels rendered as one character per object: the class digit, or `.`
@@ -100,4 +112,264 @@ fn async_run_reproduces_the_golden_trace() {
         "budget spend drifted"
     );
     assert_eq!(f1, GOLDEN_ASYNC_F1, "F1 drifted");
+}
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn stats(&mut self, s: &IterationStats) {
+        self.word(s.iteration as u64);
+        self.word(s.enriched as u64);
+        self.word(s.selected as u64);
+        self.word(s.answers as u64);
+        self.word(s.spend.to_bits());
+        self.word(s.reward.to_bits());
+        self.word(s.labelled_total as u64);
+        match s.td_loss {
+            Some(l) => {
+                self.word(1);
+                self.word(u64::from(l.to_bits()));
+            }
+            None => self.word(0),
+        }
+    }
+}
+
+/// Digest of a whole trajectory: label states, totals, the per-iteration
+/// trace and (when given) the trained DQN parameters.
+fn digest(outcome: &LabellingOutcome, dqn: Option<&[f32]>) -> u64 {
+    let mut h = Fnv::new();
+    for state in &outcome.label_states {
+        match state {
+            LabelState::Unlabelled => h.word(0),
+            LabelState::Inferred(c) => {
+                h.word(1);
+                h.word(c.0 as u64);
+            }
+            LabelState::Enriched(c) => {
+                h.word(2);
+                h.word(c.0 as u64);
+            }
+        }
+    }
+    h.word(outcome.budget_spent.to_bits());
+    h.word(outcome.iterations as u64);
+    h.word(outcome.total_answers as u64);
+    h.word(outcome.enriched_count as u64);
+    h.word(outcome.fallback_count as u64);
+    h.word(outcome.trace.len() as u64);
+    for s in &outcome.trace {
+        h.stats(s);
+    }
+    if let Some(params) = dqn {
+        h.word(params.len() as u64);
+        for p in params {
+            h.word(u64::from(p.to_bits()));
+        }
+    }
+    h.0
+}
+
+/// The configurations both drivers are digested under.
+fn digest_configs() -> Vec<(&'static str, CrowdRlConfig)> {
+    let base = || CrowdRlConfig::builder().budget(220.0);
+    vec![
+        ("default", base().build().unwrap()),
+        ("pm", base().inference(InferenceModel::Pm).build().unwrap()),
+        (
+            "dawid_skene",
+            base()
+                .inference(InferenceModel::DawidSkene)
+                .build()
+                .unwrap(),
+        ),
+        (
+            "majority_vote",
+            base()
+                .inference(InferenceModel::MajorityVote)
+                .build()
+                .unwrap(),
+        ),
+        (
+            "cold_engine",
+            base()
+                .engine(EngineConfig {
+                    warm_start: false,
+                    ..EngineConfig::default()
+                })
+                .build()
+                .unwrap(),
+        ),
+        (
+            "m1",
+            base()
+                .ablation(Ablation {
+                    random_task_selection: true,
+                    ..Ablation::default()
+                })
+                .build()
+                .unwrap(),
+        ),
+        (
+            "m2",
+            base()
+                .ablation(Ablation {
+                    random_task_assignment: true,
+                    ..Ablation::default()
+                })
+                .build()
+                .unwrap(),
+        ),
+        (
+            "epsilon_greedy",
+            base()
+                .exploration(Exploration::EpsilonGreedy {
+                    start: 0.5,
+                    end: 0.05,
+                    decay_steps: 20,
+                })
+                .build()
+                .unwrap(),
+        ),
+        ("no_fallback", base().no_final_fallback().build().unwrap()),
+    ]
+}
+
+const GOLDEN_BATCH_DIGESTS: [(&str, u64); 9] = [
+    ("default", 0x4ff240195de2837c),
+    ("pm", 0x78888dde4541a304),
+    ("dawid_skene", 0xbd8f1d5ed334c801),
+    ("majority_vote", 0x8c35a5166c57653a),
+    ("cold_engine", 0x65a004419e232134),
+    ("m1", 0x9308b304845317bd),
+    ("m2", 0x4dc5c412a29f838b),
+    ("epsilon_greedy", 0x71e386dca19f8f4b),
+    ("no_fallback", 0xfb89937709ef44cb),
+];
+
+const GOLDEN_ASYNC_DIGESTS: [(&str, u64); 9] = [
+    ("default", 0x1098f628cf9a7a92),
+    ("pm", 0x5df58d3fc6e92b1e),
+    ("dawid_skene", 0xc1db9ec0f723f490),
+    ("majority_vote", 0x2d56ebd8bfe467cc),
+    ("cold_engine", 0xfef0cef1e83fd4ab),
+    ("m1", 0xb6bd003141b92cd5),
+    ("m2", 0x30027271740d9885),
+    ("epsilon_greedy", 0x0c6970519192a9c8),
+    ("no_fallback", 0xce9a70fb5dbb909d),
+];
+
+/// The faulted kill/restore run and the spammer-drift quarantine run of
+/// `tests/chaos.rs`; the second is the only one that filters answers
+/// through the quarantine.
+const GOLDEN_CHAOS_DIGESTS: [(&str, u64); 2] = [
+    ("faulted", 0xbc8207d926e04739),
+    ("quarantine", 0xc725dfff89b3e9df),
+];
+
+/// Compare `got` against `want` by name; capture mode prints the table.
+fn check_digests(table: &str, got: &[(&'static str, u64)], want: &[(&str, u64)]) {
+    if std::env::var("GOLDEN_CAPTURE").is_ok() {
+        println!("{table}:");
+        for (name, d) in got {
+            println!("    (\"{name}\", {d:#018x}),");
+        }
+        return;
+    }
+    let drifted: Vec<&str> = got
+        .iter()
+        .zip(want)
+        .filter(|((g, gd), (w, wd))| g != w || gd != wd)
+        .map(|((g, _), _)| *g)
+        .collect();
+    assert_eq!(got.len(), want.len(), "{table}: run count changed");
+    assert!(
+        drifted.is_empty(),
+        "{table}: trajectories drifted: {drifted:?}"
+    );
+}
+
+#[test]
+fn batch_trajectories_reproduce_the_golden_digests() {
+    let (dataset, pool) = scenario();
+    let got: Vec<(&'static str, u64)> = digest_configs()
+        .into_iter()
+        .map(|(name, config)| {
+            let (outcome, params) = CrowdRl::new(config)
+                .run_detailed(&dataset, &pool, &mut seeded(77))
+                .unwrap();
+            (name, digest(&outcome, Some(&params)))
+        })
+        .collect();
+    check_digests("GOLDEN_BATCH_DIGESTS", &got, &GOLDEN_BATCH_DIGESTS);
+}
+
+#[test]
+fn async_trajectories_reproduce_the_golden_digests() {
+    let (dataset, pool) = scenario();
+    let got: Vec<(&'static str, u64)> = digest_configs()
+        .into_iter()
+        .map(|(name, config)| {
+            let result = CrowdRl::new(config)
+                .run_async(&dataset, &pool, &ServeConfig::default(), &mut seeded(78))
+                .unwrap();
+            (name, digest(&result.outcome, None))
+        })
+        .collect();
+    check_digests("GOLDEN_ASYNC_DIGESTS", &got, &GOLDEN_ASYNC_DIGESTS);
+}
+
+#[test]
+fn chaos_trajectories_reproduce_the_golden_digests() {
+    let (dataset, pool) = scenario();
+    // Same serve configs as `chaos_serve` and
+    // `quarantine_trips_on_spammer_drift` in tests/chaos.rs.
+    let faulted = ServeConfig::default()
+        .with_faults(FaultPlan {
+            no_show_rate: 0.06,
+            abandon_rate: 0.04,
+            straggler_rate: 0.10,
+            duplicate_rate: 0.10,
+            ..FaultPlan::default()
+        })
+        .with_supervisor(SupervisorConfig {
+            backoff_base: 4.0,
+            ..SupervisorConfig::default()
+        })
+        .with_checkpoint_every(2);
+    let quarantine = ServeConfig::default()
+        .with_faults(FaultPlan {
+            drifts: vec![QualityDrift {
+                annotator: AnnotatorId(0),
+                at: 0.0,
+            }],
+            ..FaultPlan::default()
+        })
+        .with_quarantine(QuarantineConfig {
+            enabled: true,
+            min_answers: 6,
+            ..QuarantineConfig::default()
+        });
+    let got: Vec<(&'static str, u64)> = [("faulted", faulted), ("quarantine", quarantine)]
+        .into_iter()
+        .map(|(name, serve)| {
+            let result = AsyncRuntime::new(config(220.0), serve)
+                .run(&dataset, &pool, &mut seeded(78))
+                .unwrap();
+            (name, digest(&result.outcome, None))
+        })
+        .collect();
+    check_digests("GOLDEN_CHAOS_DIGESTS", &got, &GOLDEN_CHAOS_DIGESTS);
 }
