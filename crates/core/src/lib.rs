@@ -5,23 +5,29 @@
 //! budget by unifying **task selection**, **task assignment** and **truth
 //! inference**.
 //!
-//! One iteration of [`CrowdRl::run`] (the paper's Algorithm 1):
+//! One iteration of [`CrowdRl::run`] (the paper's Algorithm 1), each step
+//! a method of [`RunState`](run_state::RunState):
 //!
-//! 1. **Labelled-set enrichment** — the classifier `φ` (retrained by the
-//!    joint inference model) rates every unlabelled object; objects whose
-//!    top-two class probabilities differ by more than `ε` are auto-labelled
-//!    for free ([`enrichment`]).
-//! 2. **Unified task selection + assignment** — the agent embeds every
+//! 1. **Unified task selection + assignment** — the agent embeds every
 //!    candidate (object, annotator) pair into a state-action feature vector
 //!    ([`features`]), scores them with the DQN, adds the UCB1 exploration
 //!    bonus (Eq. 6), masks already-answered pairs with `Q = -inf`, sums the
 //!    top-`k` per object with a bounded min-heap, and selects the batch of
 //!    objects with the largest sums ([`agent`]).
-//! 3. **Truth inference** — the selected questions go to the platform; the
-//!    joint inference model (`crowdrl-inference`) couples annotator
-//!    confusion matrices with the classifier to infer labels.
-//! 4. **Reward and learning** — `r(t) = λ·r_φ(t) − η·r_cost(t)` rewards
-//!    enrichment coverage and penalizes spend ([`reward`]); transitions go
+//! 2. **Purchase** — the selected questions go to the platform.
+//! 3. **Truth inference** — the joint inference model
+//!    (`crowdrl-inference`) couples annotator confusion matrices with the
+//!    classifier `φ` to infer labels (and retrains `φ` in the process).
+//! 4. **Trust update** — `φ`'s pre-answer guesses are scored against the
+//!    confident inferred labels; the trust is a lower confidence bound on
+//!    that agreement.
+//! 5. **Labelled-set enrichment** — once enough labels are human-inferred
+//!    and the trust clears its threshold, `φ` rates every unlabelled
+//!    object, and objects whose top-two class probabilities differ by more
+//!    than `ε` are auto-labelled for free ([`enrichment`]).
+//! 6. **Reward and learning** — `r(t) = λ·r_φ(t) + μ·r_conf(t) −
+//!    η·r_cost(t)` rewards enrichment coverage and each assignment's
+//!    confidence gain and penalizes its spend ([`reward`]); transitions go
 //!    to the experience pool and the DQN takes minibatch TD steps.
 //!
 //! The loop ends when every object is labelled or the budget is exhausted;
@@ -39,9 +45,9 @@ pub mod config;
 pub mod decide;
 pub mod enrichment;
 pub mod features;
-pub mod infer_step;
 pub mod outcome;
 pub mod reward;
+pub mod run_state;
 pub mod workflow;
 
 pub use config::{Ablation, CrowdRlConfig, CrowdRlConfigBuilder, Exploration, InferenceModel};

@@ -28,7 +28,9 @@
 pub struct RewardInputs {
     /// Objects auto-labelled by the classifier this iteration.
     pub enriched: usize,
-    /// Unlabelled objects *before* this iteration's enrichment.
+    /// Unlabelled objects *before* this iteration's enrichment. (The
+    /// asynchronous engine passes the count after its refresh's
+    /// enrichment; DESIGN §8 records why that difference is kept.)
     pub unlabelled_before: usize,
     /// Budget units spent on annotators this iteration.
     pub spend: f64,

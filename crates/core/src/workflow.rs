@@ -1,4 +1,4 @@
-//! The CrowdRL labelling workflow (Algorithm 1).
+//! The CrowdRL labelling workflow (Algorithm 1), driven synchronously.
 //!
 //! ```text
 //! 1  initialize state; sample α·|O| objects, ask annotators to label them
@@ -6,28 +6,23 @@
 //! 3      select a batch of objects and assign annotators   (Agent, §IV)
 //! 4      purchase the answers on the platform
 //! 5      infer true labels jointly with the classifier     (Env, §V)
-//! 6      retrain φ; enrich the labelled set where φ is confident
+//! 6      update the classifier trust; retrain φ; enrich where φ is confident
 //! 7      compute r(t), store transitions, train the DQN
 //! 8  label any remainder with φ
 //! ```
 //!
-//! Each step is delegated: selection to [`SelectionAgent`], inference to
-//! `crowdrl-inference`, enrichment to [`enrichment`](crate::enrichment),
-//! reward to [`reward`](crate::reward).
+//! Every step is a method of [`RunState`], which the asynchronous engine
+//! in `crowdrl-serve` drives too. This driver keeps only the [`Platform`]
+//! (each panel is bought the moment it is chosen, with answers drawn from
+//! the caller's RNG) and the iteration loop: the budget pacing, the spans
+//! and the per-iteration trace.
 
-use crate::agent::SelectionAgent;
-use crate::classifier_util::retrain_on_labelled;
-use crate::config::{CrowdRlConfig, InferenceModel};
-use crate::enrichment::{enrich, fallback_label_all, refresh_enriched};
-use crate::features::{embed_with, FeatureCache, StateSnapshot};
-use crate::infer_step::{apply_inference, make_engine, run_inference_step};
+use crate::config::CrowdRlConfig;
 use crate::outcome::{IterationStats, LabellingOutcome};
-use crate::reward::{iteration_reward, RewardInputs};
-use crowdrl_nn::SoftmaxClassifier;
+use crate::run_state::{annotate_enrichment, RunState};
 use crowdrl_obs as obs;
 use crowdrl_sim::{AnnotatorPool, Platform};
-use crowdrl_types::rng::sample_indices;
-use crowdrl_types::{AnswerSet, Budget, Dataset, LabelState, LabelledSet, ObjectId, Result};
+use crowdrl_types::{Budget, Dataset, Result};
 use rand::Rng;
 
 /// The CrowdRL framework, configured and ready to label datasets.
@@ -69,595 +64,167 @@ impl CrowdRl {
         pool: &AnnotatorPool,
         rng: &mut R,
     ) -> Result<(LabellingOutcome, Vec<f32>)> {
-        self.config.validate()?;
+        let mut state = RunState::new(self.config.clone(), dataset, pool, rng)?;
         obs::init_from_env();
         let run_span = obs::span("workflow.run");
-        let n = dataset.len();
-        let k_classes = dataset.num_classes();
-        let mut platform = Platform::new(dataset, pool, Budget::new(self.config.budget)?);
-        let mut classifier = SoftmaxClassifier::new(
-            self.config.classifier.clone(),
-            dataset.dim(),
-            k_classes,
-            rng,
-        )?;
-        let mut agent = SelectionAgent::new(
-            self.config.dqn.clone(),
-            &self.config.exploration,
-            self.config.decide,
-            self.config.pretrained_dqn.as_deref(),
-            rng,
-        )?;
-        // The persistent inference engine: carries EM posteriors,
-        // confusions and the gathered feature matrix across this run's
-        // repeated inference calls (None = stateless cold inference).
-        let mut engine = make_engine(&self.config.inference, &self.config.engine);
-        let mut labelled = LabelledSet::new(n);
-        let mut feature_cache = FeatureCache::new(n, k_classes);
-        let mut qualities = vec![0.7f64; pool.len()];
-        let max_cost = pool
-            .profiles()
-            .iter()
-            .map(|p| p.cost)
-            .fold(0.0f64, f64::max);
+        let config = &self.config;
+        let mut platform = Platform::new(dataset, pool, Budget::new(config.budget)?);
 
-        // --- Initial sampling: α·|O| objects, k annotators each. ---
-        // The initial panel is stratified: one random expert (when the pool
-        // has any) plus random workers. Expert-anchored initial labels give
-        // the joint model a confident core to estimate worker qualities and
-        // the classifier against; an all-worker start can leave every
-        // posterior too ambiguous to bootstrap from.
+        // --- Initial sampling: α·|O| stratified panels, each bought before
+        // the next is drawn. ---
         let initial_span = obs::span("workflow.initial");
-        let initial = ((self.config.initial_ratio * n as f64).round() as usize).min(n);
-        let initial_objects = sample_indices(rng, n, initial);
-        let experts: Vec<_> = pool.profiles().iter().filter(|p| p.is_expert()).collect();
-        let workers: Vec<_> = pool.profiles().iter().filter(|p| !p.is_expert()).collect();
-        for &obj in &initial_objects {
-            let mut annotators = Vec::with_capacity(self.config.assignment_k);
-            if !experts.is_empty() {
-                annotators.push(experts[rng.random_range(0..experts.len())].id);
-            }
-            let tier = if workers.is_empty() {
-                &experts
-            } else {
-                &workers
-            };
-            let fill = sample_indices(
-                rng,
-                tier.len(),
-                self.config.assignment_k.saturating_sub(annotators.len()),
-            );
-            annotators.extend(fill.into_iter().map(|i| tier[i].id));
-            platform.ask_many(ObjectId(obj), &annotators, rng);
-        }
+        state.initial_panels(rng, |object, panel, rng| {
+            platform.ask_many(object, &panel, rng);
+        });
         if platform.answers().total_answers() > 0 {
-            let result = run_inference_step(
-                &mut engine,
-                &self.config.inference,
-                dataset,
-                platform.answers(),
-                pool,
-                &mut classifier,
-                rng,
-            )?;
-            apply_inference(
-                &result,
-                &mut labelled,
-                &mut qualities,
-                self.config.label_confidence,
-            )?;
-            if !matches!(self.config.inference, InferenceModel::Joint(_)) {
-                retrain_on_labelled(&mut classifier, dataset, &labelled, rng)?;
-            }
-            // No enrichment before the loop: the classifier has not yet
-            // been validated against any out-of-sample human labels.
+            // The initial posteriors are not recorded as confidence
+            // baselines: the first iteration's rewards measure gains
+            // against the classifier's view instead. No enrichment before
+            // the loop either: the classifier has not yet been validated
+            // against any out-of-sample human labels.
+            let result = state.infer(platform.answers(), rng)?;
+            state.apply_inference(&result)?;
+            state.retrain(rng)?;
         }
         drop(initial_span);
 
-        // Per-object posterior confidence from the previous inference pass
-        // (None until the object has answers) — the baseline for the
-        // reward's confidence-gain term.
-        let mut prev_confidence: Vec<Option<f64>> = vec![None; n];
-
-        // Budget pacing: fix this run's per-iteration allowance once, as
-        // the post-initial budget spread evenly over the planned number of
-        // batches. Recomputing it from the *current* unlabelled count every
-        // iteration spirals downward (hard objects stay unlabelled, the
-        // divisor stays high while the numerator shrinks, and the tail of
-        // the run buys useless one-answer panels).
-        let planned_iters = labelled
-            .unlabelled_count()
-            .div_ceil(self.config.batch_per_iter);
-        let fixed_allowance = (platform.budget().remaining() / planned_iters.max(1) as f64)
-            .max(pool.min_cost() * self.config.assignment_k as f64);
+        // Budget pacing: this run's per-iteration allowance, fixed once.
+        let fixed_allowance = state.allowance(platform.budget().remaining());
 
         // --- Main loop. ---
-        let mut trace: Vec<IterationStats> = Vec::new();
-        // Running out-of-sample agreement between the classifier and the
-        // human-inferred labels. Decayed counts give a lower confidence
-        // bound: enrichment opens only when the classifier is *provably*
-        // good, not merely lucky on a few objects.
-        let mut trust_agree = 0.0f64;
-        let mut trust_scored = 0.0f64;
-        let mut phi_trust = 0.0f64;
-        for t in 0..self.config.max_iters {
-            if labelled.all_labelled() || platform.exhausted() {
+        for t in 0..config.max_iters {
+            if state.labelled().all_labelled() || platform.exhausted() {
                 break;
             }
             let iter_span = obs::span("workflow.iter");
-            let unlabelled_before = labelled.unlabelled_count();
+            let unlabelled_before = state.labelled().unlabelled_count();
             let spent_before = platform.budget().spent();
 
             // (a) Unified task selection + assignment, paced so the budget
-            // lasts across the remaining unlabelled objects: this
-            // iteration's allowance is the remaining budget divided by the
-            // remaining iterations at the configured batch size. Pacing is
-            // what lets a mixed-cost pool spread experts over the run
-            // instead of front-loading them.
+            // lasts across the remaining unlabelled objects. Pacing is what
+            // lets a mixed-cost pool spread experts over the run instead of
+            // front-loading them.
             let select_span = obs::span("workflow.select");
-            let candidates = self.sample_candidates(
-                dataset,
-                &labelled,
-                &classifier,
-                platform.answers(),
-                &mut feature_cache,
-                rng,
-            );
-            let snapshot = self.snapshot(&platform, &labelled, &qualities, max_cost, n, phi_trust);
-            let allowance = fixed_allowance.min(platform.budget().remaining());
-            let assignments = agent.select(
+            let unlabelled = state.labelled().unlabelled_objects().collect();
+            let candidates = state.candidates(unlabelled, platform.answers(), rng);
+            let batch = state.select(
                 &candidates,
                 pool.profiles(),
                 None,
                 platform.answers(),
-                &labelled,
-                &snapshot,
-                allowance,
-                self.config.assignment_k,
-                self.config.batch_per_iter,
-                self.config.ablation,
+                platform.budget().fraction_spent(),
+                fixed_allowance.min(platform.budget().remaining()),
                 rng,
             );
             drop(select_span);
-            if assignments.is_empty() {
+            if batch.assignments.is_empty() {
                 break;
             }
 
-            // (b) Purchase answers. Record, per selected object, the
-            // classifier's *pre-answer* prediction (for the trust estimate)
-            // and our best pre-answer confidence (for the reward's gain
-            // term: the previous posterior if the object had answers, the
-            // classifier's probability otherwise).
+            // (b) Purchase answers.
             let purchase_span = obs::span("workflow.purchase");
             let mut answers_bought = 0;
-            let mut phi_guesses: Vec<(ObjectId, usize)> = Vec::new();
-            let mut conf_before: std::collections::HashMap<ObjectId, f64> =
-                std::collections::HashMap::new();
-            // Index the candidate distributions once: the linear scan per
-            // assignment was O(batch x candidate_cap) every iteration.
-            let candidate_probs: std::collections::HashMap<ObjectId, &Vec<f64>> =
-                candidates.iter().map(|(o, p)| (*o, p)).collect();
-            for assignment in &assignments {
-                if let Some(probs) = candidate_probs.get(&assignment.object) {
-                    if let Some(guess) = crowdrl_types::prob::argmax(probs) {
-                        if classifier.is_trained() {
-                            phi_guesses.push((assignment.object, guess));
-                        }
-                    }
-                    let prior = prev_confidence
-                        .get(assignment.object.index())
-                        .copied()
-                        .flatten()
-                        .unwrap_or_else(|| probs.iter().copied().fold(0.0f64, f64::max));
-                    conf_before.insert(assignment.object, prior);
-                }
-                answers_bought += platform
-                    .ask_many(assignment.object, &assignment.annotators, rng)
-                    .len();
+            for a in &batch.assignments {
+                answers_bought += platform.ask_many(a.object, &a.annotators, rng).len();
             }
             let spend = platform.budget().spent() - spent_before;
             drop(purchase_span);
 
-            // (c) Truth inference over all answers so far.
+            // (c) Truth inference over all answers so far, then the trust
+            // update from this batch's pre-answer guesses.
             let inference_span = obs::span("workflow.inference");
-            let result = run_inference_step(
-                &mut engine,
-                &self.config.inference,
-                dataset,
-                platform.answers(),
-                pool,
-                &mut classifier,
-                rng,
-            )?;
-            apply_inference(
-                &result,
-                &mut labelled,
-                &mut qualities,
-                self.config.label_confidence,
-            )?;
-
+            let result = state.infer(platform.answers(), rng)?;
+            state.apply_inference(&result)?;
             drop(inference_span);
-
-            for obj in result.inferred_objects() {
-                prev_confidence[obj.index()] = result.confidence(obj);
-            }
-
-            // Trust update: how often did the classifier agree with the
-            // labels humans just produced? Only *confident* inferred labels
-            // are scored — comparing against a noisy worker-only majority
-            // would make a perfect classifier look untrustworthy. (Out of
-            // sample: the prediction predates the answers.)
-            let mut agree = 0usize;
-            let mut scored = 0usize;
-            for (obj, guess) in &phi_guesses {
-                let confident = result.confidence(*obj).unwrap_or(0.0) >= 0.85;
-                if !confident {
-                    continue;
-                }
-                if let Some(label) = result.label(*obj) {
-                    scored += 1;
-                    if label.index() == *guess {
-                        agree += 1;
-                    }
-                }
-            }
-            trust_agree = 0.97 * trust_agree + agree as f64;
-            trust_scored = 0.97 * trust_scored + scored as f64;
-            phi_trust = if trust_scored >= 10.0 {
-                let p = (trust_agree / trust_scored).clamp(0.0, 1.0);
-                p - (p * (1.0 - p) / trust_scored).sqrt()
-            } else {
-                0.0
-            };
+            state.record_confidences(&result);
+            state.update_trust(Some(&result), &batch.phi_guesses);
 
             // (d) Retrain (non-joint models) and enrich.
             let enrich_span = obs::span("workflow.enrich");
-            if !matches!(self.config.inference, InferenceModel::Joint(_)) {
-                retrain_on_labelled(&mut classifier, dataset, &labelled, rng)?;
-            }
-            let enriched =
-                if self.warmup_done(&labelled) && phi_trust >= self.config.enrichment_trust {
-                    enrich(
-                        dataset,
-                        &classifier,
-                        &mut labelled,
-                        self.config.enrichment_margin,
-                        self.config.enrichment_cap_per_iter,
-                    )?
-                    .len()
-                } else {
-                    0
-                };
+            state.retrain(rng)?;
+            let enriched = state.enrich()?;
             drop(enrich_span);
-            if enriched > 0 && obs::enabled() {
-                let budget_fraction = platform.budget().fraction_spent();
-                obs::annotate_kv(
-                    "workflow.enrichment",
-                    &format!("enrichment added {enriched} labels at budget {budget_fraction:.2}"),
-                    &[
-                        ("added", enriched as f64),
-                        ("budget_fraction", budget_fraction),
-                        ("iteration", t as f64),
-                    ],
-                );
-            }
+            annotate_enrichment(
+                "workflow.enrichment",
+                enriched,
+                platform.budget().fraction_spent(),
+                ("iteration", t as f64),
+            );
 
-            // (e) Reward, replay, learning. Each assignment is credited
-            // with its *own* object's confidence **gain** (posterior
-            // confidence after the new answers minus the best estimate
-            // before them) and its own panel cost; the enrichment term is
-            // shared (it is a global consequence of the iteration). Using
-            // the gain rather than the absolute confidence means answering
-            // an object that was already easy earns nothing — the advantage
-            // form of the paper's long-term-value objective.
+            // (e) Reward, replay, learning. Enrichment is normalised by the
+            // unlabelled count from the start of the iteration, and the
+            // successor actions are embedded without the trust feature.
             let reward_span = obs::span("workflow.reward_train");
-            let k = self.config.assignment_k.max(1) as f64;
-            let rewards: Vec<f64> = assignments
-                .iter()
-                .map(|a| {
-                    let before = conf_before
-                        .get(&a.object)
-                        .copied()
-                        .unwrap_or(1.0 / k_classes as f64);
-                    let after = result.confidence(a.object).unwrap_or(0.0);
-                    let confidence = (after - before).max(0.0);
-                    let panel_cost: f64 =
-                        a.annotators.iter().map(|&id| pool.profile(id).cost).sum();
-                    iteration_reward(
-                        self.config.lambda,
-                        self.config.mu,
-                        self.config.eta,
-                        RewardInputs {
-                            enriched,
-                            unlabelled_before,
-                            spend: panel_cost,
-                            max_iter_spend: k * max_cost,
-                            mean_confidence: confidence,
-                        },
-                    )
-                })
-                .collect();
+            let terminal = state.labelled().all_labelled() || platform.exhausted();
+            let successor = (!terminal).then(|| {
+                state.snapshot(platform.answers(), platform.budget().fraction_spent(), 0.0)
+            });
+            let next = successor.as_ref().map(|s| (platform.answers(), s));
+            let rewards = state.credit(
+                &batch,
+                Some(&result),
+                enriched,
+                unlabelled_before,
+                next,
+                rng,
+            );
             let reward = if rewards.is_empty() {
                 0.0
             } else {
                 rewards.iter().sum::<f64>() / rewards.len() as f64
             };
-            let terminal = labelled.all_labelled() || platform.exhausted();
-            let next_candidates = if terminal {
-                Vec::new()
-            } else {
-                self.bootstrap_embeddings(
-                    dataset,
-                    &platform,
-                    pool,
-                    &labelled,
-                    &classifier,
-                    &mut feature_cache,
-                    &qualities,
-                    max_cost,
-                    rng,
-                )
-            };
-            agent.remember(&assignments, &rewards, &next_candidates, terminal);
-            let td_loss = agent.train(self.config.train_steps_per_iter, rng);
+            let td_loss = state.train(rng);
             drop(reward_span);
 
-            trace.push(IterationStats {
+            let labelled_total = state.labelled().labelled_count();
+            state.trace_mut().push(IterationStats {
                 iteration: t,
                 enriched,
-                selected: assignments.len(),
+                selected: batch.assignments.len(),
                 answers: answers_bought,
                 spend,
                 reward,
-                labelled_total: labelled.labelled_count(),
+                labelled_total,
                 td_loss,
             });
-
-            if obs::enabled() {
-                // Semantic curves, keyed by the iteration clock (never the
-                // wall clock): budget burn-down, labelling progress, and
-                // the classifier's agreement with the human-inferred
-                // labels. All pure reads — recording cannot perturb the
-                // run (pinned by tests/determinism.rs).
-                let step = t as f64;
-                obs::gauge_step(
-                    "run.budget_spent_fraction",
-                    step,
-                    platform.budget().fraction_spent(),
-                );
-                obs::gauge_step(
-                    "run.labelled_fraction",
-                    step,
-                    labelled.labelled_count() as f64 / n.max(1) as f64,
-                );
-                obs::gauge_step(
-                    "run.enriched_fraction",
-                    step,
-                    labelled.enriched_count() as f64 / n.max(1) as f64,
-                );
-                obs::gauge_step("run.phi_trust", step, phi_trust);
-                obs::gauge_step("run.reward", step, reward);
-                if let Some(l) = td_loss {
-                    obs::gauge_step("run.td_loss", step, l as f64);
-                }
-                if let Some(acc) = classifier_accuracy_on_labelled(dataset, &classifier, &labelled)
-                {
-                    obs::gauge_step("run.acc_on_labelled", step, acc);
-                }
-            }
+            // Keyed by the iteration clock, never the wall clock.
+            let fraction = platform.budget().fraction_spent();
+            state.record_gauges("", t as f64, fraction, reward, td_loss);
             drop(iter_span);
         }
 
-        // --- Residual answered-but-uncertain objects take their MAP label:
-        // the answers were paid for and the posterior, however ambiguous,
-        // beats an untrained guess. ---
+        // --- Close: with a warm engine the final inference reuses the last
+        // iteration's result when no answers arrived since (the common
+        // case), so it costs one clone instead of one full EM run. ---
         let finalize_span = obs::span("workflow.finalize");
-        if !labelled.all_labelled() {
-            // With a warm engine this reuses the last loop iteration's
-            // result when no answers arrived since (the common case), so
-            // finalize costs one clone instead of one full EM run.
-            let final_result = run_inference_step(
-                &mut engine,
-                &self.config.inference,
-                dataset,
-                platform.answers(),
-                pool,
-                &mut classifier,
-                rng,
-            )?;
-            for obj in final_result.inferred_objects() {
-                if !labelled.state(obj).is_labelled() {
-                    if let Some(label) = final_result.label(obj) {
-                        labelled.set(obj, LabelState::Inferred(label))?;
-                    }
-                }
-            }
-        }
-
-        // --- Fallback: label the remainder with the classifier. ---
-        let mut fallback_count = 0;
-        if self.config.final_fallback && !labelled.all_labelled() {
-            if !classifier.is_trained() {
-                retrain_on_labelled(&mut classifier, dataset, &labelled, rng)?;
-            }
-            fallback_count = fallback_label_all(dataset, &classifier, &mut labelled)?;
-        }
-
-        // --- Classifier-owned labels are re-predicted with the *final*
-        // classifier: enrichment decisions taken mid-run by a weaker
-        // classifier otherwise lock in its early mistakes. ---
-        refresh_enriched(dataset, &classifier, &mut labelled)?;
+        let final_result = if state.labelled().all_labelled() {
+            None
+        } else {
+            Some(state.infer(platform.answers(), rng)?)
+        };
+        let outcome = state.finish(
+            final_result.as_ref(),
+            platform.budget().spent(),
+            platform.answers().total_answers(),
+            rng,
+        )?;
         drop(finalize_span);
         drop(run_span);
         // Flush aggregate snapshots so a `CROWDRL_TRACE`-driven process
         // that exits right after the run still leaves a complete trace.
         obs::checkpoint();
-
-        let iterations = trace.len();
-        let label_states: Vec<LabelState> = (0..n).map(|i| labelled.state(ObjectId(i))).collect();
-        let enriched_count = label_states
-            .iter()
-            .filter(|s| matches!(s, LabelState::Enriched(_)))
-            .count();
-        let outcome = LabellingOutcome {
-            labels: labelled.to_labels(),
-            label_states,
-            budget_spent: platform.budget().spent(),
-            iterations,
-            total_answers: platform.answers().total_answers(),
-            enriched_count,
-            fallback_count,
-            trace,
-        };
-        Ok((outcome, agent.dqn().export_params()))
+        Ok((outcome, state.agent().dqn().export_params()))
     }
-
-    /// Enrichment warmup check: enough objects must carry *human-inferred*
-    /// labels before the classifier is allowed to auto-label.
-    fn warmup_done(&self, labelled: &LabelledSet) -> bool {
-        let inferred = labelled.labelled_count() - labelled.enriched_count();
-        inferred as f64 >= self.config.enrichment_warmup * labelled.len() as f64
-    }
-
-    /// Sample candidate objects and look up their class distributions
-    /// through the feature cache (one batched forward over the objects
-    /// the classifier's current generation has not scored yet).
-    fn sample_candidates<R: Rng + ?Sized>(
-        &self,
-        dataset: &Dataset,
-        labelled: &LabelledSet,
-        classifier: &SoftmaxClassifier,
-        answers: &AnswerSet,
-        cache: &mut FeatureCache,
-        rng: &mut R,
-    ) -> Vec<(ObjectId, Vec<f64>)> {
-        let unlabelled: Vec<ObjectId> = labelled.unlabelled_objects().collect();
-        let chosen = if unlabelled.len() <= self.config.candidate_cap {
-            unlabelled
-        } else {
-            sample_indices(rng, unlabelled.len(), self.config.candidate_cap)
-                .into_iter()
-                .map(|i| unlabelled[i])
-                .collect()
-        };
-        cache.refresh(dataset, classifier, answers, &chosen);
-        chosen
-            .into_iter()
-            .map(|obj| (obj, cache.probs(obj).to_vec()))
-            .collect()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn snapshot(
-        &self,
-        platform: &Platform<'_>,
-        labelled: &LabelledSet,
-        qualities: &[f64],
-        max_cost: f64,
-        n: usize,
-        phi_trust: f64,
-    ) -> StateSnapshot {
-        StateSnapshot {
-            qualities: qualities.to_vec(),
-            annotator_load: platform.answers().answer_counts(qualities.len()),
-            budget_spent_fraction: platform.budget().fraction_spent(),
-            labelled_fraction: labelled.labelled_count() as f64 / n.max(1) as f64,
-            enriched_fraction: labelled.enriched_count() as f64 / n.max(1) as f64,
-            max_cost,
-            phi_trust,
-        }
-    }
-
-    /// Embeddings of a sample of feasible successor actions, for TD
-    /// bootstrapping.
-    #[allow(clippy::too_many_arguments)]
-    fn bootstrap_embeddings<R: Rng + ?Sized>(
-        &self,
-        dataset: &Dataset,
-        platform: &Platform<'_>,
-        pool: &AnnotatorPool,
-        labelled: &LabelledSet,
-        classifier: &SoftmaxClassifier,
-        cache: &mut FeatureCache,
-        qualities: &[f64],
-        max_cost: f64,
-        rng: &mut R,
-    ) -> Vec<Vec<f32>> {
-        let snapshot = self.snapshot(platform, labelled, qualities, max_cost, dataset.len(), 0.0);
-        let unlabelled: Vec<ObjectId> = labelled.unlabelled_objects().collect();
-        if unlabelled.is_empty() {
-            return Vec::new();
-        }
-        let sampled: Vec<ObjectId> = sample_indices(
-            rng,
-            unlabelled.len(),
-            self.config.bootstrap_candidates.max(1),
-        )
-        .into_iter()
-        .map(|i| unlabelled[i])
-        .collect();
-        cache.refresh(dataset, classifier, platform.answers(), &sampled);
-        let mut out = Vec::new();
-        for obj in sampled {
-            // One random annotator per sampled object keeps this cheap.
-            let a = rng.random_range(0..pool.len());
-            let profile = &pool.profiles()[a];
-            if platform.answers().has_answered(obj, profile.id) {
-                continue;
-            }
-            out.push(embed_with(
-                cache.features(obj),
-                obj,
-                profile,
-                labelled,
-                &snapshot,
-                self.config.assignment_k,
-            ));
-        }
-        out
-    }
-}
-
-/// Fraction of currently-labelled objects whose label the classifier's
-/// argmax prediction matches — the "classifier accuracy on labelled"
-/// trace gauge (`run.acc_on_labelled`), shared with the async runtime.
-/// Pure reads only: it must never perturb the run, so it is called
-/// exclusively behind `obs::enabled()`.
-pub fn classifier_accuracy_on_labelled(
-    dataset: &Dataset,
-    classifier: &SoftmaxClassifier,
-    labelled: &LabelledSet,
-) -> Option<f64> {
-    if !classifier.is_trained() {
-        return None;
-    }
-    // One batched forward over the labelled objects instead of a
-    // `predict_proba_one` call per object: the gauge runs every iteration
-    // and the labelled set approaches |O|, so the per-object path was a
-    // quadratic tax on traced runs.
-    let pairs: Vec<(ObjectId, crowdrl_types::ClassId)> = labelled.labelled_objects().collect();
-    if pairs.is_empty() {
-        return None;
-    }
-    let mut x = crowdrl_linalg::Matrix::zeros(pairs.len(), dataset.dim());
-    for (r, (obj, _)) in pairs.iter().enumerate() {
-        x.row_mut(r).copy_from_slice(dataset.features(obj.index()));
-    }
-    let probs = classifier.predict_proba(&x);
-    let agree = pairs
-        .iter()
-        .enumerate()
-        .filter(|(r, (_, label))| crowdrl_linalg::ops::argmax(probs.row(*r)) == label.index())
-        .count();
-    Some(agree as f64 / pairs.len() as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Ablation, Exploration};
+    use crate::agent::SelectionAgent;
+    use crate::config::{Ablation, Exploration, InferenceModel};
     use crowdrl_sim::{DatasetSpec, PoolSpec};
     use crowdrl_types::rng::seeded;
+    use crowdrl_types::LabelState;
 
     fn quick_config(budget: f64) -> CrowdRlConfig {
         CrowdRlConfig::builder()

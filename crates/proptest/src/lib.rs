@@ -210,7 +210,7 @@ tuple_strategies!(
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specifications accepted by [`vec`]: an exact `usize`, a
+    /// Length specifications accepted by [`vec()`]: an exact `usize`, a
     /// half-open range, or an inclusive range.
     pub trait IntoSizeRange {
         /// Lower and *inclusive* upper length bound.
@@ -246,7 +246,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -45,7 +45,7 @@
 //! divergence.
 
 use crate::config::{ExecMode, ProjectSpec, ServiceConfig};
-use crate::core_loop::{CoreState, PendingBatchState};
+use crate::core_loop::CoreState;
 use crate::error::ServiceError;
 use crate::event::{Event, EventKind, TraceEvent};
 use crate::ledger::{AccountState, AssignmentRecord, AssignmentStatus};
@@ -53,6 +53,7 @@ use crate::metrics::{MetricsCollector, ServiceMetrics};
 use crate::supervisor::QuarantineStatus;
 use crowdrl_core::agent::{AgentState, Assignment};
 use crowdrl_core::outcome::LabellingOutcome;
+use crowdrl_core::run_state::{PendingBatch, RunSnapshot};
 use crowdrl_core::IterationStats;
 use crowdrl_inference::{EngineSnapshot, InferenceResult};
 use crowdrl_nn::ClassifierSnapshot;
@@ -944,7 +945,7 @@ fn dec_assignment(v: &Value) -> Decoded<Assignment> {
     })
 }
 
-fn enc_pending(p: &PendingBatchState) -> Value {
+fn enc_pending(p: &PendingBatch) -> Value {
     obj([
         (
             "assignments",
@@ -971,7 +972,7 @@ fn enc_pending(p: &PendingBatchState) -> Value {
     ])
 }
 
-fn dec_pending(v: &Value) -> Decoded<PendingBatchState> {
+fn dec_pending(v: &Value) -> Decoded<PendingBatch> {
     let conf_before = get_arr(v, "conf_before")?
         .iter()
         .map(|pair| {
@@ -1008,7 +1009,7 @@ fn dec_pending(v: &Value) -> Decoded<PendingBatchState> {
             Ok((ObjectId(o as usize), g as usize))
         })
         .collect::<Decoded<Vec<_>>>()?;
-    Ok(PendingBatchState {
+    Ok(PendingBatch {
         assignments: get_arr(v, "assignments")?
             .iter()
             .map(dec_assignment)
@@ -1194,17 +1195,18 @@ fn dec_quarantine_status(v: &Value) -> Decoded<QuarantineStatus> {
 /// Encode an agent core's complete learning state.
 fn enc_core(c: &CoreState) -> Value {
     obj([
-        ("classifier", enc_classifier(&c.classifier)),
-        ("agent", enc_agent(&c.agent)),
+        ("classifier", enc_classifier(&c.run.classifier)),
+        ("agent", enc_agent(&c.run.agent)),
         (
             "labelled",
-            Value::Arr(c.labelled.iter().map(|&l| enc_label_state(l)).collect()),
+            Value::Arr(c.run.labelled.iter().map(|&l| enc_label_state(l)).collect()),
         ),
-        ("qualities", f64s(&c.qualities)),
+        ("qualities", f64s(&c.run.qualities)),
         (
             "prev_confidence",
             Value::Arr(
-                c.prev_confidence
+                c.run
+                    .prev_confidence
                     .iter()
                     .map(|p| opt(*p, bits_f64))
                     .collect(),
@@ -1214,14 +1216,17 @@ fn enc_core(c: &CoreState) -> Value {
             "outstanding",
             Value::Arr(c.outstanding.iter().map(enc_pending).collect()),
         ),
-        ("trace", Value::Arr(c.trace.iter().map(enc_stats).collect())),
-        ("trust_agree", bits_f64(c.trust_agree)),
-        ("trust_scored", bits_f64(c.trust_scored)),
-        ("phi_trust", bits_f64(c.phi_trust)),
+        (
+            "trace",
+            Value::Arr(c.run.trace.iter().map(enc_stats).collect()),
+        ),
+        ("trust_agree", bits_f64(c.run.trust_agree)),
+        ("trust_scored", bits_f64(c.run.trust_scored)),
+        ("phi_trust", bits_f64(c.run.phi_trust)),
         ("fixed_allowance", opt(c.fixed_allowance, bits_f64)),
         ("last_spent", bits_f64(c.last_spent)),
         ("refresh_index", num(c.refresh_index)),
-        ("engine", opt(c.engine.as_ref(), enc_engine)),
+        ("engine", opt(c.run.engine.as_ref(), enc_engine)),
         (
             "rng",
             Value::Arr(c.rng.iter().map(|&w| hex_u64(w)).collect()),
@@ -1270,29 +1275,31 @@ fn dec_core(v: &Value) -> Decoded<CoreState> {
         .try_into()
         .map_err(|_| corrupt("rng: expected exactly 4 words"))?;
     Ok(CoreState {
-        classifier: dec_classifier(field(v, "classifier")?)?,
-        agent: dec_agent(field(v, "agent")?)?,
-        labelled: get_arr(v, "labelled")?
-            .iter()
-            .map(dec_label_state)
-            .collect::<Decoded<_>>()?,
-        qualities: get_f64s(v, "qualities")?,
-        prev_confidence,
+        run: RunSnapshot {
+            classifier: dec_classifier(field(v, "classifier")?)?,
+            agent: dec_agent(field(v, "agent")?)?,
+            labelled: get_arr(v, "labelled")?
+                .iter()
+                .map(dec_label_state)
+                .collect::<Decoded<_>>()?,
+            qualities: get_f64s(v, "qualities")?,
+            prev_confidence,
+            trace: get_arr(v, "trace")?
+                .iter()
+                .map(dec_stats)
+                .collect::<Decoded<_>>()?,
+            trust_agree: get_f64_bits(v, "trust_agree")?,
+            trust_scored: get_f64_bits(v, "trust_scored")?,
+            phi_trust: get_f64_bits(v, "phi_trust")?,
+            engine,
+        },
         outstanding: get_arr(v, "outstanding")?
             .iter()
             .map(dec_pending)
             .collect::<Decoded<_>>()?,
-        trace: get_arr(v, "trace")?
-            .iter()
-            .map(dec_stats)
-            .collect::<Decoded<_>>()?,
-        trust_agree: get_f64_bits(v, "trust_agree")?,
-        trust_scored: get_f64_bits(v, "trust_scored")?,
-        phi_trust: get_f64_bits(v, "phi_trust")?,
         fixed_allowance,
         last_spent: get_f64_bits(v, "last_spent")?,
         refresh_index: get_usize(v, "refresh_index")?,
-        engine,
         rng,
         quarantine: get_arr(v, "quarantine")?
             .iter()
@@ -1640,38 +1647,72 @@ mod tests {
             })
             .unwrap();
         let core = CoreState {
-            classifier: ClassifierSnapshot {
-                params: vec![0.5, -1.25, f32::EPSILON],
-                opt_state: vec![(vec![0.1, 0.2], vec![0.3, 0.4], 11)],
-                trained: true,
-                generation: 3,
-            },
-            agent: AgentState {
-                dqn: DqnSnapshot {
-                    online: vec![1.0, 2.0],
-                    target: vec![1.0, 2.5],
-                    opt_state: vec![],
-                    replay: vec![Transition {
-                        state_action: vec![0.25],
-                        reward: -0.5,
-                        next_candidates: vec![vec![1.0], vec![2.0]].into(),
-                        terminal: false,
-                    }],
-                    replay_head: 1,
-                    replay_pushed: 1,
-                    train_steps: 5,
+            run: RunSnapshot {
+                classifier: ClassifierSnapshot {
+                    params: vec![0.5, -1.25, f32::EPSILON],
+                    opt_state: vec![(vec![0.1, 0.2], vec![0.3, 0.4], 11)],
+                    trained: true,
+                    generation: 3,
                 },
-                ucb_counts: Some(vec![(3, 1), (0, 0)]),
-                eps_steps: None,
+                agent: AgentState {
+                    dqn: DqnSnapshot {
+                        online: vec![1.0, 2.0],
+                        target: vec![1.0, 2.5],
+                        opt_state: vec![],
+                        replay: vec![Transition {
+                            state_action: vec![0.25],
+                            reward: -0.5,
+                            next_candidates: vec![vec![1.0], vec![2.0]].into(),
+                            terminal: false,
+                        }],
+                        replay_head: 1,
+                        replay_pushed: 1,
+                        train_steps: 5,
+                    },
+                    ucb_counts: Some(vec![(3, 1), (0, 0)]),
+                    eps_steps: None,
+                },
+                labelled: vec![
+                    LabelState::Inferred(ClassId(1)),
+                    LabelState::Unlabelled,
+                    LabelState::Enriched(ClassId(0)),
+                ],
+                qualities: vec![0.9, 0.4],
+                prev_confidence: vec![Some(0.75), None, Some(0.5)],
+                trace: vec![IterationStats {
+                    iteration: 0,
+                    enriched: 1,
+                    selected: 2,
+                    answers: 2,
+                    spend: 2.5,
+                    reward: -0.125,
+                    labelled_total: 1,
+                    td_loss: Some(0.01),
+                }],
+                trust_agree: 1.0,
+                trust_scored: 2.0,
+                phi_trust: 0.5,
+                engine: Some(EngineSnapshot {
+                    last: InferenceResult {
+                        posteriors: vec![Some(vec![0.9, 0.1]), None, Some(vec![0.2, 0.8])],
+                        confusions: vec![ConfusionMatrix::from_rows(&[
+                            vec![0.8, 0.2],
+                            vec![0.3, 0.7],
+                        ])
+                        .unwrap()],
+                        class_prior: vec![0.6, 0.4],
+                        iterations: 7,
+                        log_likelihood: f64::NAN, // must survive the round trip
+                    },
+                    answer_counts: vec![1, 0, 1],
+                    total_answers: 2,
+                    moved: vec![true, false, true],
+                    answered: vec![0, 2],
+                    warm_calls_since_full: 1,
+                    calls: 4,
+                }),
             },
-            labelled: vec![
-                LabelState::Inferred(ClassId(1)),
-                LabelState::Unlabelled,
-                LabelState::Enriched(ClassId(0)),
-            ],
-            qualities: vec![0.9, 0.4],
-            prev_confidence: vec![Some(0.75), None, Some(0.5)],
-            outstanding: vec![PendingBatchState {
+            outstanding: vec![PendingBatch {
                 assignments: vec![Assignment {
                     object: ObjectId(2),
                     annotators: vec![AnnotatorId(0), AnnotatorId(1)],
@@ -1680,39 +1721,9 @@ mod tests {
                 conf_before: vec![(ObjectId(2), 0.33)],
                 phi_guesses: vec![(ObjectId(2), 1)],
             }],
-            trace: vec![IterationStats {
-                iteration: 0,
-                enriched: 1,
-                selected: 2,
-                answers: 2,
-                spend: 2.5,
-                reward: -0.125,
-                labelled_total: 1,
-                td_loss: Some(0.01),
-            }],
-            trust_agree: 1.0,
-            trust_scored: 2.0,
-            phi_trust: 0.5,
             fixed_allowance: None,
             last_spent: 0.3,
             refresh_index: 2,
-            engine: Some(EngineSnapshot {
-                last: InferenceResult {
-                    posteriors: vec![Some(vec![0.9, 0.1]), None, Some(vec![0.2, 0.8])],
-                    confusions: vec![
-                        ConfusionMatrix::from_rows(&[vec![0.8, 0.2], vec![0.3, 0.7]]).unwrap(),
-                    ],
-                    class_prior: vec![0.6, 0.4],
-                    iterations: 7,
-                    log_likelihood: f64::NAN, // must survive the round trip
-                },
-                answer_counts: vec![1, 0, 1],
-                total_answers: 2,
-                moved: vec![true, false, true],
-                answered: vec![0, 2],
-                warm_calls_since_full: 1,
-                calls: 4,
-            }),
             rng: [u64::MAX, 0, 0xDEAD_BEEF, 42],
             quarantine: vec![
                 QuarantineStatus::Active,
@@ -1877,7 +1888,7 @@ mod tests {
             panic!("project 4 must decode as active");
         };
         assert_eq!(state.core.rng, [u64::MAX, 0, 0xDEAD_BEEF, 42]);
-        let engine = state.core.engine.as_ref().unwrap();
+        let engine = state.core.run.engine.as_ref().unwrap();
         // A NaN log-likelihood must survive the round trip.
         assert!(engine.last.log_likelihood.is_nan());
         assert_eq!(

@@ -12,7 +12,7 @@
 //! 2. **Advance (parallel).** Every shard of every active project
 //!    advances to the horizon concurrently on the shared thread pool.
 //!    Shards own disjoint state, so this is embarrassingly parallel;
-//!    each produces a [`ShardBatch`] of settlements in its own event
+//!    each produces a `ShardBatch` of settlements in its own event
 //!    order. Every event at or before the horizon settles before any
 //!    watermark is checked.
 //! 3. **Merge (sequential).** Batches are applied in *(project, shard,
@@ -43,7 +43,6 @@
 //! construction, not by testing luck.
 //!
 //! [`ExecMode`]: crate::ExecMode
-//! [`ShardBatch`]: crate::shard::ShardBatch
 
 use crate::broker::PoolBroker;
 use crate::checkpoint::{

@@ -10,7 +10,7 @@
 //! runtime needs timeouts and requeues at all).
 //!
 //! Latencies are in the same abstract time units as
-//! [`SimTime`](crowdrl_types::SimTime). Experts are modelled slower but
+//! [`SimTime`]. Experts are modelled slower but
 //! more reliable than workers, matching the platform folklore the paper's
 //! asynchronous deployments describe.
 

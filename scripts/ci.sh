@@ -265,4 +265,9 @@ timed "fmt" cargo fmt --check
 echo "== cargo clippy -D warnings =="
 timed "clippy" cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc -D warnings =="
+# Every intra-doc link must resolve. A moved, renamed or private item
+# breaks the links that name it, and rustdoc only warns about that.
+timed "rustdoc" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "CI OK"

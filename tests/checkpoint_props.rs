@@ -6,14 +6,17 @@
 //! boundary, one random char replaced by a random char (multi-byte
 //! included), or one random object field dropped. Decoding must return
 //! either a checkpoint or the typed corrupt-checkpoint error, never
-//! panic. Whether a checkpoint that decodes is also consistent enough to
-//! restore is a separate question, not asked here.
+//! panic. A checkpoint that decodes but does not fit the run it resumes
+//! (a vector of the wrong length, an object or annotator id out of range)
+//! must likewise fail to restore with a typed error.
 
 use crowdrl::obs::json::{parse, Value};
 use crowdrl::prelude::*;
-use crowdrl::serve::{AsyncRuntime, RunControl, RunOutcome, SupervisorConfig};
+use crowdrl::serve::core_loop::CoreState;
+use crowdrl::serve::{AsyncRuntime, ProjectCheckpoint, RunControl, RunOutcome, SupervisorConfig};
 use crowdrl::sim::FaultPlan;
 use crowdrl::types::rng::seeded;
+use crowdrl::types::Error;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -34,7 +37,9 @@ fn keep_nth(
     }
 }
 
-fn one_project_checkpoint() -> String {
+/// A short one-project run under mixed faults and backoff, with a
+/// checkpoint every 2 refreshes.
+fn one_project_run() -> (Dataset, AnnotatorPool, CrowdRlConfig, ServeConfig) {
     let mut rng = seeded(0xC4EC);
     let dataset = DatasetSpec::gaussian("ckpt", 30, 4, 2)
         .with_separation(2.5)
@@ -55,6 +60,11 @@ fn one_project_checkpoint() -> String {
         })
         .with_checkpoint_every(2);
     let config = CrowdRlConfig::builder().budget(80.0).build().unwrap();
+    (dataset, pool, config, serve)
+}
+
+fn one_project_checkpoint() -> String {
+    let (dataset, pool, config, serve) = one_project_run();
     let mut kept = None;
     let outcome = AsyncRuntime::new(config, serve)
         .run_with_checkpoints(&dataset, &pool, &mut seeded(5), &mut keep_nth(2, &mut kept))
@@ -193,5 +203,57 @@ fn the_fixtures_decode_and_re_encode_identically() {
     for text in checkpoints() {
         let decoded = RunCheckpoint::decode(text).unwrap();
         assert_eq!(&decoded.encode(), text);
+    }
+}
+
+#[test]
+fn restoring_a_checkpoint_that_does_not_fit_the_run_fails_typed() {
+    let (dataset, pool, config, serve) = one_project_run();
+    let n = dataset.len();
+    type Mutation = fn(&mut CoreState, usize);
+    let cases: [(&str, Mutation); 6] = [
+        ("truncated confidences", |c, _| {
+            c.run.prev_confidence.truncate(1)
+        }),
+        ("truncated quarantine states", |c, _| {
+            c.quarantine.truncate(1)
+        }),
+        ("annotator outside the pool", |c, _| {
+            c.outstanding[0].assignments[0].annotators[0] = AnnotatorId(999)
+        }),
+        ("assigned object outside the dataset", |c, n| {
+            c.outstanding[0].assignments[0].object = ObjectId(n)
+        }),
+        ("guessed object outside the dataset", |c, n| {
+            c.outstanding[0].phi_guesses.push((ObjectId(n), 0))
+        }),
+        ("confidence for an object outside the dataset", |c, n| {
+            c.outstanding[0].conf_before.push((ObjectId(n), 0.5))
+        }),
+    ];
+    for (what, mutate) in cases {
+        let mut checkpoint = RunCheckpoint::decode(&checkpoints()[0]).unwrap();
+        let ProjectCheckpoint::Active(project) = &mut checkpoint.projects[0] else {
+            panic!("the cut run's project is active");
+        };
+        assert!(
+            !project.core.outstanding.is_empty(),
+            "the cut has a pending batch"
+        );
+        mutate(&mut project.core, n);
+        let resumed = AsyncRuntime::new(config.clone(), serve.clone()).resume(
+            &dataset,
+            &pool,
+            &mut seeded(5),
+            checkpoint,
+            &mut |_| RunControl::Continue,
+        );
+        match resumed {
+            Err(Error::DimensionMismatch { actual, .. }) => {
+                assert_eq!(actual, 1, "{what}: the reported size is the truncated one")
+            }
+            Err(Error::InvalidParameter(_)) => {}
+            other => panic!("{what}: want a typed restore error, got {other:?}"),
+        }
     }
 }

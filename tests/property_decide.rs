@@ -89,8 +89,8 @@ impl World {
         }
     }
 
-    /// The live pool a serve loop would hand to `select` (quarantined
-    /// annotators filtered out, like `core_loop::decide`).
+    /// The live pool the engine would hand to `select` (quarantined
+    /// annotators filtered out, like `AgentCore`'s decide step).
     fn live(&self) -> Vec<AnnotatorProfile> {
         self.profiles
             .iter()
