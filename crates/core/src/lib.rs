@@ -13,19 +13,18 @@
 //!    ([`features`]), scores them with the DQN, adds the UCB1 exploration
 //!    bonus (Eq. 6), masks already-answered pairs with `Q = -inf`, sums the
 //!    top-`k` per object with a bounded min-heap, and selects the batch of
-//!    objects with the largest sums ([`agent`]).
-//! 2. **Purchase** — the selected questions go to the platform.
-//! 3. **Truth inference** — the joint inference model
+//!    objects with the largest sums ([`agent`]); the panels are bought on
+//!    the platform.
+//! 2. **Truth inference** — the joint inference model
 //!    (`crowdrl-inference`) couples annotator confusion matrices with the
 //!    classifier `φ` to infer labels (and retrains `φ` in the process).
-//! 4. **Trust update** — `φ`'s pre-answer guesses are scored against the
-//!    confident inferred labels; the trust is a lower confidence bound on
-//!    that agreement.
-//! 5. **Labelled-set enrichment** — once enough labels are human-inferred
-//!    and the trust clears its threshold, `φ` rates every unlabelled
-//!    object, and objects whose top-two class probabilities differ by more
-//!    than `ε` are auto-labelled for free ([`enrichment`]).
-//! 6. **Reward and learning** — `r(t) = λ·r_φ(t) + μ·r_conf(t) −
+//! 3. **Trust and labelled-set enrichment** — `φ`'s pre-answer guesses
+//!    are scored against the confident inferred labels. Once enough labels
+//!    are human-inferred and a lower confidence bound on that agreement
+//!    clears its threshold, `φ` rates every unlabelled object, and objects
+//!    whose top-two class probabilities differ by more than `ε` are
+//!    auto-labelled for free ([`enrichment`]).
+//! 4. **Reward and learning** — `r(t) = λ·r_φ(t) + μ·r_conf(t) −
 //!    η·r_cost(t)` rewards enrichment coverage and each assignment's
 //!    confidence gain and penalizes its spend ([`reward`]); transitions go
 //!    to the experience pool and the DQN takes minibatch TD steps.

@@ -163,8 +163,8 @@ impl<'a> RunState<'a> {
         };
         Ok(Self {
             engine,
-            feature_cache: FeatureCache::new(n, dataset.num_classes()),
             labelled: LabelledSet::new(n),
+            feature_cache: FeatureCache::new(n, dataset.num_classes()),
             qualities: vec![0.7; pool.len()],
             prev_confidence: vec![None; n],
             trace: Vec::new(),
