@@ -1,9 +1,9 @@
 //! The state of one labelling run and each step of Algorithm 1 (select
 //! and assign, buy, infer, update trust, retrain and enrich, credit and
-//! train) as one method on [`RunState`]. Both drivers call these methods:
+//! train) as one method on [`RunState`]. Both loops call these methods:
 //! [`CrowdRl::run`](crate::CrowdRl::run) once per purchased batch, and
 //! `crowdrl-serve`'s `AgentCore` on every answer-watermark refresh. Where
-//! the drivers differ, the caller passes the value (its budget fraction,
+//! the loops differ, the caller passes the value (its budget fraction,
 //! the trust a successor snapshot uses, the unlabelled count rewards are
 //! normalised by, whether a final inference ran).
 
@@ -277,7 +277,7 @@ impl<'a> RunState<'a> {
         self.phi_trust
     }
 
-    /// Per-step statistics, in step order; each driver appends its own.
+    /// Per-step statistics, in step order; each loop appends its own.
     pub fn trace_mut(&mut self) -> &mut Vec<IterationStats> {
         &mut self.trace
     }
@@ -487,7 +487,7 @@ impl<'a> RunState<'a> {
     }
 
     /// The per-step allowance: `budget_left` spread over the batches the
-    /// unlabelled objects need, at least one cheapest panel. Drivers fix
+    /// unlabelled objects need, at least one cheapest panel. Loops fix
     /// it once: recomputed every step it spirals downward (hard objects
     /// stay unlabelled while the budget shrinks, and the tail of the run
     /// buys useless one-answer panels).
@@ -754,7 +754,7 @@ impl<'a> RunState<'a> {
 }
 
 /// Annotate an enrichment pass that added labels, at `step` of the
-/// driver's clock.
+/// loop's clock.
 pub fn annotate_enrichment(name: &str, enriched: usize, budget_fraction: f64, step: (&str, f64)) {
     if enriched > 0 && obs::enabled() {
         obs::annotate_kv(

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Every step is a method of [`RunState`], which the asynchronous engine
-//! in `crowdrl-serve` drives too. This driver keeps only the [`Platform`]
+//! in `crowdrl-serve` drives too. This loop keeps only the [`Platform`]
 //! (each panel is bought the moment it is chosen, with answers drawn from
 //! the caller's RNG) and the iteration loop: the budget pacing, the spans
 //! and the per-iteration trace.

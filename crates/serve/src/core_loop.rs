@@ -112,7 +112,7 @@ pub struct FinalizeRequest {
 }
 
 /// Checkpointable state of an [`AgentCore`]: the shared run state plus
-/// what only the asynchronous driver keeps.
+/// what only the asynchronous loop keeps.
 #[derive(Debug, Clone)]
 pub struct CoreState {
     /// Classifier, agent, labels, qualities, confidences, trust, trace

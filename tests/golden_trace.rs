@@ -8,7 +8,7 @@
 //! layer pins whole trajectories: an FNV-1a digest over every label
 //! state, the run's totals, every per-iteration statistic (reward, spend
 //! and TD loss as bits) and, for batch runs, the trained DQN weights.
-//! Both drivers are digested under every inference model, the cold
+//! Both loops are digested under every inference model, the cold
 //! engine, the M1/M2 ablations, ε-greedy exploration and a run without
 //! the classifier fallback, plus the faulted and quarantine runs of
 //! `tests/chaos.rs`.
@@ -182,7 +182,7 @@ fn digest(outcome: &LabellingOutcome, dqn: Option<&[f32]>) -> u64 {
     h.0
 }
 
-/// The configurations both drivers are digested under.
+/// The configurations both loops are digested under.
 fn digest_configs() -> Vec<(&'static str, CrowdRlConfig)> {
     let base = || CrowdRlConfig::builder().budget(220.0);
     vec![
