@@ -13,14 +13,20 @@
 //! the classifier fallback, plus the faulted and quarantine runs of
 //! `tests/chaos.rs`.
 //!
+//! A third layer pins the bytes of every checkpoint the faulted run (in
+//! both execution modes) and a two-project service run cut, so a change
+//! to the checkpoint writer must reproduce the format exactly or bump
+//! its version.
+//!
 //! If a PR *intentionally* changes the numerics (new algorithm, not a new
 //! schedule), re-capture by running with `GOLDEN_CAPTURE=1` and paste the
 //! printed constants below.
 
 use crowdrl::core::{Ablation, EngineConfig, Exploration, InferenceModel, IterationStats};
 use crowdrl::eval::evaluate_labels;
+use crowdrl::obs::json::parse;
 use crowdrl::prelude::*;
-use crowdrl::serve::{AsyncRuntime, QuarantineConfig, SupervisorConfig};
+use crowdrl::serve::{AsyncRuntime, QuarantineConfig, RunControl, RunOutcome, SupervisorConfig};
 use crowdrl::sim::{FaultPlan, QualityDrift};
 use crowdrl::types::rng::seeded;
 
@@ -123,7 +129,11 @@ impl Fnv {
     }
 
     fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
             self.0 ^= u64::from(byte);
             self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
         }
@@ -331,12 +341,10 @@ fn async_trajectories_reproduce_the_golden_digests() {
     check_digests("GOLDEN_ASYNC_DIGESTS", &got, &GOLDEN_ASYNC_DIGESTS);
 }
 
-#[test]
-fn chaos_trajectories_reproduce_the_golden_digests() {
-    let (dataset, pool) = scenario();
-    // Same serve configs as `chaos_serve` and
-    // `quarantine_trips_on_spammer_drift` in tests/chaos.rs.
-    let faulted = ServeConfig::default()
+/// The faulted serve config of `chaos_serve` in tests/chaos.rs: mixed
+/// faults, backoff on retries, a checkpoint every 2 refreshes.
+fn faulted_serve() -> ServeConfig {
+    ServeConfig::default()
         .with_faults(FaultPlan {
             no_show_rate: 0.06,
             abandon_rate: 0.04,
@@ -348,7 +356,14 @@ fn chaos_trajectories_reproduce_the_golden_digests() {
             backoff_base: 4.0,
             ..SupervisorConfig::default()
         })
-        .with_checkpoint_every(2);
+        .with_checkpoint_every(2)
+}
+
+#[test]
+fn chaos_trajectories_reproduce_the_golden_digests() {
+    let (dataset, pool) = scenario();
+    // Same serve configs as `chaos_serve` and
+    // `quarantine_trips_on_spammer_drift` in tests/chaos.rs.
     let quarantine = ServeConfig::default()
         .with_faults(FaultPlan {
             drifts: vec![QualityDrift {
@@ -362,7 +377,7 @@ fn chaos_trajectories_reproduce_the_golden_digests() {
             min_answers: 6,
             ..QuarantineConfig::default()
         });
-    let got: Vec<(&'static str, u64)> = [("faulted", faulted), ("quarantine", quarantine)]
+    let got: Vec<(&'static str, u64)> = [("faulted", faulted_serve()), ("quarantine", quarantine)]
         .into_iter()
         .map(|(name, serve)| {
             let result = AsyncRuntime::new(config(220.0), serve)
@@ -372,4 +387,103 @@ fn chaos_trajectories_reproduce_the_golden_digests() {
         })
         .collect();
     check_digests("GOLDEN_CHAOS_DIGESTS", &got, &GOLDEN_CHAOS_DIGESTS);
+}
+
+/// FNV-1a digests of the faulted run's 8 checkpoints, in cut order. The
+/// run cuts the same bytes at every execution width.
+const GOLDEN_CHAOS_CUTS: [u64; 8] = [
+    0x165c76610abc3824,
+    0x6cce06a990511de5,
+    0x2b8a4098847df4ad,
+    0x90af84c125f9dab3,
+    0x0e95c3d5a63efead,
+    0x714a7211962b2cb2,
+    0xc7ed6aa6ae2d42a4,
+    0x667a996ebb441848,
+];
+
+/// FNV-1a digests of the two-project service run's 3 checkpoints.
+const GOLDEN_SERVICE_CUTS: [u64; 3] = [0x264f1f72861e4624, 0xc597a73362e67987, 0x19307e75eec55cf2];
+
+/// Digest each encoded cut. Every cut must already be canonical JSON:
+/// parsing and re-rendering it gives the same bytes, so every object's
+/// keys are written in sorted order.
+fn cut_digests(table: &str, cuts: &[String]) -> Vec<u64> {
+    cuts.iter()
+        .enumerate()
+        .map(|(i, text)| {
+            let value = parse(text).expect("a checkpoint is valid JSON");
+            assert!(
+                value.render() == *text,
+                "{table}: cut {i} is not canonical JSON"
+            );
+            let mut h = Fnv::new();
+            h.bytes(text.as_bytes());
+            h.0
+        })
+        .collect()
+}
+
+/// Compare cut digests against `want`; capture mode prints the table.
+fn check_cuts(table: &str, got: &[u64], want: &[u64]) {
+    if std::env::var("GOLDEN_CAPTURE").is_ok() {
+        println!("{table}:");
+        for d in got {
+            println!("    {d:#018x},");
+        }
+        return;
+    }
+    assert_eq!(got.len(), want.len(), "{table}: cut count changed");
+    let drifted: Vec<usize> = (0..got.len()).filter(|&i| got[i] != want[i]).collect();
+    assert!(drifted.is_empty(), "{table}: cuts {drifted:?} drifted");
+}
+
+#[test]
+fn checkpoint_cuts_reproduce_the_golden_digests() {
+    let (dataset, pool) = scenario();
+    for mode in [ExecMode::SingleThread, ExecMode::WorkerPool { workers: 4 }] {
+        let mut cuts = Vec::new();
+        let outcome = AsyncRuntime::new(config(220.0), faulted_serve().with_mode(mode))
+            .run_with_checkpoints(&dataset, &pool, &mut seeded(78), &mut |cut| {
+                cuts.push(cut.encode());
+                RunControl::Continue
+            })
+            .unwrap();
+        assert!(matches!(outcome, RunOutcome::Completed(_)));
+        let table = format!("GOLDEN_CHAOS_CUTS ({mode:?})");
+        check_cuts(&table, &cut_digests(&table, &cuts), &GOLDEN_CHAOS_CUTS);
+    }
+
+    // The two-project service run of tests/checkpoint_props.rs, run to
+    // the end.
+    let mut rng = seeded(0xC4ED);
+    let pool = PoolSpec::new(6, 2).generate(2, &mut rng).unwrap();
+    let specs: Vec<ProjectSpec> = (0..2)
+        .map(|p| {
+            let dataset = DatasetSpec::gaussian(format!("ckpt{p}"), 16 + 4 * p, 4, 2)
+                .with_separation(2.5)
+                .generate(&mut rng)
+                .unwrap();
+            let config = CrowdRlConfig::builder()
+                .budget(48.0 + 8.0 * p as f64)
+                .build()
+                .unwrap();
+            ProjectSpec::new(format!("project-{p}"), config, dataset)
+        })
+        .collect();
+    let service = ServiceConfig::default()
+        .with_shards(2)
+        .with_watermarks(8, 20.0)
+        .with_checkpoint_every(2);
+    let mut cuts = Vec::new();
+    let outcome = Service::new(service)
+        .unwrap()
+        .run_with_checkpoints(&specs, &pool, &mut seeded(6), &mut |cut| {
+            cuts.push(cut.encode());
+            RunControl::Continue
+        })
+        .unwrap();
+    assert!(matches!(outcome, ServiceRunOutcome::Completed(_)));
+    let table = "GOLDEN_SERVICE_CUTS";
+    check_cuts(table, &cut_digests(table, &cuts), &GOLDEN_SERVICE_CUTS);
 }
