@@ -13,9 +13,11 @@
 //! [`ExecMode`]. A one-project run and a multi-tenant service write the
 //! same format.
 //!
-//! The encoding is hand-rolled JSON over [`crowdrl_obs::json`] (the
-//! workspace has a zero-external-dependency policy). Bit-exactness rules
-//! the format:
+//! The encoding is hand-rolled JSON (the workspace has a
+//! zero-external-dependency policy). [`encode`](RunCheckpoint::encode)
+//! streams it into one `String` as it walks the state, with no
+//! intermediate tree; [`decode`](RunCheckpoint::decode) reads it with
+//! [`crowdrl_obs::json::parse`]. Bit-exactness rules the format:
 //!
 //! * every `f64` is written as its 16-hex-digit IEEE bit pattern (JSON
 //!   numbers would lose NaN log-likelihoods and the writer clamps
@@ -27,8 +29,9 @@
 //! * `u64` values (seeds, RNG words, sequence numbers, assignment ids)
 //!   are 16-hex strings because JSON numbers are only exact below 2^53;
 //! * small counts and indices stay plain JSON numbers for readability;
-//! * objects render in `BTreeMap` key order, so the same checkpoint
-//!   always renders the same bytes.
+//! * every object writes its keys in sorted order, the order a parsed
+//!   [`Value`] renders in, so the same checkpoint always encodes to the
+//!   same bytes and decoding then re-encoding reproduces them.
 //!
 //! [`decode`](RunCheckpoint::decode) validates shape and re-derives
 //! nothing silently: any malformed input — bad JSON, a missing field, a
@@ -57,14 +60,13 @@ use crowdrl_core::run_state::{PendingBatch, RunSnapshot};
 use crowdrl_core::IterationStats;
 use crowdrl_inference::{EngineSnapshot, InferenceResult};
 use crowdrl_nn::ClassifierSnapshot;
-use crowdrl_obs::json::{parse, Value};
+use crowdrl_obs::json::{parse, write_escaped, Value};
 use crowdrl_rl::{DqnSnapshot, Transition};
 use crowdrl_sim::AnnotatorPool;
 use crowdrl_types::{
     AnnotatorId, Answer, AnswerSet, AssignmentId, ClassId, ConfusionMatrix, LabelState, ObjectId,
     SimTime,
 };
-use std::collections::BTreeMap;
 
 /// Format version stamped into every checkpoint.
 const VERSION: usize = 2;
@@ -186,34 +188,24 @@ impl RunCheckpoint {
     /// Serialize to a single deterministic JSON document: the same
     /// checkpoint always renders the same bytes.
     pub fn encode(&self) -> String {
-        obj([
-            ("version", num(VERSION)),
-            ("fingerprint", hex_u64(self.fingerprint)),
-            ("annotators", num(self.annotators)),
-            ("now", bits_f64(self.now.as_f64())),
-            ("rounds", num(self.rounds)),
-            ("next_uid", hex_u64(self.next_uid)),
-            ("queued", usizes(&self.queued)),
-            ("active", usizes(&self.active)),
-            (
-                "accounts",
-                Value::Arr(self.accounts.iter().map(enc_account).collect()),
-            ),
-            ("broker_load", usizes(&self.broker_load)),
-            (
-                "broker_evidence",
-                Value::Arr(self.broker_evidence.iter().map(|e| usizes(e)).collect()),
-            ),
-            (
-                "trace",
-                Value::Arr(self.trace.iter().map(enc_traced).collect()),
-            ),
-            (
-                "projects",
-                Value::Arr(self.projects.iter().map(enc_project).collect()),
-            ),
-        ])
-        .render()
+        let mut w = Writer(String::new());
+        w.obj(|w| {
+            w.key("accounts").arr(&self.accounts, Writer::account);
+            w.key("active").counts(&self.active);
+            w.key("annotators").num(self.annotators);
+            w.key("broker_evidence")
+                .arr(&self.broker_evidence, |w, e| w.counts(e));
+            w.key("broker_load").counts(&self.broker_load);
+            w.key("fingerprint").hex_u64(self.fingerprint);
+            w.key("next_uid").hex_u64(self.next_uid);
+            w.key("now").bits_f64(self.now.as_f64());
+            w.key("projects").arr(&self.projects, Writer::project);
+            w.key("queued").counts(&self.queued);
+            w.key("rounds").num(self.rounds);
+            w.key("trace").arr(&self.trace, |w, (p, e)| w.traced(*p, e));
+            w.key("version").num(VERSION);
+        });
+        w.0
     }
 
     /// Parse a document produced by [`encode`](Self::encode). Anything
@@ -310,53 +302,163 @@ fn corrupt(msg: impl Into<String>) -> ServiceError {
 // Primitive encoders / decoders
 // ---------------------------------------------------------------------------
 
-/// Build a JSON object in deterministic (BTreeMap) key order.
-fn obj<const N: usize>(entries: [(&str, Value); N]) -> Value {
-    Value::Obj(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
+/// Hex digits by value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
-/// A small exact count as a plain JSON number.
-fn num(n: usize) -> Value {
-    // Plain JSON numbers are exact below 2^53 — far beyond any count here.
-    Value::Num(n as f64)
-}
+/// The streaming encoder: appends the document to one `String` as it
+/// walks the state. Every object writes its keys in sorted order, the
+/// order a parsed [`Value`] renders in, so a checkpoint's bytes are
+/// canonical JSON.
+struct Writer(String);
 
-/// A `u64` as a 16-hex-digit string (JSON numbers are only exact below 2^53).
-fn hex_u64(v: u64) -> Value {
-    Value::Str(format!("{v:016x}"))
-}
-
-/// An `f64` as its 16-hex-digit IEEE bit pattern.
-fn bits_f64(v: f64) -> Value {
-    Value::Str(format!("{:016x}", v.to_bits()))
-}
-
-/// An `f32` as its 8-hex-digit IEEE bit pattern.
-fn bits_f32(v: f32) -> Value {
-    Value::Str(format!("{:08x}", v.to_bits()))
-}
-
-/// Concatenated 16-hex-digit bit patterns, one per f64.
-fn f64s(xs: &[f64]) -> Value {
-    let mut s = String::with_capacity(xs.len() * 16);
-    for x in xs {
-        s.push_str(&format!("{:016x}", x.to_bits()));
+impl Writer {
+    /// Separate the next key or value from the previous one: a comma,
+    /// unless it opens a container or is the value of a key.
+    fn sep(&mut self) {
+        if !matches!(self.0.as_bytes().last(), None | Some(b'{' | b'[' | b':')) {
+            self.0.push(',');
+        }
     }
-    Value::Str(s)
-}
 
-/// Concatenated 8-hex-digit bit patterns, one per f32.
-fn f32s(xs: &[f32]) -> Value {
-    let mut s = String::with_capacity(xs.len() * 8);
-    for x in xs {
-        s.push_str(&format!("{:08x}", x.to_bits()));
+    /// Start an object field; the next value written is its value.
+    /// Keys are static ASCII and need no escaping.
+    fn key(&mut self, key: &str) -> &mut Self {
+        self.sep();
+        self.0.push('"');
+        self.0.push_str(key);
+        self.0.push_str("\":");
+        self
     }
-    Value::Str(s)
+
+    /// An object whose fields `fields` writes.
+    fn obj(&mut self, fields: impl FnOnce(&mut Self)) {
+        self.sep();
+        self.0.push('{');
+        fields(self);
+        self.0.push('}');
+    }
+
+    /// An array whose elements `elements` writes.
+    fn seq(&mut self, elements: impl FnOnce(&mut Self)) {
+        self.sep();
+        self.0.push('[');
+        elements(self);
+        self.0.push(']');
+    }
+
+    /// An array with one element per item, written by `item`.
+    fn arr<I: IntoIterator>(&mut self, items: I, mut item: impl FnMut(&mut Self, I::Item)) {
+        self.seq(|w| {
+            for x in items {
+                item(w, x);
+            }
+        });
+    }
+
+    /// `value` written by `some`, or `null` when absent.
+    fn opt<T>(&mut self, value: Option<T>, some: impl FnOnce(&mut Self, T)) {
+        match value {
+            Some(x) => some(self, x),
+            None => self.null(),
+        }
+    }
+
+    fn null(&mut self) {
+        self.sep();
+        self.0.push_str("null");
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.sep();
+        self.0.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A static ASCII tag (an enum variant's name) as a JSON string.
+    fn tag(&mut self, tag: &str) {
+        self.sep();
+        self.0.push('"');
+        self.0.push_str(tag);
+        self.0.push('"');
+    }
+
+    /// Free text as an escaped JSON string.
+    fn text(&mut self, s: &str) {
+        self.sep();
+        write_escaped(&mut self.0, s);
+    }
+
+    /// A small exact count as a plain JSON number (exact below 2^53,
+    /// far beyond any count here).
+    fn num(&mut self, n: usize) {
+        self.sep();
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        let mut rest = n;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        self.0
+            .extend(digits[start..].iter().map(|&d| char::from(d)));
+    }
+
+    /// Counts as an array of plain JSON numbers.
+    fn counts(&mut self, xs: &[usize]) {
+        self.arr(xs, |w, &x| w.num(x));
+    }
+
+    /// The low `width` hex digits of `bits`, most significant first.
+    fn hex_digits(&mut self, bits: u64, width: u32) {
+        for shift in (0..width).rev() {
+            let digit = (bits >> (4 * shift)) as usize & 0xf;
+            self.0.push(char::from(HEX_DIGITS[digit]));
+        }
+    }
+
+    /// A `u64` as a 16-hex-digit string (JSON numbers are only exact
+    /// below 2^53).
+    fn hex_u64(&mut self, v: u64) {
+        self.sep();
+        self.0.push('"');
+        self.hex_digits(v, 16);
+        self.0.push('"');
+    }
+
+    /// An `f64` as its 16-hex-digit IEEE bit pattern.
+    fn bits_f64(&mut self, v: f64) {
+        self.hex_u64(v.to_bits());
+    }
+
+    /// An `f32` as its 8-hex-digit IEEE bit pattern.
+    fn bits_f32(&mut self, v: f32) {
+        self.f32s(&[v]);
+    }
+
+    /// Concatenated 16-hex-digit bit patterns, one per f64, as one string.
+    fn f64s(&mut self, xs: &[f64]) {
+        self.sep();
+        self.0.reserve(xs.len() * 16 + 2);
+        self.0.push('"');
+        for x in xs {
+            self.hex_digits(x.to_bits(), 16);
+        }
+        self.0.push('"');
+    }
+
+    /// Concatenated 8-hex-digit bit patterns, one per f32, as one string.
+    fn f32s(&mut self, xs: &[f32]) {
+        self.sep();
+        self.0.reserve(xs.len() * 8 + 2);
+        self.0.push('"');
+        for x in xs {
+            self.hex_digits(u64::from(x.to_bits()), 8);
+        }
+        self.0.push('"');
+    }
 }
 
 /// Look up a required object field.
@@ -475,19 +577,6 @@ fn get_sim_time(v: &Value, key: &str) -> Decoded<SimTime> {
         .map_err(|e| corrupt(format!("field {key:?} is not a valid time: {e}")))
 }
 
-/// Encode an optional value, `Null` when absent.
-fn opt<T>(value: Option<T>, enc: impl Fn(T) -> Value) -> Value {
-    match value {
-        Some(x) => enc(x),
-        None => Value::Null,
-    }
-}
-
-/// Encode counts as an array of plain JSON numbers.
-fn usizes(xs: &[usize]) -> Value {
-    Value::Arr(xs.iter().map(|&x| num(x)).collect())
-}
-
 /// Decode an array-of-counts value.
 fn dec_usizes(v: &Value, what: &str) -> Decoded<Vec<usize>> {
     let Value::Arr(items) = v else {
@@ -512,18 +601,112 @@ fn arr_usize(v: &Value, key: &str) -> Decoded<Vec<usize>> {
 // Scheduler, ledger, trace and answers
 // ---------------------------------------------------------------------------
 
-/// Encode a pending scheduler event.
-fn enc_event(e: &Event) -> Value {
-    let (kind, id) = match e.kind {
-        EventKind::Deliver(id) => ("deliver", id),
-        EventKind::Expire(id) => ("expire", id),
-    };
-    obj([
-        ("at", bits_f64(e.at.as_f64())),
-        ("seq", hex_u64(e.seq)),
-        ("kind", Value::Str(kind.to_string())),
-        ("id", hex_u64(id.0)),
-    ])
+impl Writer {
+    /// A pending scheduler event.
+    fn event(&mut self, e: &Event) {
+        let (kind, id) = match e.kind {
+            EventKind::Deliver(id) => ("deliver", id),
+            EventKind::Expire(id) => ("expire", id),
+        };
+        self.obj(|w| {
+            w.key("at").bits_f64(e.at.as_f64());
+            w.key("id").hex_u64(id.0);
+            w.key("kind").tag(kind);
+            w.key("seq").hex_u64(e.seq);
+        });
+    }
+
+    /// A ledger assignment record. Its id is its position in the ledger.
+    fn record(&mut self, r: &AssignmentRecord) {
+        let status = match r.status {
+            AssignmentStatus::InFlight => "in_flight",
+            AssignmentStatus::Delivered => "delivered",
+            AssignmentStatus::Expired => "expired",
+        };
+        self.obj(|w| {
+            w.key("annotator").num(r.annotator.0);
+            w.key("cost").bits_f64(r.cost);
+            w.key("deadline").bits_f64(r.deadline.as_f64());
+            w.key("dispatched_at").bits_f64(r.dispatched_at.as_f64());
+            w.key("object").num(r.object.0);
+            w.key("status").tag(status);
+        });
+    }
+
+    /// An observable trace event of project `p`, its fields and `p`
+    /// merged into one object.
+    fn traced(&mut self, p: usize, e: &TraceEvent) {
+        self.obj(|w| match e {
+            TraceEvent::Dispatched {
+                at,
+                id,
+                object,
+                annotator,
+            } => {
+                w.key("annotator").num(annotator.0);
+                w.key("at").bits_f64(at.as_f64());
+                w.key("id").hex_u64(id.0);
+                w.key("object").num(object.0);
+                w.key("p").num(p);
+                w.key("t").tag("dispatched");
+            }
+            TraceEvent::Delivered { at, id, label } => {
+                w.key("at").bits_f64(at.as_f64());
+                w.key("id").hex_u64(id.0);
+                w.key("label").num(label.0);
+                w.key("p").num(p);
+                w.key("t").tag("delivered");
+            }
+            TraceEvent::Rejected { at, id } => {
+                w.key("at").bits_f64(at.as_f64());
+                w.key("id").hex_u64(id.0);
+                w.key("p").num(p);
+                w.key("t").tag("rejected");
+            }
+            TraceEvent::Expired { at, id, requeued } => {
+                w.key("at").bits_f64(at.as_f64());
+                w.key("id").hex_u64(id.0);
+                w.key("p").num(p);
+                w.key("requeued").bool(*requeued);
+                w.key("t").tag("expired");
+            }
+            TraceEvent::Refreshed {
+                at,
+                answers,
+                labelled,
+            } => {
+                w.key("answers").num(*answers);
+                w.key("at").bits_f64(at.as_f64());
+                w.key("labelled").num(*labelled);
+                w.key("p").num(p);
+                w.key("t").tag("refreshed");
+            }
+            TraceEvent::Quarantined { at, annotator } => {
+                w.key("annotator").num(annotator.0);
+                w.key("at").bits_f64(at.as_f64());
+                w.key("p").num(p);
+                w.key("t").tag("quarantined");
+            }
+            TraceEvent::QuarantineReleased { at, annotator } => {
+                w.key("annotator").num(annotator.0);
+                w.key("at").bits_f64(at.as_f64());
+                w.key("p").num(p);
+                w.key("t").tag("quarantine_released");
+            }
+        });
+    }
+
+    /// An answer set as per-object `[annotator, class]` pairs.
+    fn answers(&mut self, answers: &AnswerSet) {
+        self.arr(0..answers.num_objects(), |w, i| {
+            w.arr(answers.answers_for(ObjectId(i)), |w, &(a, c)| {
+                w.seq(|w| {
+                    w.num(a.0);
+                    w.num(c.0);
+                })
+            })
+        });
+    }
 }
 
 /// Decode a pending scheduler event.
@@ -539,23 +722,6 @@ fn dec_event(v: &Value) -> Decoded<Event> {
         seq: get_hex_u64(v, "seq")?,
         kind,
     })
-}
-
-/// Encode a ledger assignment record.
-fn enc_record(r: &AssignmentRecord) -> Value {
-    let status = match r.status {
-        AssignmentStatus::InFlight => "in_flight",
-        AssignmentStatus::Delivered => "delivered",
-        AssignmentStatus::Expired => "expired",
-    };
-    obj([
-        ("object", num(r.object.0)),
-        ("annotator", num(r.annotator.0)),
-        ("cost", bits_f64(r.cost)),
-        ("dispatched_at", bits_f64(r.dispatched_at.as_f64())),
-        ("deadline", bits_f64(r.deadline.as_f64())),
-        ("status", Value::Str(status.to_string())),
-    ])
 }
 
 /// Decode the ledger record at position `index`: a ledger issues ids in
@@ -576,61 +742,6 @@ fn dec_record(index: usize, v: &Value) -> Decoded<AssignmentRecord> {
         deadline: get_sim_time(v, "deadline")?,
         status,
     })
-}
-
-/// Encode an observable trace event.
-fn enc_trace_event(e: &TraceEvent) -> Value {
-    match e {
-        TraceEvent::Dispatched {
-            at,
-            id,
-            object,
-            annotator,
-        } => obj([
-            ("t", Value::Str("dispatched".into())),
-            ("at", bits_f64(at.as_f64())),
-            ("id", hex_u64(id.0)),
-            ("object", num(object.0)),
-            ("annotator", num(annotator.0)),
-        ]),
-        TraceEvent::Delivered { at, id, label } => obj([
-            ("t", Value::Str("delivered".into())),
-            ("at", bits_f64(at.as_f64())),
-            ("id", hex_u64(id.0)),
-            ("label", num(label.0)),
-        ]),
-        TraceEvent::Rejected { at, id } => obj([
-            ("t", Value::Str("rejected".into())),
-            ("at", bits_f64(at.as_f64())),
-            ("id", hex_u64(id.0)),
-        ]),
-        TraceEvent::Expired { at, id, requeued } => obj([
-            ("t", Value::Str("expired".into())),
-            ("at", bits_f64(at.as_f64())),
-            ("id", hex_u64(id.0)),
-            ("requeued", Value::Bool(*requeued)),
-        ]),
-        TraceEvent::Refreshed {
-            at,
-            answers,
-            labelled,
-        } => obj([
-            ("t", Value::Str("refreshed".into())),
-            ("at", bits_f64(at.as_f64())),
-            ("answers", num(*answers)),
-            ("labelled", num(*labelled)),
-        ]),
-        TraceEvent::Quarantined { at, annotator } => obj([
-            ("t", Value::Str("quarantined".into())),
-            ("at", bits_f64(at.as_f64())),
-            ("annotator", num(annotator.0)),
-        ]),
-        TraceEvent::QuarantineReleased { at, annotator } => obj([
-            ("t", Value::Str("quarantine_released".into())),
-            ("at", bits_f64(at.as_f64())),
-            ("annotator", num(annotator.0)),
-        ]),
-    }
 }
 
 /// Decode an observable trace event.
@@ -674,23 +785,6 @@ fn dec_trace_event(v: &Value) -> Decoded<TraceEvent> {
     })
 }
 
-/// Encode an answer set as per-object (annotator, class) pairs.
-fn enc_answers(answers: &AnswerSet) -> Value {
-    Value::Arr(
-        (0..answers.num_objects())
-            .map(|i| {
-                Value::Arr(
-                    answers
-                        .answers_for(ObjectId(i))
-                        .iter()
-                        .map(|&(a, c)| Value::Arr(vec![num(a.0), num(c.0)]))
-                        .collect(),
-                )
-            })
-            .collect(),
-    )
-}
-
 /// Decode an answer set field.
 fn dec_answers(v: &Value, key: &str) -> Decoded<AnswerSet> {
     let rows = get_arr(v, key)?;
@@ -728,13 +822,181 @@ fn dec_answers(v: &Value, key: &str) -> Decoded<AnswerSet> {
 /// Per-parameter-tensor Adam state: first moment, second moment, step.
 type OptSlot = (Vec<f32>, Vec<f32>, u64);
 
-fn enc_opt_state(state: &[OptSlot]) -> Value {
-    Value::Arr(
-        state
-            .iter()
-            .map(|(m, v, t)| obj([("m", f32s(m)), ("v", f32s(v)), ("t", hex_u64(*t))]))
-            .collect(),
-    )
+impl Writer {
+    fn opt_state(&mut self, state: &[OptSlot]) {
+        self.arr(state, |w, (m, v, t)| {
+            w.obj(|w| {
+                w.key("m").f32s(m);
+                w.key("t").hex_u64(*t);
+                w.key("v").f32s(v);
+            })
+        });
+    }
+
+    fn classifier(&mut self, c: &ClassifierSnapshot) {
+        self.obj(|w| {
+            w.key("generation").hex_u64(c.generation);
+            w.key("opt_state").opt_state(&c.opt_state);
+            w.key("params").f32s(&c.params);
+            w.key("trained").bool(c.trained);
+        });
+    }
+
+    fn transition(&mut self, t: &Transition) {
+        self.obj(|w| {
+            w.key("next")
+                .arr(t.next_candidates.iter(), |w, c| w.f32s(c));
+            w.key("reward").bits_f32(t.reward);
+            w.key("sa").f32s(&t.state_action);
+            w.key("terminal").bool(t.terminal);
+        });
+    }
+
+    fn dqn(&mut self, d: &DqnSnapshot) {
+        self.obj(|w| {
+            w.key("online").f32s(&d.online);
+            w.key("opt_state").opt_state(&d.opt_state);
+            w.key("replay").arr(&d.replay, Writer::transition);
+            w.key("replay_head").num(d.replay_head);
+            w.key("replay_pushed").num(d.replay_pushed);
+            w.key("target").f32s(&d.target);
+            w.key("train_steps").num(d.train_steps);
+        });
+    }
+
+    fn agent(&mut self, a: &AgentState) {
+        self.obj(|w| {
+            w.key("dqn").dqn(&a.dqn);
+            w.key("eps_steps").opt(a.eps_steps, Writer::hex_u64);
+            w.key("ucb_counts").opt(a.ucb_counts.as_ref(), |w, counts| {
+                w.arr(counts, |w, &(n, c)| w.arr([n, c], Writer::hex_u64))
+            });
+        });
+    }
+
+    /// A per-object label state: `null`, `{"i":class}` or `{"e":class}`.
+    fn label_state(&mut self, l: LabelState) {
+        match l {
+            LabelState::Unlabelled => self.null(),
+            LabelState::Inferred(c) => self.obj(|w| w.key("i").num(c.0)),
+            LabelState::Enriched(c) => self.obj(|w| w.key("e").num(c.0)),
+        }
+    }
+
+    fn assignment(&mut self, a: &Assignment) {
+        self.obj(|w| {
+            w.key("annotators").arr(&a.annotators, |w, x| w.num(x.0));
+            w.key("embeddings").arr(&a.embeddings, |w, e| w.f32s(e));
+            w.key("object").num(a.object.0);
+        });
+    }
+
+    fn pending(&mut self, p: &PendingBatch) {
+        self.obj(|w| {
+            w.key("assignments").arr(&p.assignments, Writer::assignment);
+            w.key("conf_before").arr(&p.conf_before, |w, &(o, c)| {
+                w.seq(|w| {
+                    w.num(o.0);
+                    w.bits_f64(c);
+                })
+            });
+            w.key("phi_guesses")
+                .arr(&p.phi_guesses, |w, &(o, g)| w.arr([o.0, g], Writer::num));
+        });
+    }
+
+    /// One iteration's workflow stats.
+    fn stats(&mut self, s: &IterationStats) {
+        self.obj(|w| {
+            w.key("answers").num(s.answers);
+            w.key("enriched").num(s.enriched);
+            w.key("iteration").num(s.iteration);
+            w.key("labelled_total").num(s.labelled_total);
+            w.key("reward").bits_f64(s.reward);
+            w.key("selected").num(s.selected);
+            w.key("spend").bits_f64(s.spend);
+            w.key("td_loss").opt(s.td_loss, Writer::bits_f32);
+        });
+    }
+
+    /// A confusion matrix as one f64 string per true-class row.
+    fn confusion(&mut self, m: &ConfusionMatrix) {
+        let k = m.num_classes();
+        let mut row = Vec::with_capacity(k);
+        self.arr(0..k, |w, t| {
+            row.clear();
+            row.extend((0..k).map(|r| m.get(ClassId(t), ClassId(r))));
+            w.f64s(&row);
+        });
+    }
+
+    fn result(&mut self, r: &InferenceResult) {
+        self.obj(|w| {
+            w.key("class_prior").f64s(&r.class_prior);
+            w.key("confusions").arr(&r.confusions, Writer::confusion);
+            w.key("iterations").num(r.iterations);
+            w.key("log_likelihood").bits_f64(r.log_likelihood);
+            w.key("posteriors")
+                .arr(&r.posteriors, |w, p| w.opt(p.as_deref(), Writer::f64s));
+        });
+    }
+
+    fn engine(&mut self, e: &EngineSnapshot) {
+        self.obj(|w| {
+            w.key("answer_counts").counts(&e.answer_counts);
+            w.key("answered").counts(&e.answered);
+            w.key("calls").hex_u64(e.calls);
+            w.key("last").result(&e.last);
+            w.key("moved").arr(&e.moved, |w, &b| w.bool(b));
+            w.key("total_answers").num(e.total_answers);
+            w.key("warm_calls_since_full").num(e.warm_calls_since_full);
+        });
+    }
+
+    fn quarantine_status(&mut self, s: QuarantineStatus) {
+        match s {
+            QuarantineStatus::Active => self.tag("active"),
+            QuarantineStatus::Quarantined {
+                until_refresh,
+                answers_at_entry,
+            } => self.obj(|w| {
+                w.key("answers").num(answers_at_entry);
+                w.key("s").tag("quarantined");
+                w.key("until").num(until_refresh);
+            }),
+            QuarantineStatus::Probation { answers_at_entry } => self.obj(|w| {
+                w.key("answers").num(answers_at_entry);
+                w.key("s").tag("probation");
+            }),
+        }
+    }
+
+    /// An agent core's complete learning state.
+    fn core(&mut self, c: &CoreState) {
+        let run = &c.run;
+        self.obj(|w| {
+            w.key("agent").agent(&run.agent);
+            w.key("classifier").classifier(&run.classifier);
+            w.key("engine").opt(run.engine.as_ref(), Writer::engine);
+            w.key("fixed_allowance")
+                .opt(c.fixed_allowance, Writer::bits_f64);
+            w.key("labelled")
+                .arr(&run.labelled, |w, &l| w.label_state(l));
+            w.key("last_spent").bits_f64(c.last_spent);
+            w.key("outstanding").arr(&c.outstanding, Writer::pending);
+            w.key("phi_trust").bits_f64(run.phi_trust);
+            w.key("prev_confidence")
+                .arr(&run.prev_confidence, |w, &p| w.opt(p, Writer::bits_f64));
+            w.key("qualities").f64s(&run.qualities);
+            w.key("quarantine")
+                .arr(&c.quarantine, |w, &s| w.quarantine_status(s));
+            w.key("refresh_index").num(c.refresh_index);
+            w.key("rng").arr(c.rng, Writer::hex_u64);
+            w.key("trace").arr(&run.trace, Writer::stats);
+            w.key("trust_agree").bits_f64(run.trust_agree);
+            w.key("trust_scored").bits_f64(run.trust_scored);
+        });
+    }
 }
 
 fn dec_opt_state(v: &Value, key: &str) -> Decoded<Vec<OptSlot>> {
@@ -750,15 +1012,6 @@ fn dec_opt_state(v: &Value, key: &str) -> Decoded<Vec<OptSlot>> {
         .collect()
 }
 
-fn enc_classifier(c: &ClassifierSnapshot) -> Value {
-    obj([
-        ("params", f32s(&c.params)),
-        ("opt_state", enc_opt_state(&c.opt_state)),
-        ("trained", Value::Bool(c.trained)),
-        ("generation", hex_u64(c.generation)),
-    ])
-}
-
 fn dec_classifier(v: &Value) -> Decoded<ClassifierSnapshot> {
     Ok(ClassifierSnapshot {
         params: get_f32s(v, "params")?,
@@ -766,18 +1019,6 @@ fn dec_classifier(v: &Value) -> Decoded<ClassifierSnapshot> {
         trained: get_bool(v, "trained")?,
         generation: get_hex_u64(v, "generation")?,
     })
-}
-
-fn enc_transition(t: &Transition) -> Value {
-    obj([
-        ("sa", f32s(&t.state_action)),
-        ("reward", bits_f32(t.reward)),
-        (
-            "next",
-            Value::Arr(t.next_candidates.iter().map(|c| f32s(c)).collect()),
-        ),
-        ("terminal", Value::Bool(t.terminal)),
-    ])
 }
 
 fn dec_transition(v: &Value) -> Decoded<Transition> {
@@ -799,21 +1040,6 @@ fn dec_transition(v: &Value) -> Decoded<Transition> {
     })
 }
 
-fn enc_dqn(d: &DqnSnapshot) -> Value {
-    obj([
-        ("online", f32s(&d.online)),
-        ("target", f32s(&d.target)),
-        ("opt_state", enc_opt_state(&d.opt_state)),
-        (
-            "replay",
-            Value::Arr(d.replay.iter().map(enc_transition).collect()),
-        ),
-        ("replay_head", num(d.replay_head)),
-        ("replay_pushed", num(d.replay_pushed)),
-        ("train_steps", num(d.train_steps)),
-    ])
-}
-
 fn dec_dqn(v: &Value) -> Decoded<DqnSnapshot> {
     Ok(DqnSnapshot {
         online: get_f32s(v, "online")?,
@@ -827,24 +1053,6 @@ fn dec_dqn(v: &Value) -> Decoded<DqnSnapshot> {
         replay_pushed: get_usize(v, "replay_pushed")?,
         train_steps: get_usize(v, "train_steps")?,
     })
-}
-
-fn enc_agent(a: &AgentState) -> Value {
-    obj([
-        ("dqn", enc_dqn(&a.dqn)),
-        (
-            "ucb_counts",
-            opt(a.ucb_counts.as_ref(), |counts| {
-                Value::Arr(
-                    counts
-                        .iter()
-                        .map(|&(n, c)| Value::Arr(vec![hex_u64(n), hex_u64(c)]))
-                        .collect(),
-                )
-            }),
-        ),
-        ("eps_steps", opt(a.eps_steps, hex_u64)),
-    ])
 }
 
 fn dec_agent(v: &Value) -> Decoded<AgentState> {
@@ -884,15 +1092,6 @@ fn dec_agent(v: &Value) -> Decoded<AgentState> {
     })
 }
 
-/// Encode a per-object label state.
-fn enc_label_state(l: LabelState) -> Value {
-    match l {
-        LabelState::Unlabelled => Value::Null,
-        LabelState::Inferred(c) => obj([("i", num(c.0))]),
-        LabelState::Enriched(c) => obj([("e", num(c.0))]),
-    }
-}
-
 /// Decode a per-object label state.
 fn dec_label_state(v: &Value) -> Decoded<LabelState> {
     match v {
@@ -908,20 +1107,6 @@ fn dec_label_state(v: &Value) -> Decoded<LabelState> {
         }
         _ => Err(corrupt("label state is neither null nor an object")),
     }
-}
-
-fn enc_assignment(a: &Assignment) -> Value {
-    obj([
-        ("object", num(a.object.0)),
-        (
-            "annotators",
-            Value::Arr(a.annotators.iter().map(|w| num(w.0)).collect()),
-        ),
-        (
-            "embeddings",
-            Value::Arr(a.embeddings.iter().map(|e| f32s(e)).collect()),
-        ),
-    ])
 }
 
 fn dec_assignment(v: &Value) -> Decoded<Assignment> {
@@ -943,33 +1128,6 @@ fn dec_assignment(v: &Value) -> Decoded<Assignment> {
             })
             .collect::<Decoded<_>>()?,
     })
-}
-
-fn enc_pending(p: &PendingBatch) -> Value {
-    obj([
-        (
-            "assignments",
-            Value::Arr(p.assignments.iter().map(enc_assignment).collect()),
-        ),
-        (
-            "conf_before",
-            Value::Arr(
-                p.conf_before
-                    .iter()
-                    .map(|&(o, c)| Value::Arr(vec![num(o.0), bits_f64(c)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "phi_guesses",
-            Value::Arr(
-                p.phi_guesses
-                    .iter()
-                    .map(|&(o, g)| Value::Arr(vec![num(o.0), num(g)]))
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 fn dec_pending(v: &Value) -> Decoded<PendingBatch> {
@@ -1019,20 +1177,6 @@ fn dec_pending(v: &Value) -> Decoded<PendingBatch> {
     })
 }
 
-/// Encode one iteration's workflow stats.
-fn enc_stats(s: &IterationStats) -> Value {
-    obj([
-        ("iteration", num(s.iteration)),
-        ("enriched", num(s.enriched)),
-        ("selected", num(s.selected)),
-        ("answers", num(s.answers)),
-        ("spend", bits_f64(s.spend)),
-        ("reward", bits_f64(s.reward)),
-        ("labelled_total", num(s.labelled_total)),
-        ("td_loss", opt(s.td_loss, bits_f32)),
-    ])
-}
-
 /// Decode one iteration's workflow stats.
 fn dec_stats(v: &Value) -> Decoded<IterationStats> {
     let td_loss = match field(v, "td_loss")? {
@@ -1052,18 +1196,6 @@ fn dec_stats(v: &Value) -> Decoded<IterationStats> {
     })
 }
 
-fn enc_confusion(m: &ConfusionMatrix) -> Value {
-    let k = m.num_classes();
-    Value::Arr(
-        (0..k)
-            .map(|t| {
-                let row: Vec<f64> = (0..k).map(|r| m.get(ClassId(t), ClassId(r))).collect();
-                f64s(&row)
-            })
-            .collect(),
-    )
-}
-
 fn dec_confusion(v: &Value, what: &str) -> Decoded<ConfusionMatrix> {
     let rows = v
         .as_arr()
@@ -1079,27 +1211,6 @@ fn dec_confusion(v: &Value, what: &str) -> Decoded<ConfusionMatrix> {
         })
         .collect::<Decoded<Vec<_>>>()?;
     ConfusionMatrix::from_rows(&rows).map_err(|e| corrupt(format!("{what}: {e}")))
-}
-
-fn enc_result(r: &InferenceResult) -> Value {
-    obj([
-        (
-            "posteriors",
-            Value::Arr(
-                r.posteriors
-                    .iter()
-                    .map(|p| opt(p.as_ref(), |p| f64s(p)))
-                    .collect(),
-            ),
-        ),
-        (
-            "confusions",
-            Value::Arr(r.confusions.iter().map(enc_confusion).collect()),
-        ),
-        ("class_prior", f64s(&r.class_prior)),
-        ("iterations", num(r.iterations)),
-        ("log_likelihood", bits_f64(r.log_likelihood)),
-    ])
 }
 
 fn dec_result(v: &Value) -> Decoded<InferenceResult> {
@@ -1124,21 +1235,6 @@ fn dec_result(v: &Value) -> Decoded<InferenceResult> {
     })
 }
 
-fn enc_engine(e: &EngineSnapshot) -> Value {
-    obj([
-        ("last", enc_result(&e.last)),
-        ("answer_counts", usizes(&e.answer_counts)),
-        ("total_answers", num(e.total_answers)),
-        (
-            "moved",
-            Value::Arr(e.moved.iter().map(|&b| Value::Bool(b)).collect()),
-        ),
-        ("answered", usizes(&e.answered)),
-        ("warm_calls_since_full", num(e.warm_calls_since_full)),
-        ("calls", hex_u64(e.calls)),
-    ])
-}
-
 fn dec_engine(v: &Value) -> Decoded<EngineSnapshot> {
     Ok(EngineSnapshot {
         last: dec_result(field(v, "last")?)?,
@@ -1157,24 +1253,6 @@ fn dec_engine(v: &Value) -> Decoded<EngineSnapshot> {
     })
 }
 
-fn enc_quarantine_status(s: QuarantineStatus) -> Value {
-    match s {
-        QuarantineStatus::Active => Value::Str("active".into()),
-        QuarantineStatus::Quarantined {
-            until_refresh,
-            answers_at_entry,
-        } => obj([
-            ("s", Value::Str("quarantined".into())),
-            ("until", num(until_refresh)),
-            ("answers", num(answers_at_entry)),
-        ]),
-        QuarantineStatus::Probation { answers_at_entry } => obj([
-            ("s", Value::Str("probation".into())),
-            ("answers", num(answers_at_entry)),
-        ]),
-    }
-}
-
 fn dec_quarantine_status(v: &Value) -> Decoded<QuarantineStatus> {
     match v {
         Value::Str(s) if s == "active" => Ok(QuarantineStatus::Active),
@@ -1190,57 +1268,6 @@ fn dec_quarantine_status(v: &Value) -> Decoded<QuarantineStatus> {
         },
         _ => Err(corrupt("quarantine status is neither a string nor object")),
     }
-}
-
-/// Encode an agent core's complete learning state.
-fn enc_core(c: &CoreState) -> Value {
-    obj([
-        ("classifier", enc_classifier(&c.run.classifier)),
-        ("agent", enc_agent(&c.run.agent)),
-        (
-            "labelled",
-            Value::Arr(c.run.labelled.iter().map(|&l| enc_label_state(l)).collect()),
-        ),
-        ("qualities", f64s(&c.run.qualities)),
-        (
-            "prev_confidence",
-            Value::Arr(
-                c.run
-                    .prev_confidence
-                    .iter()
-                    .map(|p| opt(*p, bits_f64))
-                    .collect(),
-            ),
-        ),
-        (
-            "outstanding",
-            Value::Arr(c.outstanding.iter().map(enc_pending).collect()),
-        ),
-        (
-            "trace",
-            Value::Arr(c.run.trace.iter().map(enc_stats).collect()),
-        ),
-        ("trust_agree", bits_f64(c.run.trust_agree)),
-        ("trust_scored", bits_f64(c.run.trust_scored)),
-        ("phi_trust", bits_f64(c.run.phi_trust)),
-        ("fixed_allowance", opt(c.fixed_allowance, bits_f64)),
-        ("last_spent", bits_f64(c.last_spent)),
-        ("refresh_index", num(c.refresh_index)),
-        ("engine", opt(c.run.engine.as_ref(), enc_engine)),
-        (
-            "rng",
-            Value::Arr(c.rng.iter().map(|&w| hex_u64(w)).collect()),
-        ),
-        (
-            "quarantine",
-            Value::Arr(
-                c.quarantine
-                    .iter()
-                    .map(|&s| enc_quarantine_status(s))
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 /// Decode an agent core's complete learning state.
@@ -1312,13 +1339,124 @@ fn dec_core(v: &Value) -> Decoded<CoreState> {
 // Engine state
 // ---------------------------------------------------------------------------
 
-fn enc_account(a: &AccountState) -> Value {
-    obj([
-        ("total", bits_f64(a.total)),
-        ("spent", bits_f64(a.spent)),
-        ("charges", num(a.charges)),
-        ("reserved", bits_f64(a.reserved)),
-    ])
+impl Writer {
+    fn account(&mut self, a: &AccountState) {
+        self.obj(|w| {
+            w.key("charges").num(a.charges);
+            w.key("reserved").bits_f64(a.reserved);
+            w.key("spent").bits_f64(a.spent);
+            w.key("total").bits_f64(a.total);
+        });
+    }
+
+    /// Sampled labels, `null` for a dropped answer.
+    fn labels(&mut self, labels: &[Option<ClassId>]) {
+        self.arr(labels, |w, l| w.opt(*l, |w, c| w.num(c.0)));
+    }
+
+    fn shard(&mut self, s: &ShardState) {
+        self.obj(|w| {
+            w.key("events").arr(&s.events, Writer::event);
+            w.key("frontier").bits_f64(s.frontier.as_f64());
+            w.key("labels").labels(&s.labels);
+            w.key("next_seq").hex_u64(s.next_seq);
+            w.key("now").bits_f64(s.now.as_f64());
+            w.key("records").arr(&s.records, Writer::record);
+            w.key("uids").arr(&s.uids, |w, &u| w.hex_u64(u));
+        });
+    }
+
+    fn collector(&mut self, c: &MetricsCollector) {
+        self.obj(|w| {
+            w.key("delivered").num(c.delivered);
+            w.key("dispatched").num(c.dispatched);
+            w.key("events").num(c.events);
+            w.key("latencies").f64s(&c.latencies);
+            w.key("refreshes").num(c.refreshes);
+            w.key("rejected").num(c.rejected);
+            w.key("requeues").num(c.requeues);
+            w.key("timeouts").num(c.timeouts);
+        });
+    }
+
+    fn outcome(&mut self, o: &LabellingOutcome) {
+        self.obj(|w| {
+            w.key("budget_spent").bits_f64(o.budget_spent);
+            w.key("enriched").num(o.enriched_count);
+            w.key("fallback").num(o.fallback_count);
+            w.key("iterations").num(o.iterations);
+            w.key("label_states")
+                .arr(&o.label_states, |w, &l| w.label_state(l));
+            w.key("labels").labels(&o.labels);
+            w.key("total_answers").num(o.total_answers);
+            w.key("trace").arr(&o.trace, Writer::stats);
+        });
+    }
+
+    fn metrics(&mut self, m: &ServiceMetrics) {
+        self.obj(|w| {
+            w.key("answers_delivered").num(m.answers_delivered);
+            w.key("answers_per_time_unit")
+                .bits_f64(m.answers_per_time_unit);
+            w.key("answers_rejected").num(m.answers_rejected);
+            w.key("budget_burn_rate").bits_f64(m.budget_burn_rate);
+            w.key("budget_spent").bits_f64(m.budget_spent);
+            w.key("dispatched").num(m.dispatched);
+            w.key("events_per_second").bits_f64(m.events_per_second);
+            w.key("events_processed").num(m.events_processed);
+            w.key("latency_p50").bits_f64(m.latency_p50);
+            w.key("latency_p95").bits_f64(m.latency_p95);
+            w.key("latency_p99").bits_f64(m.latency_p99);
+            w.key("refreshes").num(m.refreshes);
+            w.key("requeues").num(m.requeues);
+            w.key("sim_duration").bits_f64(m.sim_duration.as_f64());
+            w.key("timeouts").num(m.timeouts);
+            w.key("wall_seconds").bits_f64(m.wall_seconds);
+        });
+    }
+
+    fn active(&mut self, a: &ActiveProjectState) {
+        self.obj(|w| {
+            w.key("abandoned")
+                .arr(&a.abandoned, |w, o| w.num(o.index()));
+            w.key("answers").answers(&a.answers);
+            w.key("answers_since").num(a.answers_since);
+            w.key("backoff_until").f64s(&a.backoff_until);
+            w.key("collector").collector(&a.collector);
+            w.key("core").core(&a.core);
+            w.key("done").bool(a.done);
+            w.key("last_refresh").bits_f64(a.last_refresh.as_f64());
+            w.key("requeues").counts(&a.requeues);
+            w.key("shards").arr(&a.shards, Writer::shard);
+            w.key("started_at").bits_f64(a.started_at.as_f64());
+            w.key("starved").bool(a.starved);
+        });
+    }
+
+    fn project(&mut self, p: &ProjectCheckpoint) {
+        self.obj(|w| match p {
+            ProjectCheckpoint::Rejected => {
+                w.key("status").tag("rejected");
+            }
+            ProjectCheckpoint::Queued => {
+                w.key("status").tag("queued");
+            }
+            ProjectCheckpoint::Active(state) => {
+                w.key("state").active(state);
+                w.key("status").tag("active");
+            }
+            ProjectCheckpoint::Completed { outcome, metrics } => {
+                w.key("metrics").metrics(metrics);
+                w.key("outcome").outcome(outcome);
+                w.key("status").tag("completed");
+            }
+            ProjectCheckpoint::Failed { reason, metrics } => {
+                w.key("metrics").metrics(metrics);
+                w.key("reason").text(reason);
+                w.key("status").tag("failed");
+            }
+        });
+    }
 }
 
 fn dec_account(v: &Value) -> Decoded<AccountState> {
@@ -1330,20 +1468,8 @@ fn dec_account(v: &Value) -> Decoded<AccountState> {
     })
 }
 
-fn enc_traced(entry: &(usize, TraceEvent)) -> Value {
-    let mut v = enc_trace_event(&entry.1);
-    if let Value::Obj(fields) = &mut v {
-        fields.insert("p".into(), num(entry.0));
-    }
-    v
-}
-
 fn dec_traced(v: &Value) -> Decoded<(usize, TraceEvent)> {
     Ok((get_usize(v, "p")?, dec_trace_event(v)?))
-}
-
-fn enc_labels(labels: &[Option<ClassId>]) -> Value {
-    Value::Arr(labels.iter().map(|l| opt(*l, |c| num(c.0))).collect())
 }
 
 fn dec_labels(v: &Value, key: &str) -> Decoded<Vec<Option<ClassId>>> {
@@ -1356,27 +1482,6 @@ fn dec_labels(v: &Value, key: &str) -> Decoded<Vec<Option<ClassId>>> {
             _ => Err(corrupt(format!("{key}[{i}] is not null or a class"))),
         })
         .collect()
-}
-
-fn enc_shard(s: &ShardState) -> Value {
-    obj([
-        ("now", bits_f64(s.now.as_f64())),
-        ("next_seq", hex_u64(s.next_seq)),
-        (
-            "events",
-            Value::Arr(s.events.iter().map(enc_event).collect()),
-        ),
-        (
-            "records",
-            Value::Arr(s.records.iter().map(enc_record).collect()),
-        ),
-        (
-            "uids",
-            Value::Arr(s.uids.iter().map(|&u| hex_u64(u)).collect()),
-        ),
-        ("labels", enc_labels(&s.labels)),
-        ("frontier", bits_f64(s.frontier.as_f64())),
-    ])
 }
 
 fn dec_shard(v: &Value) -> Decoded<ShardState> {
@@ -1408,19 +1513,6 @@ fn dec_shard(v: &Value) -> Decoded<ShardState> {
     })
 }
 
-fn enc_collector(c: &MetricsCollector) -> Value {
-    obj([
-        ("latencies", f64s(&c.latencies)),
-        ("dispatched", num(c.dispatched)),
-        ("delivered", num(c.delivered)),
-        ("rejected", num(c.rejected)),
-        ("timeouts", num(c.timeouts)),
-        ("requeues", num(c.requeues)),
-        ("refreshes", num(c.refreshes)),
-        ("events", num(c.events)),
-    ])
-}
-
 fn dec_collector(v: &Value) -> Decoded<MetricsCollector> {
     Ok(MetricsCollector {
         latencies: get_f64s(v, "latencies")?,
@@ -1432,22 +1524,6 @@ fn dec_collector(v: &Value) -> Decoded<MetricsCollector> {
         refreshes: get_usize(v, "refreshes")?,
         events: get_usize(v, "events")?,
     })
-}
-
-fn enc_outcome(o: &LabellingOutcome) -> Value {
-    obj([
-        ("labels", enc_labels(&o.labels)),
-        (
-            "label_states",
-            Value::Arr(o.label_states.iter().map(|&l| enc_label_state(l)).collect()),
-        ),
-        ("budget_spent", bits_f64(o.budget_spent)),
-        ("iterations", num(o.iterations)),
-        ("total_answers", num(o.total_answers)),
-        ("enriched", num(o.enriched_count)),
-        ("fallback", num(o.fallback_count)),
-        ("trace", Value::Arr(o.trace.iter().map(enc_stats).collect())),
-    ])
 }
 
 fn dec_outcome(v: &Value) -> Decoded<LabellingOutcome> {
@@ -1471,27 +1547,6 @@ fn dec_outcome(v: &Value) -> Decoded<LabellingOutcome> {
     })
 }
 
-fn enc_metrics(m: &ServiceMetrics) -> Value {
-    obj([
-        ("dispatched", num(m.dispatched)),
-        ("answers_delivered", num(m.answers_delivered)),
-        ("answers_rejected", num(m.answers_rejected)),
-        ("timeouts", num(m.timeouts)),
-        ("requeues", num(m.requeues)),
-        ("refreshes", num(m.refreshes)),
-        ("events_processed", num(m.events_processed)),
-        ("sim_duration", bits_f64(m.sim_duration.as_f64())),
-        ("wall_seconds", bits_f64(m.wall_seconds)),
-        ("latency_p50", bits_f64(m.latency_p50)),
-        ("latency_p95", bits_f64(m.latency_p95)),
-        ("latency_p99", bits_f64(m.latency_p99)),
-        ("answers_per_time_unit", bits_f64(m.answers_per_time_unit)),
-        ("events_per_second", bits_f64(m.events_per_second)),
-        ("budget_spent", bits_f64(m.budget_spent)),
-        ("budget_burn_rate", bits_f64(m.budget_burn_rate)),
-    ])
-}
-
 fn dec_metrics(v: &Value) -> Decoded<ServiceMetrics> {
     Ok(ServiceMetrics {
         dispatched: get_usize(v, "dispatched")?,
@@ -1511,29 +1566,6 @@ fn dec_metrics(v: &Value) -> Decoded<ServiceMetrics> {
         budget_spent: get_f64_bits(v, "budget_spent")?,
         budget_burn_rate: get_f64_bits(v, "budget_burn_rate")?,
     })
-}
-
-fn enc_active(a: &ActiveProjectState) -> Value {
-    obj([
-        ("core", enc_core(&a.core)),
-        (
-            "shards",
-            Value::Arr(a.shards.iter().map(enc_shard).collect()),
-        ),
-        ("answers", enc_answers(&a.answers)),
-        ("answers_since", num(a.answers_since)),
-        ("last_refresh", bits_f64(a.last_refresh.as_f64())),
-        ("requeues", usizes(&a.requeues)),
-        (
-            "abandoned",
-            Value::Arr(a.abandoned.iter().map(|o| num(o.index())).collect()),
-        ),
-        ("backoff_until", f64s(&a.backoff_until)),
-        ("collector", enc_collector(&a.collector)),
-        ("started_at", bits_f64(a.started_at.as_f64())),
-        ("done", Value::Bool(a.done)),
-        ("starved", Value::Bool(a.starved)),
-    ])
 }
 
 fn dec_active(v: &Value) -> Decoded<ActiveProjectState> {
@@ -1558,27 +1590,6 @@ fn dec_active(v: &Value) -> Decoded<ActiveProjectState> {
         done: get_bool(v, "done")?,
         starved: get_bool(v, "starved")?,
     })
-}
-
-fn enc_project(p: &ProjectCheckpoint) -> Value {
-    match p {
-        ProjectCheckpoint::Rejected => obj([("status", Value::Str("rejected".into()))]),
-        ProjectCheckpoint::Queued => obj([("status", Value::Str("queued".into()))]),
-        ProjectCheckpoint::Active(state) => obj([
-            ("status", Value::Str("active".into())),
-            ("state", enc_active(state)),
-        ]),
-        ProjectCheckpoint::Completed { outcome, metrics } => obj([
-            ("status", Value::Str("completed".into())),
-            ("outcome", enc_outcome(outcome)),
-            ("metrics", enc_metrics(metrics)),
-        ]),
-        ProjectCheckpoint::Failed { reason, metrics } => obj([
-            ("status", Value::Str("failed".into())),
-            ("reason", Value::Str(reason.clone())),
-            ("metrics", enc_metrics(metrics)),
-        ]),
-    }
 }
 
 fn dec_project(v: &Value) -> Decoded<ProjectCheckpoint> {
