@@ -467,15 +467,18 @@ fn field<'v>(v: &'v Value, key: &str) -> Decoded<&'v Value> {
         .ok_or_else(|| corrupt(format!("missing field {key:?}")))
 }
 
-/// Decode a non-negative integral count field.
+/// Read a count: a plain JSON number that is non-negative, integral and
+/// at most 2^53, above which JSON numbers are no longer exact. Every
+/// count the decoder reads goes through here, so `1.5` or `1e300` is
+/// rejected instead of truncated or saturated.
+fn count(v: &Value) -> Option<usize> {
+    let n = v.as_f64()?;
+    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as usize)
+}
+
+/// Decode a count field.
 fn get_usize(v: &Value, key: &str) -> Decoded<usize> {
-    let n = field(v, key)?
-        .as_f64()
-        .ok_or_else(|| corrupt(format!("field {key:?} is not a number")))?;
-    if n < 0.0 || n.fract() != 0.0 || n > 2f64.powi(53) {
-        return Err(corrupt(format!("field {key:?} is not a valid count: {n}")));
-    }
-    Ok(n as usize)
+    count(field(v, key)?).ok_or_else(|| corrupt(format!("field {key:?} is not a count")))
 }
 
 /// Parse exactly `width` ASCII hex digits — no sign, no whitespace, no
@@ -585,10 +588,7 @@ fn dec_usizes(v: &Value, what: &str) -> Decoded<Vec<usize>> {
     items
         .iter()
         .enumerate()
-        .map(|(i, x)| match x {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
-            _ => Err(corrupt(format!("{what}[{i}] is not a count"))),
-        })
+        .map(|(i, x)| count(x).ok_or_else(|| corrupt(format!("{what}[{i}] is not a count"))))
         .collect()
 }
 
@@ -800,14 +800,16 @@ fn dec_answers(v: &Value, key: &str) -> Decoded<AnswerSet> {
             let [a, c] = pair else {
                 return Err(corrupt(format!("{key}[{i}]: answer pair is not 2-long")));
             };
-            let (Some(a), Some(c)) = (a.as_u64(), c.as_u64()) else {
-                return Err(corrupt(format!("{key}[{i}]: non-numeric answer pair")));
+            let (Some(a), Some(c)) = (count(a), count(c)) else {
+                return Err(corrupt(format!(
+                    "{key}[{i}]: answer pair is not two counts"
+                )));
             };
             answers
                 .record(Answer {
                     object: ObjectId(i),
-                    annotator: AnnotatorId(a as usize),
-                    label: ClassId(c as usize),
+                    annotator: AnnotatorId(a),
+                    label: ClassId(c),
                 })
                 .map_err(|e| corrupt(format!("{key}[{i}]: {e}")))?;
         }
@@ -1097,10 +1099,15 @@ fn dec_label_state(v: &Value) -> Decoded<LabelState> {
     match v {
         Value::Null => Ok(LabelState::Unlabelled),
         Value::Obj(_) => {
-            if let Some(c) = v.get("i").and_then(Value::as_u64) {
-                Ok(LabelState::Inferred(ClassId(c as usize)))
-            } else if let Some(c) = v.get("e").and_then(Value::as_u64) {
-                Ok(LabelState::Enriched(ClassId(c as usize)))
+            let class = |c: &Value| {
+                count(c)
+                    .map(ClassId)
+                    .ok_or_else(|| corrupt("label state class is not a count"))
+            };
+            if let Some(c) = v.get("i") {
+                Ok(LabelState::Inferred(class(c)?))
+            } else if let Some(c) = v.get("e") {
+                Ok(LabelState::Enriched(class(c)?))
             } else {
                 Err(corrupt("label state object without i/e"))
             }
@@ -1140,14 +1147,12 @@ fn dec_pending(v: &Value) -> Decoded<PendingBatch> {
             let [o, c] = pair else {
                 return Err(corrupt("conf_before: pair is not 2-long"));
             };
-            let o = o
-                .as_u64()
-                .ok_or_else(|| corrupt("conf_before: bad object"))?;
+            let o = count(o).ok_or_else(|| corrupt("conf_before: bad object"))?;
             let c = c
                 .as_str()
                 .ok_or_else(|| corrupt("conf_before: bad confidence"))?;
             Ok((
-                ObjectId(o as usize),
+                ObjectId(o),
                 f64::from_bits(parse_hex_u64(c, "conf_before")?),
             ))
         })
@@ -1161,10 +1166,10 @@ fn dec_pending(v: &Value) -> Decoded<PendingBatch> {
             let [o, g] = pair else {
                 return Err(corrupt("phi_guesses: pair is not 2-long"));
             };
-            let (Some(o), Some(g)) = (o.as_u64(), g.as_u64()) else {
-                return Err(corrupt("phi_guesses: non-numeric pair"));
+            let (Some(o), Some(g)) = (count(o), count(g)) else {
+                return Err(corrupt("phi_guesses: pair is not two counts"));
             };
-            Ok((ObjectId(o as usize), g as usize))
+            Ok((ObjectId(o), g))
         })
         .collect::<Decoded<Vec<_>>>()?;
     Ok(PendingBatch {
@@ -1478,8 +1483,9 @@ fn dec_labels(v: &Value, key: &str) -> Decoded<Vec<Option<ClassId>>> {
         .enumerate()
         .map(|(i, x)| match x {
             Value::Null => Ok(None),
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(ClassId(*n as usize))),
-            _ => Err(corrupt(format!("{key}[{i}] is not null or a class"))),
+            _ => count(x)
+                .map(|c| Some(ClassId(c)))
+                .ok_or_else(|| corrupt(format!("{key}[{i}] is not null or a class"))),
         })
         .collect()
 }
@@ -1929,6 +1935,16 @@ mod tests {
         // Truncating a hex blob breaks the fixed-width invariant.
         assert!(text.contains("3ff8000000000000"));
         assert_corrupt(&text.replacen("3ff8000000000000", "3ff800000000000", 1));
+        // A count that is not a non-negative integer up to 2^53 is
+        // rejected, not truncated or saturated.
+        for (count, bad) in [
+            ("\"answers\":[[[1,1]]", "\"answers\":[[[1.5,1]]"),
+            ("{\"i\":1}", "{\"i\":1.9}"),
+            ("\"phi_guesses\":[[2,1]]", "\"phi_guesses\":[[2,1e300]]"),
+        ] {
+            assert!(text.contains(count), "{count}");
+            assert_corrupt(&text.replacen(count, bad, 1));
+        }
     }
 
     #[test]
