@@ -33,10 +33,22 @@
 //!   [`Value`] renders in, so the same checkpoint always encodes to the
 //!   same bytes and decoding then re-encoding reproduces them.
 //!
+//! Format version 3 writes each DQN replay's successor-candidate sets
+//! once. The transitions of one purchased batch share one
+//! `Arc<[Vec<f32>]>` of successor candidates in memory (the bootstrap
+//! forwards each distinct set once, grouping on that identity). The
+//! replay's `successors` table holds every distinct set, keyed by `Arc`
+//! identity in first-appearance order, and each transition's `next` is
+//! its index there. Decoding builds one shared `Arc` per table entry,
+//! so a resumed run keeps the sharing. Version 2 repeated the set inside
+//! every transition and is refused by its version number.
+//!
 //! [`decode`](RunCheckpoint::decode) validates shape and re-derives
 //! nothing silently: any malformed input — bad JSON, a missing field, a
-//! hex field that is not exactly 8 or 16 ASCII hex digits — is a typed
-//! [`ServiceError::CorruptCheckpoint`], never a panic.
+//! hex field that is not exactly 8 or 16 ASCII hex digits, a count that
+//! is not a non-negative integer up to 2^53, a successor index outside
+//! the table — is a typed [`ServiceError::CorruptCheckpoint`], never a
+//! panic.
 //!
 //! Restore is guarded by [`service_fingerprint`]: an FNV-1a hash of the
 //! service configuration and every submitted spec, with the
@@ -67,9 +79,11 @@ use crowdrl_types::{
     AnnotatorId, Answer, AnswerSet, AssignmentId, ClassId, ConfusionMatrix, LabelState, ObjectId,
     SimTime,
 };
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Format version stamped into every checkpoint.
-const VERSION: usize = 2;
+const VERSION: usize = 3;
 
 /// What decoding yields: the value, or the typed corrupt-checkpoint error.
 type Decoded<T> = std::result::Result<T, ServiceError>;
@@ -844,23 +858,45 @@ impl Writer {
         });
     }
 
-    fn transition(&mut self, t: &Transition) {
+    /// A replay transition; `next` indexes its successor-candidate set
+    /// in the DQN's `successors` table.
+    fn transition(&mut self, t: &Transition, next: usize) {
         self.obj(|w| {
-            w.key("next")
-                .arr(t.next_candidates.iter(), |w, c| w.f32s(c));
+            w.key("next").num(next);
             w.key("reward").bits_f32(t.reward);
             w.key("sa").f32s(&t.state_action);
             w.key("terminal").bool(t.terminal);
         });
     }
 
+    /// The DQN state. Transitions of one purchased batch share one
+    /// successor-candidate `Arc`, so each distinct set is written once
+    /// in the `successors` table, keyed by `Arc` identity in
+    /// first-appearance order, and each transition writes its index.
     fn dqn(&mut self, d: &DqnSnapshot) {
+        let mut successors: Vec<&[Vec<f32>]> = Vec::new();
+        let mut index_of: HashMap<*const Vec<f32>, usize> = HashMap::new();
+        let next: Vec<usize> = d
+            .replay
+            .iter()
+            .map(|t| {
+                *index_of
+                    .entry(t.next_candidates.as_ptr())
+                    .or_insert_with(|| {
+                        successors.push(&t.next_candidates);
+                        successors.len() - 1
+                    })
+            })
+            .collect();
         self.obj(|w| {
             w.key("online").f32s(&d.online);
             w.key("opt_state").opt_state(&d.opt_state);
-            w.key("replay").arr(&d.replay, Writer::transition);
+            w.key("replay")
+                .arr(d.replay.iter().zip(next), |w, (t, n)| w.transition(t, n));
             w.key("replay_head").num(d.replay_head);
             w.key("replay_pushed").num(d.replay_pushed);
+            w.key("successors")
+                .arr(&successors, |w, set| w.arr(set.iter(), |w, c| w.f32s(c)));
             w.key("target").f32s(&d.target);
             w.key("train_steps").num(d.train_steps);
         });
@@ -1023,33 +1059,51 @@ fn dec_classifier(v: &Value) -> Decoded<ClassifierSnapshot> {
     })
 }
 
-fn dec_transition(v: &Value) -> Decoded<Transition> {
+/// Decode one successor-candidate set of the DQN's `successors` table.
+fn dec_successors(i: usize, v: &Value) -> Decoded<Arc<[Vec<f32>]>> {
+    v.as_arr()
+        .ok_or_else(|| corrupt(format!("successors[{i}] is not an array")))?
+        .iter()
+        .map(|c| {
+            let c = c
+                .as_str()
+                .ok_or_else(|| corrupt(format!("successors[{i}]: candidate is not a string")))?;
+            parse_f32s(c, "successors")
+        })
+        .collect()
+}
+
+/// Decode a transition; its successor set is the shared `Arc` its
+/// `next` index names in `successors`.
+fn dec_transition(v: &Value, successors: &[Arc<[Vec<f32>]>]) -> Decoded<Transition> {
+    let next = get_usize(v, "next")?;
+    let next_candidates = successors.get(next).ok_or_else(|| {
+        corrupt(format!(
+            "next: successor set {next} of a {}-set table",
+            successors.len()
+        ))
+    })?;
     Ok(Transition {
         state_action: get_f32s(v, "sa")?,
         reward: parse_bits_f32(get_str(v, "reward")?, "reward")?,
-        next_candidates: get_arr(v, "next")?
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                parse_f32s(
-                    c.as_str()
-                        .ok_or_else(|| corrupt(format!("next[{i}] is not a string")))?,
-                    "next",
-                )
-            })
-            .collect::<Decoded<_>>()?,
+        next_candidates: Arc::clone(next_candidates),
         terminal: get_bool(v, "terminal")?,
     })
 }
 
 fn dec_dqn(v: &Value) -> Decoded<DqnSnapshot> {
+    let successors = get_arr(v, "successors")?
+        .iter()
+        .enumerate()
+        .map(|(i, set)| dec_successors(i, set))
+        .collect::<Decoded<Vec<_>>>()?;
     Ok(DqnSnapshot {
         online: get_f32s(v, "online")?,
         target: get_f32s(v, "target")?,
         opt_state: dec_opt_state(v, "opt_state")?,
         replay: get_arr(v, "replay")?
             .iter()
-            .map(dec_transition)
+            .map(|t| dec_transition(t, &successors))
             .collect::<Decoded<_>>()?,
         replay_head: get_usize(v, "replay_head")?,
         replay_pushed: get_usize(v, "replay_pushed")?,
@@ -1676,14 +1730,33 @@ mod tests {
                         online: vec![1.0, 2.0],
                         target: vec![1.0, 2.5],
                         opt_state: vec![],
-                        replay: vec![Transition {
-                            state_action: vec![0.25],
-                            reward: -0.5,
-                            next_candidates: vec![vec![1.0], vec![2.0]].into(),
-                            terminal: false,
-                        }],
-                        replay_head: 1,
-                        replay_pushed: 1,
+                        replay: {
+                            // Two transitions of one batch share their
+                            // successor set; a terminal one has none.
+                            let shared: Arc<[Vec<f32>]> = vec![vec![1.0], vec![2.0]].into();
+                            vec![
+                                Transition {
+                                    state_action: vec![0.25],
+                                    reward: -0.5,
+                                    next_candidates: Arc::clone(&shared),
+                                    terminal: false,
+                                },
+                                Transition {
+                                    state_action: vec![0.5],
+                                    reward: 0.75,
+                                    next_candidates: vec![].into(),
+                                    terminal: true,
+                                },
+                                Transition {
+                                    state_action: vec![0.125],
+                                    reward: 1.0,
+                                    next_candidates: shared,
+                                    terminal: false,
+                                },
+                            ]
+                        },
+                        replay_head: 3,
+                        replay_pushed: 3,
                         train_steps: 5,
                     },
                     ucb_counts: Some(vec![(3, 1), (0, 0)]),
@@ -1913,6 +1986,18 @@ mod tests {
             vec![Some(vec![0.9, 0.1]), None, Some(vec![0.2, 0.8])]
         );
         assert_eq!(state.backoff_until, vec![0.0, 9.5, 0.0]);
+        // The shared successor set is written once and decodes to one
+        // `Arc` again.
+        assert!(text.contains("\"successors\":[[\"3f800000\",\"40000000\"],[]]"));
+        let replay = &state.core.run.agent.dqn.replay;
+        assert!(Arc::ptr_eq(
+            &replay[0].next_candidates,
+            &replay[2].next_candidates
+        ));
+        assert!(!Arc::ptr_eq(
+            &replay[0].next_candidates,
+            &replay[1].next_candidates
+        ));
     }
 
     fn assert_corrupt(text: &str) {
@@ -1925,8 +2010,9 @@ mod tests {
     #[test]
     fn corruption_is_rejected_with_a_typed_error() {
         let text = sample_checkpoint().encode();
-        assert!(text.contains("\"version\":2"));
-        let wrong_version = text.replacen("\"version\":2", "\"version\":99", 1);
+        let version = format!("\"version\":{VERSION}");
+        assert!(text.contains(&version));
+        let wrong_version = text.replacen(&version, "\"version\":99", 1);
         let err = RunCheckpoint::decode(&wrong_version).unwrap_err();
         assert!(err.to_string().contains("version"));
         assert_corrupt("not json");

@@ -9,6 +9,11 @@
 //! panic. A checkpoint that decodes but does not fit the run it resumes
 //! (a vector of the wrong length, an object or annotator id out of range)
 //! must likewise fail to restore with a typed error.
+//!
+//! Each DQN replay writes every distinct successor-candidate set once
+//! and each transition refers to its set by index: a bad index is a
+//! typed error, and decoding rebuilds the same sharing the live replay
+//! had.
 
 use crowdrl::obs::json::{parse, Value};
 use crowdrl::prelude::*;
@@ -18,18 +23,19 @@ use crowdrl::sim::FaultPlan;
 use crowdrl::types::rng::seeded;
 use crowdrl::types::Error;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
 
 /// Keep the `halt_at`-th checkpoint a sink is handed, and halt there.
 fn keep_nth(
     halt_at: usize,
-    kept: &mut Option<String>,
+    kept: &mut Option<RunCheckpoint>,
 ) -> impl FnMut(RunCheckpoint) -> RunControl + '_ {
     let mut seen = 0usize;
     move |checkpoint: RunCheckpoint| {
         seen += 1;
         if seen == halt_at {
-            *kept = Some(checkpoint.encode());
+            *kept = Some(checkpoint);
             RunControl::Halt
         } else {
             RunControl::Continue
@@ -63,7 +69,7 @@ fn one_project_run() -> (Dataset, AnnotatorPool, CrowdRlConfig, ServeConfig) {
     (dataset, pool, config, serve)
 }
 
-fn one_project_checkpoint() -> String {
+fn one_project_checkpoint() -> RunCheckpoint {
     let (dataset, pool, config, serve) = one_project_run();
     let mut kept = None;
     let outcome = AsyncRuntime::new(config, serve)
@@ -73,7 +79,7 @@ fn one_project_checkpoint() -> String {
     kept.expect("a checkpoint was cut")
 }
 
-fn service_checkpoint() -> String {
+fn service_checkpoint() -> RunCheckpoint {
     let mut rng = seeded(0xC4ED);
     let pool = PoolSpec::new(6, 2).generate(2, &mut rng).unwrap();
     let specs: Vec<ProjectSpec> = (0..2)
@@ -102,10 +108,17 @@ fn service_checkpoint() -> String {
     kept.expect("a checkpoint was cut")
 }
 
-/// Both encoded checkpoints, cut once per test binary.
+/// Both checkpoints as the runs handed them over, cut once per test
+/// binary.
+fn live_checkpoints() -> &'static [RunCheckpoint; 2] {
+    static LIVE: OnceLock<[RunCheckpoint; 2]> = OnceLock::new();
+    LIVE.get_or_init(|| [one_project_checkpoint(), service_checkpoint()])
+}
+
+/// Both checkpoints, encoded.
 fn checkpoints() -> &'static [String; 2] {
     static CHECKPOINTS: OnceLock<[String; 2]> = OnceLock::new();
-    CHECKPOINTS.get_or_init(|| [one_project_checkpoint(), service_checkpoint()])
+    CHECKPOINTS.get_or_init(|| live_checkpoints().each_ref().map(RunCheckpoint::encode))
 }
 
 /// Replacement characters: JSON structure, hex digits and near misses,
@@ -255,5 +268,87 @@ fn restoring_a_checkpoint_that_does_not_fit_the_run_fails_typed() {
             Err(Error::InvalidParameter(_)) => {}
             other => panic!("{what}: want a typed restore error, got {other:?}"),
         }
+    }
+}
+
+/// The distinct non-empty successor sets (by `Arc` identity) across
+/// every active project's replay, and the transitions that have one.
+fn successor_sharing(checkpoint: &RunCheckpoint) -> (usize, usize) {
+    let mut sets = HashSet::new();
+    let mut transitions = 0;
+    for project in &checkpoint.projects {
+        if let ProjectCheckpoint::Active(state) = project {
+            for t in &state.core.run.agent.dqn.replay {
+                if !t.next_candidates.is_empty() {
+                    sets.insert(Arc::as_ptr(&t.next_candidates));
+                    transitions += 1;
+                }
+            }
+        }
+    }
+    (sets.len(), transitions)
+}
+
+#[test]
+fn decoding_rebuilds_the_replays_shared_successor_sets() {
+    for (live, text) in live_checkpoints().iter().zip(checkpoints()) {
+        let (sets, transitions) = successor_sharing(live);
+        assert!(
+            0 < sets && sets < transitions,
+            "the fixture shares successor sets: {sets} sets, {transitions} transitions"
+        );
+        let decoded = RunCheckpoint::decode(text).unwrap();
+        assert_eq!(successor_sharing(&decoded), (sets, transitions));
+    }
+}
+
+/// Rewrite a parsed checkpoint as format version 2 wrote it: each
+/// transition carries its successor set in full, and there is no table.
+fn as_version_2(v: &mut Value) {
+    match v {
+        Value::Obj(fields) => {
+            if let Some(Value::Arr(sets)) = fields.remove("successors") {
+                let Some(Value::Arr(replay)) = fields.get_mut("replay") else {
+                    panic!("a successor table sits beside its replay");
+                };
+                for t in replay {
+                    let Value::Obj(t) = t else {
+                        panic!("a transition is an object");
+                    };
+                    let next = t["next"].as_f64().expect("an index") as usize;
+                    t.insert("next".into(), sets[next].clone());
+                }
+            }
+            if let Some(version) = fields.get_mut("version") {
+                *version = Value::Num(2.0);
+            }
+            fields.values_mut().for_each(as_version_2);
+        }
+        Value::Arr(items) => items.iter_mut().for_each(as_version_2),
+        _ => {}
+    }
+}
+
+#[test]
+fn a_bad_successor_index_or_an_old_version_fails_typed() {
+    let text = &checkpoints()[0];
+    let first = "\"next\":0,";
+    assert!(text.contains(first), "the first transition names set 0");
+    for bad in ["\"next\":9007199254740992,", "\"next\":0.5,"] {
+        match RunCheckpoint::decode(&text.replacen(first, bad, 1)) {
+            Err(ServiceError::CorruptCheckpoint(_)) => {}
+            other => panic!("{bad} must be a corrupt checkpoint, got {other:?}"),
+        }
+    }
+    // A version 2 document is refused by its version, not by the first
+    // field it lacks.
+    let mut old = parse(text).unwrap();
+    as_version_2(&mut old);
+    match RunCheckpoint::decode(&old.render()) {
+        Err(ServiceError::CorruptCheckpoint(msg)) => assert!(
+            msg.contains("unsupported checkpoint version 2"),
+            "want the version error, got {msg:?}"
+        ),
+        other => panic!("a version 2 document must be refused, got {other:?}"),
     }
 }

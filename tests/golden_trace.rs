@@ -390,20 +390,21 @@ fn chaos_trajectories_reproduce_the_golden_digests() {
 }
 
 /// FNV-1a digests of the faulted run's 8 checkpoints, in cut order. The
-/// run cuts the same bytes at every execution width.
+/// run cuts the same bytes at every execution width. Captured at
+/// checkpoint format version 3 (one successor-set table per replay).
 const GOLDEN_CHAOS_CUTS: [u64; 8] = [
-    0x165c76610abc3824,
-    0x6cce06a990511de5,
-    0x2b8a4098847df4ad,
-    0x90af84c125f9dab3,
-    0x0e95c3d5a63efead,
-    0x714a7211962b2cb2,
-    0xc7ed6aa6ae2d42a4,
-    0x667a996ebb441848,
+    0x359feb6f99e4a300,
+    0xd31fd4f5d2c21b3d,
+    0x4661e0c04fa9babb,
+    0x8f3e4cdc3f8b9c30,
+    0xe0a9c1cb9a8580ea,
+    0x25ca821f9d56633f,
+    0xbfa28f0b91204fb6,
+    0x7075d41ac100583e,
 ];
 
 /// FNV-1a digests of the two-project service run's 3 checkpoints.
-const GOLDEN_SERVICE_CUTS: [u64; 3] = [0x264f1f72861e4624, 0xc597a73362e67987, 0x19307e75eec55cf2];
+const GOLDEN_SERVICE_CUTS: [u64; 3] = [0x9051a8a1d1c0e8a7, 0x67fccbf9d6e01a48, 0x1ba81ead4468e472];
 
 /// Digest each encoded cut. Every cut must already be canonical JSON:
 /// parsing and re-rendering it gives the same bytes, so every object's
