@@ -392,6 +392,19 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Held by every test that changes the process-global thread cap.
+    /// Without it another test can raise the cap between an outer call
+    /// that ran inline (leaving `IN_POOL` unset) and its nested call,
+    /// which then fans out to pool workers.
+    static CAP: Mutex<()> = Mutex::new(());
+
+    /// Take the cap for the rest of the test. A test that failed while
+    /// holding it leaves nothing the next one depends on.
+    fn hold_cap() -> MutexGuard<'static, ()> {
+        CAP.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn chunk_geometry_is_data_size_only() {
@@ -408,6 +421,7 @@ mod tests {
 
     #[test]
     fn every_chunk_runs_exactly_once_at_every_thread_count() {
+        let _cap = hold_cap();
         for threads in [1, 2, 4, 8] {
             set_threads(threads);
             let hits: Vec<AtomicU64> = (0..23).map(|_| AtomicU64::new(0)).collect();
@@ -427,6 +441,7 @@ mod tests {
 
     #[test]
     fn map_chunks_returns_partials_in_chunk_order() {
+        let _cap = hold_cap();
         for threads in [1, 3, 8] {
             set_threads(threads);
             let partials = map_chunks(10, 3, |r| r.clone());
@@ -437,6 +452,7 @@ mod tests {
 
     #[test]
     fn for_each_mut_visits_every_element_exactly_once_at_every_width() {
+        let _cap = hold_cap();
         for threads in [1, 2, 4, 8] {
             set_threads(threads);
             let mut items: Vec<(usize, u32)> = (0..23).map(|i| (i, 0)).collect();
@@ -453,6 +469,7 @@ mod tests {
 
     #[test]
     fn nested_for_each_mut_runs_inline_on_the_outer_thread() {
+        let _cap = hold_cap();
         set_threads(4);
         let mut rows: Vec<Vec<Option<std::thread::ThreadId>>> = vec![vec![None; 6]; 8];
         for_each_mut(&mut rows, |_, row| {
@@ -465,6 +482,7 @@ mod tests {
 
     #[test]
     fn for_each_mut_panic_propagates_and_the_pool_stays_usable() {
+        let _cap = hold_cap();
         set_threads(4);
         let mut items = vec![0u32; 8];
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -484,6 +502,7 @@ mod tests {
 
     #[test]
     fn nested_run_chunks_completes_inline() {
+        let _cap = hold_cap();
         set_threads(4);
         let total = AtomicU64::new(0);
         run_chunks(4, |_| {
@@ -498,6 +517,7 @@ mod tests {
 
     #[test]
     fn chunk_panic_propagates_to_caller() {
+        let _cap = hold_cap();
         set_threads(4);
         let result = catch_unwind(AssertUnwindSafe(|| {
             run_chunks(8, |i| {
@@ -520,6 +540,7 @@ mod tests {
 
     #[test]
     fn thread_cap_is_clamped() {
+        let _cap = hold_cap();
         set_threads(64);
         assert_eq!(max_threads(), MAX_THREADS);
         set_threads(0);
