@@ -876,23 +876,18 @@ impl Writer {
     fn dqn(&mut self, d: &DqnSnapshot) {
         let mut successors: Vec<&[Vec<f32>]> = Vec::new();
         let mut index_of: HashMap<*const Vec<f32>, usize> = HashMap::new();
-        let next: Vec<usize> = d
-            .replay
-            .iter()
-            .map(|t| {
-                *index_of
+        self.obj(|w| {
+            w.key("online").f32s(&d.online);
+            w.key("opt_state").opt_state(&d.opt_state);
+            w.key("replay").arr(&d.replay, |w, t| {
+                let next = *index_of
                     .entry(t.next_candidates.as_ptr())
                     .or_insert_with(|| {
                         successors.push(&t.next_candidates);
                         successors.len() - 1
-                    })
-            })
-            .collect();
-        self.obj(|w| {
-            w.key("online").f32s(&d.online);
-            w.key("opt_state").opt_state(&d.opt_state);
-            w.key("replay")
-                .arr(d.replay.iter().zip(next), |w, (t, n)| w.transition(t, n));
+                    });
+                w.transition(t, next);
+            });
             w.key("replay_head").num(d.replay_head);
             w.key("replay_pushed").num(d.replay_pushed);
             w.key("successors")
