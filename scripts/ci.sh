@@ -35,6 +35,31 @@ echo "== perfbench check (locked) =="
 # graph at every commit.
 timed "perfbench check" cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench faulted run (checkpoint bytes) =="
+# One traced run of the checkpointing workload must exit 0, check every
+# output ("correct": true on its last line) and keep its checkpoint cuts
+# at most 15.4 MB. The encoding is deterministic, so the byte count is
+# the same on every run of a seed: this is not a wall-clock bound.
+perfbench_faulted() {
+  local out last
+  if ! out=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload faulted --seed 7 --seconds 0 --trace 1); then
+    echo "perfbench faulted run failed" >&2
+    return 1
+  fi
+  last=$(tail -n 1 <<<"$out")
+  echo "$last" | jq -c '{correct, checkpoint_mb: .metrics["bench.checkpoint_mb"].value}'
+  if ! jq -e '.correct == true' <<<"$last" >/dev/null; then
+    echo "perfbench faulted run is not correct" >&2
+    return 1
+  fi
+  if ! jq -e '.metrics["bench.checkpoint_mb"].value <= 15.4' <<<"$last" >/dev/null; then
+    echo "perfbench faulted checkpoints exceed 15.4 MB" >&2
+    return 1
+  fi
+}
+timed "perfbench faulted" perfbench_faulted
+
 echo "== cargo test (workspace, CROWDRL_THREADS=1) =="
 timed "tests @1 thread" env CROWDRL_THREADS=1 cargo test -q --offline --workspace
 
