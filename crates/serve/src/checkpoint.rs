@@ -80,6 +80,7 @@ use crowdrl_types::{
     SimTime,
 };
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Format version stamped into every checkpoint.
@@ -405,19 +406,7 @@ impl Writer {
     /// far beyond any count here).
     fn num(&mut self, n: usize) {
         self.sep();
-        let mut digits = [0u8; 20];
-        let mut start = digits.len();
-        let mut rest = n;
-        loop {
-            start -= 1;
-            digits[start] = b'0' + (rest % 10) as u8;
-            rest /= 10;
-            if rest == 0 {
-                break;
-            }
-        }
-        self.0
-            .extend(digits[start..].iter().map(|&d| char::from(d)));
+        let _ = write!(self.0, "{n}");
     }
 
     /// Counts as an array of plain JSON numbers.
