@@ -487,6 +487,27 @@ impl DqnAgent {
                 self.config.replay_capacity
             )));
         }
+        if snap.replay_head >= self.config.replay_capacity {
+            return Err(Error::InvalidParameter(format!(
+                "restored replay head ({}) is outside capacity ({})",
+                snap.replay_head, self.config.replay_capacity
+            )));
+        }
+        // Training stacks every embedding into `input_dim`-wide rows.
+        let dim = self.config.input_dim;
+        if let Some(width) = snap
+            .replay
+            .iter()
+            .flat_map(|t| std::iter::once(&t.state_action).chain(t.next_candidates.iter()))
+            .map(Vec::len)
+            .find(|&width| width != dim)
+        {
+            return Err(Error::DimensionMismatch {
+                expected: dim,
+                actual: width,
+                context: "DQN snapshot replay embedding".into(),
+            });
+        }
         self.online.load_params(&snap.online);
         self.target.load_params(&snap.target);
         self.opt.restore_state(snap.opt_state);

@@ -7,8 +7,9 @@
 //! included), or one random object field dropped. Decoding must return
 //! either a checkpoint or the typed corrupt-checkpoint error, never
 //! panic. A checkpoint that decodes but does not fit the run it resumes
-//! (a vector of the wrong length, an object or annotator id out of range)
-//! must likewise fail to restore with a typed error.
+//! (a vector or replay embedding of the wrong length, an object or
+//! annotator id or replay head out of range) must likewise fail to
+//! restore with a typed error.
 //!
 //! Each DQN replay writes every distinct successor-candidate set once
 //! and each transition refers to its set by index: a bad index is a
@@ -17,6 +18,7 @@
 
 use crowdrl::obs::json::{parse, Value};
 use crowdrl::prelude::*;
+use crowdrl::rl::DqnConfig;
 use crowdrl::serve::core_loop::CoreState;
 use crowdrl::serve::{AsyncRuntime, ProjectCheckpoint, RunControl, RunOutcome, SupervisorConfig};
 use crowdrl::sim::FaultPlan;
@@ -224,7 +226,7 @@ fn restoring_a_checkpoint_that_does_not_fit_the_run_fails_typed() {
     let (dataset, pool, config, serve) = one_project_run();
     let n = dataset.len();
     type Mutation = fn(&mut CoreState, usize);
-    let cases: [(&str, Mutation); 6] = [
+    let cases: [(&str, Mutation); 9] = [
         ("truncated confidences", |c, _| {
             c.run.prev_confidence.truncate(1)
         }),
@@ -242,6 +244,17 @@ fn restoring_a_checkpoint_that_does_not_fit_the_run_fails_typed() {
         }),
         ("confidence for an object outside the dataset", |c, n| {
             c.outstanding[0].conf_before.push((ObjectId(n), 0.5))
+        }),
+        ("replay successors narrower than the embedding", |c, _| {
+            let mut replay = c.run.agent.dqn.replay.iter_mut();
+            let t = replay.find(|t| !t.next_candidates.is_empty()).unwrap();
+            t.next_candidates = vec![vec![0.0]].into()
+        }),
+        ("replay state-action narrower than the embedding", |c, _| {
+            c.run.agent.dqn.replay[0].state_action.truncate(1)
+        }),
+        ("replay head at the replay capacity", |c, _| {
+            c.run.agent.dqn.replay_head = DqnConfig::default().replay_capacity
         }),
     ];
     for (what, mutate) in cases {
