@@ -683,7 +683,9 @@ mod tests {
     #[test]
     fn fast_matches_reference_on_kernel_boundary_shapes() {
         // Shapes straddling every blocking boundary: 4-row blocks, 16- and
-        // 8-column blocks, scalar tails, k % 8 tails.
+        // 8-column blocks, scalar tails, k % 8 tails, and one long k
+        // reduction (1,632 terms per element), where the two summation
+        // orders have the most roundings over which to drift apart.
         for &(m, k, n) in &[
             (1, 1, 1),
             (4, 8, 16),
@@ -694,6 +696,7 @@ mod tests {
             (2, 3, 40),
             (32, 24, 64),
             (13, 41, 19),
+            (37, 1632, 64),
         ] {
             let a = fill(m, k, (m * 1000 + k * 100 + n) as u64);
             let b = fill(k, n, (m * 7 + k * 5 + n * 3) as u64);
