@@ -1,7 +1,7 @@
 //! # crowdrl-bench
 //!
 //! Reproduction harnesses for every figure in the CrowdRL evaluation
-//! (§VI-B), plus Criterion microbenchmarks for the hot components.
+//! (§VI-B), plus the `crowdrl-trace` analyzer for recorded traces.
 //!
 //! One binary per paper figure prints the same series the paper plots and
 //! writes a CSV next to it (under `results/`):

@@ -8,10 +8,11 @@
 //! large queues is dominated by cache misses along the sift-down path.
 //! A 4-ary heap halves the tree depth and keeps each node's children in
 //! one or two cache lines, which flattens the per-event cost curve as
-//! the queue grows (the binary heap's per-event cost grew ~3.5× from 1k
-//! to 100k pending events; see BENCH_serve.json `event_queue`). Pop
-//! order is identical — `(at, seq)` is a total order because `seq` is
-//! unique — so traces and checkpoints are unaffected.
+//! the queue grows (in a serve bench since deleted, the binary heap's
+//! per-event cost grew ~3.5× from 1k to 100k pending events; DESIGN.md
+//! §14.4 records the 4-ary heap's). Pop order is identical — `(at, seq)`
+//! is a total order because `seq` is unique — so traces and checkpoints
+//! are unaffected.
 
 use crate::event::{Event, EventKind};
 use crowdrl_types::{Error, Result, SimTime};
