@@ -214,9 +214,12 @@ impl CrowdRlConfig {
                 "label_confidence must be in [0,1]".into(),
             ));
         }
-        if self.lambda < 0.0 || self.mu < 0.0 || self.eta < 0.0 {
+        if ![self.lambda, self.mu, self.eta]
+            .iter()
+            .all(|w| *w >= 0.0 && w.is_finite())
+        {
             return Err(Error::InvalidParameter(
-                "lambda, mu and eta must be non-negative".into(),
+                "lambda, mu and eta must be finite and non-negative".into(),
             ));
         }
         if self.candidate_cap == 0 {
@@ -242,6 +245,7 @@ impl CrowdRlConfig {
             }
         }
         self.classifier.validate()?;
+        self.dqn.validate()?;
         self.engine.validate()?;
         Ok(())
     }
@@ -398,14 +402,12 @@ impl CrowdRlConfigBuilder {
         self
     }
 
-    /// Set the numeric mode (matmul kernel selection) for *both* the
-    /// Q-networks and the classifier. `Reference` (default) keeps the
-    /// bit-pinned blocked kernels; `Fast` enables the SIMD kernels.
+    /// Set the numeric mode of both the Q-networks and the classifier.
     ///
-    /// The mode is part of the config fingerprint — checkpoints and traces
-    /// taken in one mode are not interchangeable with the other, because
-    /// the two reduction orders produce (slightly) different f32
-    /// trajectories.
+    /// Inert: `Reference`, the bit-pinned kernels, is the only mode, and
+    /// nothing reads the two `numeric` fields this sets. The setter stays
+    /// because the benchmark calls it, and the fields stay because
+    /// [`CrowdRlConfig::fingerprint`] hashes them.
     pub fn numeric(mut self, mode: crowdrl_linalg::NumericMode) -> Self {
         self.config.dqn.numeric = mode;
         self.config.classifier.numeric = mode;
@@ -504,6 +506,7 @@ mod tests {
         assert!(base().enrichment_margin(2.0).build().is_err());
         assert!(base().enrichment_warmup(-0.5).build().is_err());
         assert!(base().reward_weights(-1.0, 0.0).build().is_err());
+        assert!(base().reward_weights(f64::NAN, 0.15).build().is_err());
         assert!(base().candidate_cap(0).build().is_err());
         assert!(base().max_iters(0).build().is_err());
         assert!(base()
@@ -529,6 +532,20 @@ mod tests {
             .engine(EngineConfig {
                 warm_max_iters: 0,
                 ..EngineConfig::default()
+            })
+            .build()
+            .is_err());
+        assert!(base()
+            .dqn(DqnConfig {
+                learning_rate: f32::NAN,
+                ..DqnConfig::default()
+            })
+            .build()
+            .is_err());
+        assert!(base()
+            .dqn(DqnConfig {
+                gamma: 0.0,
+                ..DqnConfig::default()
             })
             .build()
             .is_err());

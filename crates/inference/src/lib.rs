@@ -4,7 +4,7 @@
 //! each object `o_i`, estimate the true labels `y_i` (and, as a byproduct,
 //! each annotator's confusion matrix `Π̂^j`).
 //!
-//! The crate implements the full zoo the paper builds on and compares
+//! The crate implements the models the paper builds on and compares
 //! against:
 //!
 //! * [`MajorityVote`] — the naive baseline (§V-A.1).
@@ -12,8 +12,6 @@
 //!   inference engine inside the DLTA and IDLE baselines.
 //! * [`Pm`] — the PM / CRH conflict-minimisation algorithm \[48\], used by the
 //!   Hybrid baseline and by CrowdRL's `M3` ablation.
-//! * [`Glad`] — GLAD-style ability × difficulty inference (also from the
-//!   survey's zoo): the classic model of *per-object* hardness.
 //! * [`ClassifierAsAnnotator`] — the naive way to mix a trained model into
 //!   inference: append its predictions as one more annotator column and run
 //!   EM (§V-A.1, Fig. 3a). The paper argues (and our fig8-style ablation
@@ -37,7 +35,6 @@
 pub mod classifier_annotator;
 pub mod dawid_skene;
 pub mod engine;
-pub mod glad;
 pub mod joint;
 pub mod mv;
 pub(crate) mod par;
@@ -47,7 +44,6 @@ pub mod result;
 pub use classifier_annotator::ClassifierAsAnnotator;
 pub use dawid_skene::DawidSkene;
 pub use engine::{EngineConfig, EngineSnapshot, InferenceEngine};
-pub use glad::Glad;
 pub use joint::{JointConfig, JointInference};
 pub use mv::MajorityVote;
 pub use pm::Pm;

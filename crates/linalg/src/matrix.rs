@@ -6,7 +6,6 @@
 //! to recover from, and panicking keeps the hot-path signatures clean.
 
 use crate::pool;
-use crate::simd::{self, NumericMode};
 
 /// Row chunk used by the dispatching matmul entries when they go parallel.
 /// Fixed — never derived from the thread count — so the decomposition (and
@@ -508,33 +507,6 @@ impl Matrix {
                 matmul_tn_tile(self, other, k0, j0, skip, band)
             )
         });
-    }
-
-    /// [`Matrix::matmul`] under an explicit [`NumericMode`]:
-    /// `Reference` runs the bit-exact dispatching kernel, `Fast` the
-    /// explicit-SIMD kernel (see [`crate::simd`] for the tolerance
-    /// contract).
-    pub fn matmul_mode(&self, other: &Matrix, mode: NumericMode) -> Matrix {
-        match mode {
-            NumericMode::Reference => self.matmul(other),
-            NumericMode::Fast => simd::matmul_fast(self, other),
-        }
-    }
-
-    /// [`Matrix::matmul_nt`] under an explicit [`NumericMode`].
-    pub fn matmul_nt_mode(&self, other: &Matrix, mode: NumericMode) -> Matrix {
-        match mode {
-            NumericMode::Reference => self.matmul_nt(other),
-            NumericMode::Fast => simd::matmul_nt_fast(self, other),
-        }
-    }
-
-    /// [`Matrix::matmul_tn`] under an explicit [`NumericMode`].
-    pub fn matmul_tn_mode(&self, other: &Matrix, mode: NumericMode) -> Matrix {
-        match mode {
-            NumericMode::Reference => self.matmul_tn(other),
-            NumericMode::Fast => simd::matmul_tn_fast(self, other),
-        }
     }
 
     /// Explicit transpose (used rarely; the `_nt`/`_tn` products avoid it on

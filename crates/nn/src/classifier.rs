@@ -31,10 +31,10 @@ pub struct ClassifierConfig {
     /// Decoupled weight decay: before each Adam step every parameter,
     /// biases included, is multiplied by `1 - weight_decay`.
     pub weight_decay: f32,
-    /// Matmul kernel selection for the classifier network. `Reference`
-    /// (default) is the bit-pinned register-tiled kernel; `Fast` enables
-    /// the SIMD kernels for fit forwards/backwards and batched prediction.
-    /// Snapshots are NOT interchangeable across modes.
+    /// Inert: [`NumericMode`] has only the bit-pinned `Reference` mode and
+    /// nothing reads this field. It stays because the run config's
+    /// fingerprint hashes it, so removing it would change the fingerprint
+    /// every existing checkpoint was cut under.
     pub numeric: NumericMode,
 }
 
@@ -118,8 +118,7 @@ impl SoftmaxClassifier {
         let mut sizes = vec![input_dim];
         sizes.extend_from_slice(&config.hidden);
         sizes.push(num_classes);
-        let mut net = Network::mlp(&sizes, config.activation, rng);
-        net.set_numeric_mode(config.numeric);
+        let net = Network::mlp(&sizes, config.activation, rng);
         let opt = Adam::new(config.learning_rate);
         Ok(Self {
             net,

@@ -2,7 +2,7 @@
 
 use crate::activation::Activation;
 use crate::init;
-use crowdrl_linalg::{Matrix, NumericMode};
+use crowdrl_linalg::Matrix;
 use rand::Rng;
 
 /// Copy `src` into `slot`, reusing the existing allocation when shapes
@@ -43,13 +43,6 @@ pub struct Dense {
     scratch_reuses: u64,
     /// Bytes served from reused scratch instead of fresh allocations.
     scratch_bytes: u64,
-    /// Which matmul kernels [`Dense::forward`]/[`Dense::backward`]/
-    /// [`Dense::forward_inference`] dispatch to. `Reference` (the default)
-    /// is the bit-pinned register-tiled kernel; `Fast` is the SIMD kernel
-    /// with a different (documented) reduction order.
-    /// [`Dense::forward_inference_outer`]'s partial matmuls stay on the
-    /// exact reference op order in *both* modes (see DESIGN.md §14).
-    mode: NumericMode,
 }
 
 impl Dense {
@@ -80,7 +73,6 @@ impl Dense {
             bwd_dpre: None,
             scratch_reuses: 0,
             scratch_bytes: 0,
-            mode: NumericMode::Reference,
         }
     }
 
@@ -89,19 +81,6 @@ impl Dense {
     #[inline]
     pub fn scratch_stats(&self) -> (u64, u64) {
         (self.scratch_reuses, self.scratch_bytes)
-    }
-
-    /// Set the numeric mode for the train/inference matmuls (see the
-    /// `mode` field docs for which paths are affected).
-    #[inline]
-    pub fn set_numeric_mode(&mut self, mode: NumericMode) {
-        self.mode = mode;
-    }
-
-    /// The layer's numeric mode.
-    #[inline]
-    pub fn numeric_mode(&self) -> NumericMode {
-        self.mode
     }
 
     /// Input dimensionality.
@@ -126,7 +105,7 @@ impl Dense {
     /// backprop.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.input_dim(), "layer input dim mismatch");
-        let mut pre = x.matmul_mode(&self.w, self.mode);
+        let mut pre = x.matmul(&self.w);
         pre.add_row_broadcast(&self.b);
         // Snapshot input/pre-activation into reused scratch, then turn
         // `pre` into the activated output in place — same bits as the
@@ -144,7 +123,7 @@ impl Dense {
     /// Forward pass without caching — for inference and target networks.
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.input_dim(), "layer input dim mismatch");
-        let mut pre = x.matmul_mode(&self.w, self.mode);
+        let mut pre = x.matmul(&self.w);
         pre.add_row_broadcast(&self.b);
         let act = self.act;
         pre.map_inplace(|v| act.apply(v));
@@ -207,7 +186,7 @@ impl Dense {
     pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
         self.backward_accumulate(d_out);
         let d_pre = self.bwd_dpre.as_ref().expect("set by backward_accumulate");
-        d_pre.matmul_nt_mode(&self.w, self.mode)
+        d_pre.matmul_nt(&self.w)
     }
 
     /// Backward pass that accumulates `dL/dW` and `dL/db` but skips the
@@ -239,18 +218,10 @@ impl Dense {
         }
 
         // dW += x^T d_pre ; db += col_sums(d_pre)
-        // Reference mode routes the x^T d_pre product through a temporary
-        // and a single add_assign — gradient accumulation rounding is
-        // pinned by the `gradients_accumulate_until_zeroed` semantics.
-        // Fast mode fuses the product into `grad_w` (no temporary, no
-        // second pass); its rounding is covered by the fast-mode tolerance
-        // contract, not the bit pin.
-        match self.mode {
-            NumericMode::Reference => self.grad_w.add_assign(&input.matmul_tn(d_pre)),
-            NumericMode::Fast => {
-                crowdrl_linalg::simd::matmul_tn_acc_fast(input, d_pre, &mut self.grad_w)
-            }
-        }
+        // The x^T d_pre product goes through a temporary and a single
+        // add_assign, so gradient accumulation rounds once per step
+        // (pinned by `gradients_accumulate_until_zeroed`).
+        self.grad_w.add_assign(&input.matmul_tn(d_pre));
         for (gb, s) in self.grad_b.iter_mut().zip(d_pre.col_sums()) {
             *gb += s;
         }

@@ -14,7 +14,7 @@
 //! dense layers with ReLU/Tanh/Sigmoid activations, softmax cross-entropy
 //! (with *soft* targets and per-sample weights — required by the joint EM,
 //! which retrains `φ` on posterior-weighted labels), MSE and Huber losses
-//! for Q-regression, and SGD/Momentum/Adam optimizers. A finite-difference
+//! for Q-regression, and SGD/Adam optimizers. A finite-difference
 //! gradient checker validates the backward pass in tests.
 //!
 //! Everything is `f32`, CPU-only, deterministic given a seeded RNG.
@@ -33,4 +33,4 @@ pub use activation::Activation;
 pub use classifier::{ClassifierConfig, ClassifierSnapshot, SoftmaxClassifier};
 pub use layer::Dense;
 pub use network::Network;
-pub use optimizer::{Adam, Momentum, Optimizer, Sgd};
+pub use optimizer::{Adam, Optimizer, Sgd};

@@ -4,7 +4,7 @@
 use crate::activation::Activation;
 use crate::layer::Dense;
 use crate::optimizer::Optimizer;
-use crowdrl_linalg::{Matrix, NumericMode};
+use crowdrl_linalg::Matrix;
 use rand::Rng;
 
 /// A multi-layer perceptron.
@@ -41,24 +41,6 @@ impl Network {
             layers,
             clip_scratch: Vec::new(),
         }
-    }
-
-    /// Set the numeric mode on every layer (see [`Dense::set_numeric_mode`]
-    /// for which paths dispatch on it). `Reference` (the default) keeps the
-    /// bit-pinned register-tiled kernels; `Fast` enables the SIMD kernels
-    /// for training forwards/backwards and batched inference.
-    pub fn set_numeric_mode(&mut self, mode: NumericMode) {
-        for layer in &mut self.layers {
-            layer.set_numeric_mode(mode);
-        }
-    }
-
-    /// The network's numeric mode (uniform across layers).
-    pub fn numeric_mode(&self) -> NumericMode {
-        self.layers
-            .first()
-            .map(Dense::numeric_mode)
-            .unwrap_or_default()
     }
 
     /// Total scratch-buffer accounting across layers: `(reuses, bytes)`
@@ -330,53 +312,6 @@ mod tests {
                     "pair ({i},{j}): {got} vs {want}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn fast_mode_matches_reference_within_tolerance() {
-        // Full-network parity between the SIMD fast path and the reference
-        // kernels: training forward, inference forward, and one optimizer
-        // step. The modes differ only in reduction order, so outputs agree
-        // to the documented fast-kernel tolerance (1e-4 relative — see
-        // crowdrl_linalg::simd).
-        let mut rng = seeded(77);
-        let reference = Network::mlp(&[12, 32, 16, 4], Activation::Relu, &mut rng);
-        let mut fast = reference.clone();
-        fast.set_numeric_mode(NumericMode::Fast);
-        assert_eq!(fast.numeric_mode(), NumericMode::Fast);
-        assert_eq!(reference.numeric_mode(), NumericMode::Reference);
-
-        let mut vals = seeded(78);
-        let x = Matrix::from_vec(
-            9,
-            12,
-            (0..108).map(|_| vals.random::<f32>() * 2.0 - 1.0).collect(),
-        );
-        let want = reference.forward_inference(&x);
-        let got = fast.forward_inference(&x);
-        for (w, g) in want.as_slice().iter().zip(got.as_slice()) {
-            assert!(
-                (w - g).abs() <= 1e-4 * w.abs().max(1.0),
-                "inference diverged: {w} vs {g}"
-            );
-        }
-
-        // One training step in each mode stays within tolerance too.
-        let mut reference = reference;
-        let target = Matrix::zeros(9, 4);
-        for net in [&mut reference, &mut fast] {
-            net.zero_grad();
-            let out = net.forward(&x);
-            let (_, d) = loss::huber(&out, &target, 1.0);
-            net.backward(&d);
-            net.step(&mut Adam::new(1e-2), Some(1.0));
-        }
-        for (w, g) in reference.flatten_params().iter().zip(fast.flatten_params()) {
-            assert!(
-                (w - g).abs() <= 1e-4 * w.abs().max(1.0),
-                "post-step params diverged: {w} vs {g}"
-            );
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! An [`Optimizer`] updates one parameter tensor at a time, identified by a
 //! stable slot index assigned by the [`Network`](crate::Network) (two slots
-//! per layer: weights, bias). Stateful optimizers (momentum, Adam) allocate
-//! their buffers lazily on first sight of a slot.
+//! per layer: weights, bias). The stateful optimizer (Adam) allocates its
+//! buffers lazily on first sight of a slot.
 
 /// A first-order parameter-update rule.
 pub trait Optimizer {
@@ -39,57 +39,6 @@ impl Optimizer for Sgd {
     }
 
     fn reset(&mut self) {}
-}
-
-/// SGD with classical momentum: `v = mu*v + g; p -= lr*v`.
-#[derive(Debug, Clone)]
-pub struct Momentum {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient `mu` in `[0,1)`.
-    pub mu: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Momentum {
-    /// Momentum SGD.
-    pub fn new(lr: f32, mu: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&mu), "momentum must be in [0,1)");
-        Self {
-            lr,
-            mu,
-            velocity: Vec::new(),
-        }
-    }
-
-    fn slot_state(&mut self, slot: usize, len: usize) -> &mut Vec<f32> {
-        if self.velocity.len() <= slot {
-            self.velocity.resize_with(slot + 1, Vec::new);
-        }
-        let v = &mut self.velocity[slot];
-        if v.len() != len {
-            *v = vec![0.0; len];
-        }
-        v
-    }
-}
-
-impl Optimizer for Momentum {
-    fn update(&mut self, slot: usize, param: &mut [f32], grad: &[f32]) {
-        debug_assert_eq!(param.len(), grad.len());
-        let mu = self.mu;
-        let lr = self.lr;
-        let v = self.slot_state(slot, param.len());
-        for ((p, &g), vi) in param.iter_mut().zip(grad).zip(v.iter_mut()) {
-            *vi = mu * *vi + g;
-            *p -= lr * *vi;
-        }
-    }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction — the default for both the
@@ -156,8 +105,7 @@ impl Optimizer for Adam {
         let b1t = 1.0 - self.beta1.powi(*t as i32);
         let b2t = 1.0 - self.beta2.powi(*t as i32);
         // Elementwise, so the 8-lane kernel is bit-identical to the scalar
-        // loop (see `crowdrl_linalg::simd::adam_update`) and safe to use in
-        // every numeric mode.
+        // loop (see `crowdrl_linalg::simd::adam_update`).
         crowdrl_linalg::simd::adam_update(
             param, grad, m, v, self.lr, self.beta1, self.beta2, self.eps, b1t, b2t,
         );
@@ -189,12 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn momentum_converges_on_quadratic() {
-        let mut opt = Momentum::new(0.05, 0.9);
-        assert!((minimize(&mut opt, 200) - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.1);
         assert!((minimize(&mut opt, 300) - 3.0).abs() < 1e-2);
@@ -206,18 +148,6 @@ mod tests {
         let mut p = [1.0f32, 2.0];
         opt.update(0, &mut p, &[1.0, -2.0]);
         assert_eq!(p, [0.5, 3.0]);
-    }
-
-    #[test]
-    fn momentum_accumulates_velocity() {
-        let mut opt = Momentum::new(1.0, 0.5);
-        let mut p = [0.0f32];
-        opt.update(0, &mut p, &[1.0]); // v=1, p=-1
-        opt.update(0, &mut p, &[1.0]); // v=1.5, p=-2.5
-        assert!((p[0] + 2.5).abs() < 1e-6);
-        opt.reset();
-        opt.update(0, &mut p, &[1.0]); // v restarts at 1
-        assert!((p[0] + 3.5).abs() < 1e-6);
     }
 
     #[test]

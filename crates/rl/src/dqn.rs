@@ -47,10 +47,10 @@ pub struct DqnConfig {
     /// network evaluates it, removing the max-operator's overestimation
     /// bias. `false` uses classical DQN targets.
     pub double_dqn: bool,
-    /// Matmul kernel selection for the Q-networks. `Reference` (default)
-    /// is the bit-pinned blocked kernel; `Fast` enables the SIMD kernels
-    /// for train-step forwards/backwards and batched inference.
-    /// Checkpoints and traces are NOT interchangeable across modes.
+    /// Inert: [`NumericMode`] has only the bit-pinned `Reference` mode and
+    /// nothing reads this field. It stays because the run config's
+    /// fingerprint hashes it, so removing it would change the fingerprint
+    /// every existing checkpoint was cut under.
     pub numeric: NumericMode,
 }
 
@@ -74,7 +74,9 @@ impl Default for DqnConfig {
 }
 
 impl DqnConfig {
-    fn validate(&self) -> Result<()> {
+    /// Validate hyperparameter domains. Every float must be finite, so a
+    /// NaN fails here rather than deep inside a training step.
+    pub fn validate(&self) -> Result<()> {
         if self.input_dim == 0 {
             return Err(Error::InvalidParameter("input_dim must be positive".into()));
         }
@@ -86,9 +88,11 @@ impl DqnConfig {
                 "batch_size, replay_capacity and target_sync_every must be positive".into(),
             ));
         }
-        if self.learning_rate <= 0.0 || self.huber_delta <= 0.0 || self.grad_clip <= 0.0 {
+        let positive = |x: f32| x > 0.0 && x.is_finite();
+        if !(positive(self.learning_rate) && positive(self.huber_delta) && positive(self.grad_clip))
+        {
             return Err(Error::InvalidParameter(
-                "learning_rate, huber_delta and grad_clip must be positive".into(),
+                "learning_rate, huber_delta and grad_clip must be finite and positive".into(),
             ));
         }
         if self.hidden.contains(&0) {
@@ -154,8 +158,7 @@ impl DqnAgent {
         let mut sizes = vec![config.input_dim];
         sizes.extend_from_slice(&config.hidden);
         sizes.push(1);
-        let mut online = Network::mlp(&sizes, Activation::Relu, rng);
-        online.set_numeric_mode(config.numeric);
+        let online = Network::mlp(&sizes, Activation::Relu, rng);
         let mut target = online.clone();
         target.copy_params_from(&online);
         let replay = ReplayBuffer::new(config.replay_capacity);

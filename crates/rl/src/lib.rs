@@ -14,27 +14,20 @@
 //! domain:
 //!
 //! * [`ReplayBuffer`] — fixed-capacity FIFO experience pool with uniform
-//!   sampling; [`PrioritizedReplay`] — the proportional prioritized
-//!   variant (Schaul et al., the paper's \[30\]);
+//!   sampling;
 //! * [`DqnAgent`] — online + target network over state-action feature
 //!   vectors, Huber TD loss, Adam, periodic target sync;
 //! * [`UcbExplorer`] / [`EpsilonGreedy`] — exploration policies;
 //! * [`topk`] — heap-based top-k selection used to pick the `k` annotators
-//!   per object and the best objects per iteration;
-//! * [`QTable`] — exact tabular Q-learning (Eq. 5) for tiny instances, used
-//!   to validate the semantics the DQN approximates.
+//!   per object and the best objects per iteration.
 
 #![forbid(unsafe_code)]
 
 pub mod dqn;
 pub mod explore;
-pub mod prioritized;
 pub mod replay;
-pub mod tabular;
 pub mod topk;
 
 pub use dqn::{DqnAgent, DqnConfig, DqnSnapshot};
 pub use explore::{EpsilonGreedy, UcbExplorer};
-pub use prioritized::PrioritizedReplay;
 pub use replay::{ReplayBuffer, Transition};
-pub use tabular::QTable;

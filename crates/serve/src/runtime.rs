@@ -123,10 +123,8 @@ impl AsyncRuntime {
         obs::init_from_env();
         let run_span = obs::span("serve.run");
         if obs::enabled() {
-            // Which numeric floor this run can dispatch to (the kernels
-            // actually used depend on the config's numeric mode).
+            // Which Adam kernel this host runs (bit-identical either way).
             obs::annotate("simd.kernel", crowdrl_linalg::simd::kernel_name());
-            obs::gauge("simd.lanes", crowdrl_linalg::simd::lanes() as f64);
         }
         let outcome = drive(
             &config,

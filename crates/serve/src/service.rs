@@ -1343,6 +1343,24 @@ impl<'a> Engine<'a> {
                         ))
                         .into());
                     }
+                    // Settling such a record would index the broker's
+                    // load or the answer set out of bounds mid-run.
+                    if let Some(r) = state
+                        .shards
+                        .iter()
+                        .flat_map(|s| &s.records)
+                        .find(|r| r.object.0 >= n || r.annotator.0 >= pool.len())
+                    {
+                        return Err(ServiceError::CorruptCheckpoint(format!(
+                            "project {i} ledger record {} asks annotator {} about object {}, \
+                             outside its {} annotators and {n} objects",
+                            r.id,
+                            r.annotator,
+                            r.object,
+                            pool.len()
+                        ))
+                        .into());
+                    }
                     let mut core = AgentCore::restore(
                         spec.config.clone(),
                         &spec.dataset,

@@ -221,8 +221,10 @@ timed "decide smoke" decide_smoke
 
 echo "== crowdrl-trace --diff smoke test =="
 # Two traced runs of the same deterministic workload must profile as
-# equivalent: the diff gate (the tool CI uses to catch phase-time
-# regressions between commits) must exit zero at a generous threshold.
+# equivalent: the diff gate, which compares the phase times of two
+# traces, must exit zero at a generous threshold. Both traces come from
+# one build; comparing two commits is left to perfbench's alternating
+# pairs (DESIGN.md §14.5).
 # This also exercises the incremental engine's warm path end to end —
 # the demo runs with the default (warm-started) config.
 diff_smoke() {
@@ -238,10 +240,14 @@ diff_smoke() {
 timed "diff smoke" diff_smoke
 
 echo "== cargo fmt --check =="
+# perfbench is its own workspace, so it is checked by its own manifest.
 timed "fmt" cargo fmt --check
+timed "perfbench fmt" cargo fmt --check --manifest-path perfbench/Cargo.toml
 
 echo "== cargo clippy -D warnings =="
 timed "clippy" cargo clippy --workspace --all-targets --offline -- -D warnings
+timed "perfbench clippy" cargo clippy --offline --locked --all-targets \
+  --manifest-path perfbench/Cargo.toml -- -D warnings
 
 echo "== cargo doc -D warnings =="
 # Every intra-doc link must resolve. A moved, renamed or private item

@@ -74,7 +74,6 @@ pub use crowdrl_types as types;
 pub mod prelude {
     pub use crowdrl_core::{CrowdRl, CrowdRlConfig, LabellingOutcome};
     pub use crowdrl_eval::metrics::{evaluate_labels, Metrics};
-    pub use crowdrl_linalg::NumericMode;
     pub use crowdrl_serve::{AsyncOutcome, ExecMode, RunAsync, ServeConfig, ServiceMetrics};
     pub use crowdrl_service::{
         AdmissionPolicy, ProjectSpec, ProjectStatus, RunCheckpoint, Service, ServiceConfig,

@@ -19,8 +19,10 @@
 use crowdrl::obs::json::{parse, Value};
 use crowdrl::prelude::*;
 use crowdrl::rl::DqnConfig;
-use crowdrl::serve::core_loop::CoreState;
-use crowdrl::serve::{AsyncRuntime, ProjectCheckpoint, RunControl, RunOutcome, SupervisorConfig};
+use crowdrl::serve::{
+    ActiveProjectState, AssignmentRecord, AssignmentStatus, AsyncRuntime, ProjectCheckpoint,
+    RunControl, RunOutcome, SupervisorConfig,
+};
 use crowdrl::sim::FaultPlan;
 use crowdrl::types::rng::seeded;
 use crowdrl::types::Error;
@@ -225,37 +227,45 @@ fn the_fixtures_decode_and_re_encode_identically() {
 fn restoring_a_checkpoint_that_does_not_fit_the_run_fails_typed() {
     let (dataset, pool, config, serve) = one_project_run();
     let n = dataset.len();
-    type Mutation = fn(&mut CoreState, usize);
-    let cases: [(&str, Mutation); 9] = [
-        ("truncated confidences", |c, _| {
-            c.run.prev_confidence.truncate(1)
+    type Mutation = fn(&mut ActiveProjectState, usize);
+    let cases: [(&str, Mutation); 11] = [
+        ("truncated confidences", |p, _| {
+            p.core.run.prev_confidence.truncate(1)
         }),
-        ("truncated quarantine states", |c, _| {
-            c.quarantine.truncate(1)
+        ("truncated quarantine states", |p, _| {
+            p.core.quarantine.truncate(1)
         }),
-        ("annotator outside the pool", |c, _| {
-            c.outstanding[0].assignments[0].annotators[0] = AnnotatorId(999)
+        ("annotator outside the pool", |p, _| {
+            p.core.outstanding[0].assignments[0].annotators[0] = AnnotatorId(999)
         }),
-        ("assigned object outside the dataset", |c, n| {
-            c.outstanding[0].assignments[0].object = ObjectId(n)
+        ("assigned object outside the dataset", |p, n| {
+            p.core.outstanding[0].assignments[0].object = ObjectId(n)
         }),
-        ("guessed object outside the dataset", |c, n| {
-            c.outstanding[0].phi_guesses.push((ObjectId(n), 0))
+        ("guessed object outside the dataset", |p, n| {
+            p.core.outstanding[0].phi_guesses.push((ObjectId(n), 0))
         }),
-        ("confidence for an object outside the dataset", |c, n| {
-            c.outstanding[0].conf_before.push((ObjectId(n), 0.5))
+        ("confidence for an object outside the dataset", |p, n| {
+            p.core.outstanding[0].conf_before.push((ObjectId(n), 0.5))
         }),
-        ("replay successors narrower than the embedding", |c, _| {
-            let mut replay = c.run.agent.dqn.replay.iter_mut();
+        ("replay successors narrower than the embedding", |p, _| {
+            let mut replay = p.core.run.agent.dqn.replay.iter_mut();
             let t = replay.find(|t| !t.next_candidates.is_empty()).unwrap();
             t.next_candidates = vec![vec![0.0]].into()
         }),
-        ("replay state-action narrower than the embedding", |c, _| {
-            c.run.agent.dqn.replay[0].state_action.truncate(1)
+        ("replay state-action narrower than the embedding", |p, _| {
+            p.core.run.agent.dqn.replay[0].state_action.truncate(1)
         }),
-        ("replay head at the replay capacity", |c, _| {
-            c.run.agent.dqn.replay_head = DqnConfig::default().replay_capacity
+        ("replay head at the replay capacity", |p, _| {
+            p.core.run.agent.dqn.replay_head = DqnConfig::default().replay_capacity
         }),
+        (
+            "in-flight ledger record for an annotator outside the pool",
+            |p, _| in_flight_record(p).annotator = AnnotatorId(999),
+        ),
+        (
+            "in-flight ledger record for an object outside the dataset",
+            |p, n| in_flight_record(p).object = ObjectId(n),
+        ),
     ];
     for (what, mutate) in cases {
         let mut checkpoint = RunCheckpoint::decode(&checkpoints()[0]).unwrap();
@@ -266,7 +276,7 @@ fn restoring_a_checkpoint_that_does_not_fit_the_run_fails_typed() {
             !project.core.outstanding.is_empty(),
             "the cut has a pending batch"
         );
-        mutate(&mut project.core, n);
+        mutate(project, n);
         let resumed = AsyncRuntime::new(config.clone(), serve.clone()).resume(
             &dataset,
             &pool,
@@ -282,6 +292,15 @@ fn restoring_a_checkpoint_that_does_not_fit_the_run_fails_typed() {
             other => panic!("{what}: want a typed restore error, got {other:?}"),
         }
     }
+}
+
+/// The first in-flight assignment in any of the project's shard ledgers.
+fn in_flight_record(p: &mut ActiveProjectState) -> &mut AssignmentRecord {
+    p.shards
+        .iter_mut()
+        .flat_map(|s| &mut s.records)
+        .find(|r| r.status == AssignmentStatus::InFlight)
+        .expect("the cut has an assignment in flight")
 }
 
 /// The distinct non-empty successor sets (by `Arc` identity) across
