@@ -24,7 +24,6 @@ use crowdrl_types::{
     AnnotatorId, AnnotatorProfile, AnswerSet, Error, LabelledSet, ObjectId, Result,
 };
 use rand::Rng;
-use std::collections::HashMap;
 
 /// One chosen assignment: an object and the annotators to ask, plus the
 /// embeddings used (needed to build replay transitions afterwards).
@@ -152,15 +151,17 @@ impl SelectionAgent {
     ///
     /// `slots`, when given, caps how many assignments each annotator may
     /// take across this whole batch (a shared pool's free concurrency
-    /// slots). Without it the top-scored annotator would be proposed for
-    /// every object, and a brokered service could grant only a slot's
-    /// worth of them. `None` means unbounded, the single-run behaviour.
+    /// slots, by annotator index; an annotator past its end is
+    /// unbounded). Without it the top-scored annotator would be proposed
+    /// for every object, and a brokered service could grant only a
+    /// slot's worth of them. `None` means unbounded, the single-run
+    /// behaviour.
     #[allow(clippy::too_many_arguments)]
     pub fn select<R: Rng + ?Sized>(
         &mut self,
         candidates: &[(ObjectId, Vec<f64>)],
         profiles: &[AnnotatorProfile],
-        slots: Option<&HashMap<AnnotatorId, usize>>,
+        slots: Option<&[usize]>,
         answers: &AnswerSet,
         labelled: &LabelledSet,
         snapshot: &StateSnapshot,
@@ -185,10 +186,9 @@ impl SelectionAgent {
         let active: Vec<&AnnotatorProfile> = profiles
             .iter()
             .filter(|p| {
-                let free = match slots {
-                    Some(s) => s.get(&p.id).copied().unwrap_or(usize::MAX),
-                    None => usize::MAX,
-                };
+                let free = slots
+                    .and_then(|s| s.get(p.id.index()).copied())
+                    .unwrap_or(usize::MAX);
                 p.cost <= iteration_allowance && free > 0
             })
             .collect();
@@ -223,16 +223,16 @@ impl SelectionAgent {
 
         // Pair-level mask: already-answered pairs (§IV-B), from each
         // object's answer list. Cost and slot infeasibility were already
-        // removed at the annotator level.
-        let position: HashMap<AnnotatorId, usize> = active
-            .iter()
-            .enumerate()
-            .map(|(ai, p)| (p.id, ai))
-            .collect();
+        // removed at the annotator level. `position` maps an annotator
+        // index to its active position.
+        let mut position = vec![None; active.iter().map(|p| p.id.index() + 1).max().unwrap_or(0)];
+        for (ai, p) in active.iter().enumerate() {
+            position[p.id.index()] = Some(ai);
+        }
         let mut masked = vec![false; c * w];
         for (ci, (object, _)) in candidates.iter().enumerate() {
             for (annotator, _) in answers.answers_for(*object) {
-                if let Some(&ai) = position.get(annotator) {
+                if let Some(&Some(ai)) = position.get(annotator.index()) {
                     masked[ci * w + ai] = true;
                 }
             }
@@ -802,9 +802,9 @@ mod tests {
                 })
                 .unwrap();
             let labelled = LabelledSet::new(12);
-            let mut slots: HashMap<AnnotatorId, usize> = HashMap::new();
-            slots.insert(AnnotatorId(1), 0); // exhausted: must be pre-filtered
-            slots.insert(AnnotatorId(4), 1);
+            // Annotator 1 exhausted (must be pre-filtered), 4 with one
+            // slot left, the rest unbounded.
+            let slots = [usize::MAX, 0, usize::MAX, usize::MAX, 1];
             for round in 0..4 {
                 let mut rng_a = seeded(seed * 100 + round);
                 let mut rng_b = seeded(seed * 100 + round);
@@ -853,9 +853,7 @@ mod tests {
         let profiles = profiles(4, 1); // worker cost 1, expert cost 10
         let answers = AnswerSet::new(6);
         let labelled = LabelledSet::new(6);
-        let mut slots: HashMap<AnnotatorId, usize> = HashMap::new();
-        slots.insert(AnnotatorId(0), 0);
-        slots.insert(AnnotatorId(1), 2);
+        let slots = [0, 2];
         let mut rng = seeded(42);
         let picks = agent.select(
             &candidates(6),

@@ -244,6 +244,9 @@ impl CrowdRlConfig {
                 }
             }
         }
+        if let InferenceModel::Joint(joint) = &self.inference {
+            joint.validate()?;
+        }
         self.classifier.validate()?;
         self.dqn.validate()?;
         self.engine.validate()?;
@@ -549,6 +552,36 @@ mod tests {
             })
             .build()
             .is_err());
+        // The joint model's own domains are checked at build, not first
+        // mid-run: a NaN smoothing used to run with smoothing 1e-9, an
+        // infinite one failed mid-run, and `min_diagonal` went unchecked.
+        let joint = |config: JointConfig| base().inference(InferenceModel::Joint(config)).build();
+        for smoothing in [f64::NAN, f64::INFINITY, -1.0] {
+            assert!(joint(JointConfig {
+                smoothing,
+                one_coin: false,
+                ..JointConfig::default()
+            })
+            .is_err());
+        }
+        for floor in [f64::NAN, -0.1, 1.5] {
+            assert!(joint(JointConfig {
+                min_diagonal: Some(floor),
+                ..JointConfig::default()
+            })
+            .is_err());
+        }
+        assert!(joint(JointConfig {
+            max_iters: 0,
+            ..JointConfig::default()
+        })
+        .is_err());
+        assert!(joint(JointConfig {
+            min_diagonal: None,
+            smoothing: 0.0,
+            ..JointConfig::default()
+        })
+        .is_ok());
     }
 
     #[test]

@@ -41,7 +41,7 @@
 
 use crate::features::ANNOTATOR_SPECIFIC_DIM;
 use crowdrl_rl::UcbExplorer;
-use crowdrl_types::{AnnotatorId, AnnotatorProfile};
+use crowdrl_types::AnnotatorProfile;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -141,12 +141,10 @@ impl ClassScores {
         // expression), except when the explorer is inactive and
         // `score_soft` returns `q` untouched — mirror that exactly.
         let bonus: Option<Vec<f64>> = match ucb {
-            Some(u) if u.total() > 0 && u.scale != 0.0 => Some(
-                active
-                    .iter()
-                    .map(|p| u.bonus_soft(p.id.index() as u64))
-                    .collect(),
-            ),
+            Some(u) if u.total() > 0 && u.scale != 0.0 => {
+                let bonus = u.soft_bonus();
+                Some(active.iter().map(|p| bonus(p.id.index() as u64)).collect())
+            }
             _ => None,
         };
         let costs: Vec<f64> = active.iter().map(|p| p.cost).collect();
@@ -326,7 +324,7 @@ impl Walk<'_> {
 /// allowance, and no annotator past its free concurrency slots.
 pub(crate) struct Panel<'a> {
     active: &'a [&'a AnnotatorProfile],
-    slots: Option<&'a HashMap<AnnotatorId, usize>>,
+    slots: Option<&'a [usize]>,
     picked: &'a [usize],
     k: usize,
     /// Allowance left after the picks so far.
@@ -338,10 +336,11 @@ pub(crate) struct Panel<'a> {
 
 impl<'a> Panel<'a> {
     /// An empty panel of up to `k` picks. `picked` counts the batch's
-    /// earlier picks of each active annotator, checked against `slots`.
+    /// earlier picks of each active annotator, checked against `slots`
+    /// (free slots by annotator index; past its end, unbounded).
     pub(crate) fn new(
         active: &'a [&'a AnnotatorProfile],
-        slots: Option<&'a HashMap<AnnotatorId, usize>>,
+        slots: Option<&'a [usize]>,
         picked: &'a [usize],
         allowance: f64,
         k: usize,
@@ -370,7 +369,7 @@ impl<'a> Panel<'a> {
     fn slot_exhausted(&self, ai: usize) -> bool {
         self.slots.is_some_and(|slots| {
             let free = slots
-                .get(&self.active[ai].id)
+                .get(self.active[ai].id.index())
                 .copied()
                 .unwrap_or(usize::MAX);
             self.picked[ai] >= free
@@ -421,7 +420,7 @@ mod tests {
     use crowdrl_nn::{Activation, Network};
     use crowdrl_rl::topk;
     use crowdrl_types::rng::seeded;
-    use crowdrl_types::AnnotatorKind;
+    use crowdrl_types::{AnnotatorId, AnnotatorKind};
     use rand::Rng;
 
     /// A network, random object parts, and random annotator suffixes
@@ -735,12 +734,7 @@ mod tests {
         let profiles = workers(5);
         let active: Vec<&AnnotatorProfile> = profiles.iter().collect();
         let (scores, dense) = hand_built(&[&[0.5]], &[0; 5], None, &[1.0; 5]);
-        let slots: HashMap<AnnotatorId, usize> = [
-            (AnnotatorId(0), 1),
-            (AnnotatorId(2), 2),
-            (AnnotatorId(3), 2),
-        ]
-        .into();
+        let slots = [1, usize::MAX, 2, 2];
         let picked = [1, 0, 2, 1, 0];
         let mut masked = vec![false; 5];
         masked[4] = true;

@@ -510,7 +510,7 @@ impl<'a> RunState<'a> {
         &mut self,
         candidates: &[(ObjectId, Vec<f64>)],
         profiles: &[AnnotatorProfile],
-        slots: Option<&HashMap<AnnotatorId, usize>>,
+        slots: Option<&[usize]>,
         answers: &AnswerSet,
         budget_fraction: f64,
         allowance: f64,

@@ -17,7 +17,7 @@ use crate::result::InferenceResult;
 use crowdrl_linalg::pool;
 use crowdrl_obs as obs;
 use crowdrl_types::prob;
-use crowdrl_types::{AnswerSet, Error, ObjectId, Result};
+use crowdrl_types::{AnswerSet, ConfusionMatrix, Error, ObjectId, Result};
 
 /// Configuration and entry point for Dawid–Skene EM.
 #[derive(Debug, Clone)]
@@ -74,11 +74,20 @@ impl DawidSkene {
         let mut state = MajorityVote.infer(answers, num_classes, num_annotators)?;
         let mut iterations = 0;
         let mut log_likelihood = f64::NEG_INFINITY;
+        // Every sweep covers every object, so it reads the log-confusion
+        // rows of every annotator with an answer, and of no one else.
+        let answering =
+            crate::par::answering_annotators(answers, 0..answers.num_objects(), num_annotators);
         for _ in 0..self.max_iters {
             iterations += 1;
             // M-step: confusions and prior from current posteriors.
-            state.confusions =
-                self.m_step(answers, &state.posteriors, num_classes, num_annotators)?;
+            self.m_step(
+                answers,
+                &state.posteriors,
+                num_classes,
+                num_annotators,
+                &mut state.confusions,
+            )?;
             if self.estimate_prior {
                 let mut prior = vec![1e-9f64; num_classes]; // tiny floor
                 for post in state.posteriors.iter().flatten() {
@@ -96,14 +105,15 @@ impl DawidSkene {
             // ranges; per-chunk posteriors and log-likelihood/max-delta
             // partials are merged in chunk-index order, so the result is
             // bit-identical at every thread count (DESIGN.md §9). The
-            // per-annotator log-confusion tables are computed once per
-            // iteration instead of once per (answer, class) pair.
+            // answering annotators' log-confusion tables are computed once
+            // per iteration instead of once per (answer, class) pair.
             let log_prior: Vec<f64> = state
                 .class_prior
                 .iter()
                 .map(|&p| p.max(1e-12).ln())
                 .collect();
-            let log_conf = crate::par::log_confusion_tables(&state.confusions, num_classes);
+            let log_conf =
+                crate::par::log_confusion_tables(&state.confusions, num_classes, &answering);
             let k = num_classes;
             let posteriors = &state.posteriors;
             let _kind = pool::task_kind("em_estep");
@@ -159,7 +169,13 @@ impl DawidSkene {
             }
         }
         // Final M-step so reported confusions match the final posteriors.
-        state.confusions = self.m_step(answers, &state.posteriors, num_classes, num_annotators)?;
+        self.m_step(
+            answers,
+            &state.posteriors,
+            num_classes,
+            num_annotators,
+            &mut state.confusions,
+        )?;
         obs::counter_add("em.ds.runs", 1);
         obs::histogram("em.ds.iters", iterations as f64);
         state.iterations = iterations;
@@ -167,27 +183,29 @@ impl DawidSkene {
         Ok(state)
     }
 
-    /// M-step dispatch: one-coin or full-matrix, with the diagonal floor.
-    /// Shared with the incremental [`engine`](crate::engine), whose warm
-    /// M-step re-estimates confusions over *all* carried posteriors.
+    /// M-step dispatch: one-coin or full-matrix, with the diagonal floor,
+    /// overwriting `confusions`. Shared with the incremental
+    /// [`engine`](crate::engine), whose warm M-step re-estimates
+    /// confusions over *all* carried posteriors.
     pub(crate) fn m_step(
         &self,
         answers: &AnswerSet,
         posteriors: &[Option<Vec<f64>>],
         num_classes: usize,
         num_annotators: usize,
-    ) -> Result<Vec<crowdrl_types::ConfusionMatrix>> {
-        let mut confusions = if self.one_coin {
-            estimate_one_coin(answers, posteriors, num_classes, num_annotators)?
+        confusions: &mut Vec<ConfusionMatrix>,
+    ) -> Result<()> {
+        if self.one_coin {
+            estimate_one_coin(answers, posteriors, num_classes, num_annotators, confusions)?;
         } else {
-            estimate_confusions(answers, posteriors, num_classes, num_annotators)?
-        };
+            *confusions = estimate_confusions(answers, posteriors, num_classes, num_annotators)?;
+        }
         if let Some(floor) = self.min_diagonal {
-            for m in &mut confusions {
+            for m in confusions.iter_mut() {
                 m.clamp_diagonal_min(floor)?;
             }
         }
-        Ok(confusions)
+        Ok(())
     }
 }
 
@@ -197,12 +215,18 @@ impl DawidSkene {
 /// inflates one annotator's accuracy toward 1.0 (their answers define the
 /// posterior, which then certifies their answers), after which that
 /// annotator single-handedly outvotes the rest of the panel.
+///
+/// `confusions` is overwritten in place (re-shaped to `num_annotators`
+/// matrices over `num_classes` first if it does not fit), so a refresh
+/// allocates no matrix; an annotator without answers gets the prior's
+/// accuracy, 0.7.
 pub(crate) fn estimate_one_coin(
     answers: &AnswerSet,
     posteriors: &[Option<Vec<f64>>],
     num_classes: usize,
     num_annotators: usize,
-) -> Result<Vec<crowdrl_types::ConfusionMatrix>> {
+    confusions: &mut Vec<ConfusionMatrix>,
+) -> Result<()> {
     // Shrinkage prior: pseudo-observations at accuracy 0.7 with strength
     // 25. EM's accuracy spread between same-quality annotators is mostly
     // estimation noise, and an inflated spread lets one annotator outvote
@@ -211,12 +235,16 @@ pub(crate) fn estimate_one_coin(
     // genuinely-different annotators from separating given enough answers.
     //
     // The sufficient statistics are summed per fixed object chunk and the
-    // partials merged in chunk-index order (DESIGN.md §9).
+    // partials merged in chunk-index order (DESIGN.md §9). A chunk's
+    // partial is merged only for the annotators it touched: an untouched
+    // entry is +0.0, and adding +0.0 to an accumulator that starts at
+    // 17.5 or 25 changes no bit.
     let _kind = pool::task_kind("em_mstep");
     let partials = pool::map_chunks(
         answers.num_objects(),
         crate::par::OBJECT_CHUNK,
-        |range| -> Result<(Vec<f64>, Vec<f64>)> {
+        |range| -> Result<(Vec<usize>, Vec<f64>, Vec<f64>)> {
+            let mut touched = Vec::new();
             let mut correct = vec![0.0f64; num_annotators];
             let mut total = vec![0.0f64; num_annotators];
             for i in range {
@@ -232,28 +260,34 @@ pub(crate) fn estimate_one_coin(
                             context: "one-coin estimation".into(),
                         });
                     }
+                    if total[j] == 0.0 {
+                        touched.push(j);
+                    }
                     correct[j] += post.get(label.index()).copied().unwrap_or(0.0);
                     total[j] += 1.0;
                 }
             }
-            Ok((correct, total))
+            Ok((touched, correct, total))
         },
     );
     let mut correct = vec![17.5f64; num_annotators];
     let mut total = vec![25.0f64; num_annotators];
     for partial in partials {
-        let (c, t) = partial?;
-        crate::par::accumulate(&mut correct, &c);
-        crate::par::accumulate(&mut total, &t);
+        let (touched, c, t) = partial?;
+        for j in touched {
+            correct[j] += c[j];
+            total[j] += t[j];
+        }
     }
-    (0..num_annotators)
-        .map(|j| {
-            crowdrl_types::ConfusionMatrix::with_accuracy(
-                num_classes,
-                (correct[j] / total[j]).clamp(0.0, 0.92),
-            )
-        })
-        .collect()
+    if confusions.len() != num_annotators
+        || confusions.iter().any(|m| m.num_classes() != num_classes)
+    {
+        *confusions = vec![ConfusionMatrix::uniform(num_classes)?; num_annotators];
+    }
+    for (m, (c, t)) in confusions.iter_mut().zip(correct.iter().zip(&total)) {
+        m.set_accuracy((c / t).clamp(0.0, 0.92))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

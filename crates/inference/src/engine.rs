@@ -523,12 +523,17 @@ impl InferenceEngine {
                 // between calls (the retrained φ reaches every posterior on
                 // the periodic full sweeps).
                 let phi = classifier.predict_proba(&ax);
+                let answering = crate::par::answering_annotators(
+                    answers,
+                    active.iter().copied(),
+                    num_annotators,
+                );
                 for _ in 0..self.config.warm_max_iters {
                     iterations += 1;
                     // E-step over the active set only — same formula as the
                     // cold joint E-step, chunked with partials merged in
                     // chunk-index order (bit-identical at any pool width).
-                    let log_conf = crate::par::log_confusion_tables(&confusions, k);
+                    let log_conf = crate::par::log_confusion_tables(&confusions, k, &answering);
                     let active_ref = &active;
                     let posts_ref = &posteriors;
                     let _kind = pool::task_kind("em_estep");
@@ -591,11 +596,18 @@ impl InferenceEngine {
                     // path: confusions, expert bounding, classifier
                     // retrain (short warm epoch budget, continuing from
                     // the current weights and Adam state).
-                    confusions = if cfg.one_coin {
-                        estimate_one_coin(answers, &posteriors, k, num_annotators)?
+                    if cfg.one_coin {
+                        estimate_one_coin(
+                            answers,
+                            &posteriors,
+                            k,
+                            num_annotators,
+                            &mut confusions,
+                        )?;
                     } else {
-                        model.soft_confusions(answers, &posteriors, k, num_annotators)?
-                    };
+                        confusions =
+                            model.soft_confusions(answers, &posteriors, k, num_annotators)?;
+                    }
                     model.bound_experts(&mut confusions, profiles)?;
                     if max_delta < cfg.tol {
                         break;
@@ -624,10 +636,15 @@ impl InferenceEngine {
                     return Err(Error::InvalidParameter("max_iters must be positive".into()));
                 }
                 let mut class_prior = std::mem::take(&mut state.last.class_prior);
+                let answering = crate::par::answering_annotators(
+                    answers,
+                    active.iter().copied(),
+                    num_annotators,
+                );
                 for _ in 0..self.config.warm_max_iters {
                     iterations += 1;
                     // M-step first, over all posteriors — DS order.
-                    confusions = model.m_step(answers, &posteriors, k, num_annotators)?;
+                    model.m_step(answers, &posteriors, k, num_annotators, &mut confusions)?;
                     if model.estimate_prior {
                         let mut prior = vec![1e-9f64; k];
                         for post in posteriors.iter().flatten() {
@@ -642,7 +659,7 @@ impl InferenceEngine {
                     }
                     let log_prior: Vec<f64> =
                         class_prior.iter().map(|&p| p.max(1e-12).ln()).collect();
-                    let log_conf = crate::par::log_confusion_tables(&confusions, k);
+                    let log_conf = crate::par::log_confusion_tables(&confusions, k, &answering);
                     let active_ref = &active;
                     let posts_ref = &posteriors;
                     let _kind = pool::task_kind("em_estep");
@@ -700,7 +717,7 @@ impl InferenceEngine {
                 }
                 // Final M-step so reported confusions match the final
                 // posteriors (mirrors the cold DS path).
-                confusions = model.m_step(answers, &posteriors, k, num_annotators)?;
+                model.m_step(answers, &posteriors, k, num_annotators, &mut confusions)?;
                 state.last.class_prior = class_prior;
                 if obs::enabled() {
                     let denom = state.answered.len().max(1) as f64;

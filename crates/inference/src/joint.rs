@@ -89,7 +89,10 @@ impl Default for JointConfig {
 }
 
 impl JointConfig {
-    fn validate(&self) -> Result<()> {
+    /// Validate parameter domains. [`JointInference::infer`] checks this
+    /// on every call; `CrowdRlConfig::validate` checks it when a
+    /// configuration is built, so a bad value fails before a run starts.
+    pub fn validate(&self) -> Result<()> {
         if self.max_iters == 0 {
             return Err(Error::InvalidParameter("max_iters must be positive".into()));
         }
@@ -98,10 +101,11 @@ impl JointConfig {
                 "expert_epsilon must be in [0,1]".into(),
             ));
         }
-        if self.smoothing < 0.0 {
-            return Err(Error::InvalidParameter(
-                "smoothing must be non-negative".into(),
-            ));
+        if self.smoothing < 0.0 || !self.smoothing.is_finite() {
+            return Err(Error::InvalidParameter(format!(
+                "smoothing must be finite and non-negative, got {}",
+                self.smoothing
+            )));
         }
         if self.classifier_weight < 0.0 || !self.classifier_weight.is_finite() {
             return Err(Error::InvalidParameter(
@@ -117,6 +121,13 @@ impl JointConfig {
             return Err(Error::InvalidParameter(
                 "retrain_every must be positive".into(),
             ));
+        }
+        if let Some(floor) = self.min_diagonal {
+            if !(0.0..=1.0).contains(&floor) {
+                return Err(Error::InvalidParameter(format!(
+                    "min_diagonal must be in [0,1], got {floor}"
+                )));
+            }
         }
         Ok(())
     }
@@ -196,6 +207,10 @@ impl JointInference {
 
         let mut iterations = 0;
         let mut log_likelihood = f64::NEG_INFINITY;
+        // The log-confusion rows every sweep reads: those of the
+        // annotators who answered something.
+        let answering =
+            crate::par::answering_annotators(answers, answered.iter().copied(), num_annotators);
         for iter in 0..self.config.max_iters {
             iterations += 1;
 
@@ -205,7 +220,7 @@ impl JointInference {
             // max-delta partials, merged below in chunk-index order so the
             // result is bit-identical at every thread count (DESIGN.md §9).
             let phi = classifier.predict_proba(&x); // [answered x k]
-            let log_conf = crate::par::log_confusion_tables(&confusions, k);
+            let log_conf = crate::par::log_confusion_tables(&confusions, k, &answering);
             let lo = self.config.phi_clamp.max(1e-12);
             let hi = 1.0 - self.config.phi_clamp;
             let cw = self.config.classifier_weight;
@@ -258,11 +273,17 @@ impl JointInference {
             }
 
             // M-step (a): confusion matrices from soft counts.
-            confusions = if self.config.one_coin {
-                crate::dawid_skene::estimate_one_coin(answers, &posteriors, k, num_annotators)?
+            if self.config.one_coin {
+                crate::dawid_skene::estimate_one_coin(
+                    answers,
+                    &posteriors,
+                    k,
+                    num_annotators,
+                    &mut confusions,
+                )?;
             } else {
-                self.soft_confusions(answers, &posteriors, k, num_annotators)?
-            };
+                confusions = self.soft_confusions(answers, &posteriors, k, num_annotators)?;
+            }
             // M-step (b): expert bounding.
             self.bound_experts(&mut confusions, profiles)?;
             // M-step (c): retrain classifier on soft targets.

@@ -81,11 +81,23 @@ impl UcbExplorer {
     /// on the bonus being a per-action constant, so annotators with equal
     /// bonus bits and equal Q-values share one adjusted score.
     pub fn bonus_soft(&self, action: u64) -> f64 {
-        if self.total == 0 || self.scale == 0.0 {
-            return 0.0;
+        self.soft_bonus()(action)
+    }
+
+    /// [`UcbExplorer::bonus_soft`] as a function of the action, with
+    /// `2 ln n'` taken once for every action it is asked about: the
+    /// decide path prices the whole active pool per refresh. Each value
+    /// has the bits `bonus_soft` gives (`2.0 * ln / n` is evaluated left
+    /// to right either way).
+    pub fn soft_bonus(&self) -> impl Fn(u64) -> f64 + '_ {
+        let two_ln_total = 2.0 * (self.total as f64).ln();
+        move |action| {
+            if self.total == 0 || self.scale == 0.0 {
+                return 0.0;
+            }
+            let n = self.counts.get(&action).copied().unwrap_or(0).max(1);
+            self.scale * (two_ln_total / n as f64).sqrt()
         }
-        let n = self.counts.get(&action).copied().unwrap_or(0).max(1);
-        self.scale * (2.0 * (self.total as f64).ln() / n as f64).sqrt()
     }
 
     /// Record that `action` was selected.

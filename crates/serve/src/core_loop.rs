@@ -32,7 +32,7 @@ use crowdrl_types::{
 };
 use rand::rngs::StdRng;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The budget as the agent is allowed to see it: real charges plus the
@@ -75,12 +75,13 @@ pub struct RefreshRequest {
     /// Objects the agent must not select: currently in flight, or
     /// abandoned after exhausting their requeue allowance.
     pub blocked: HashSet<ObjectId>,
-    /// Free concurrency slots per annotator at refresh time (shared
-    /// pool brokering). Selection filters out exhausted annotators the
-    /// way it filters quarantined ones, and caps how many times one
-    /// annotator is reused within a single reply; an annotator missing
-    /// from the map is unbounded.
-    pub slots: HashMap<AnnotatorId, usize>,
+    /// Free concurrency slots of each annotator, by index, at refresh
+    /// time (shared pool brokering): one snapshot per round, shared by
+    /// every request of that round. Selection filters out exhausted
+    /// annotators the way it filters quarantined ones, and caps how many
+    /// times one annotator is reused within a single reply; an annotator
+    /// past the end of the slice is unbounded.
+    pub slots: Arc<[usize]>,
     /// The simulated clock at the refresh.
     pub now: SimTime,
     /// Answers delivered since the previous refresh.
@@ -458,7 +459,7 @@ impl<'a> AgentCore<'a> {
         // when every breaker is closed and every slot free the original
         // slice is used and the run is bit-identical.
         let all_profiles = self.state.pool().profiles();
-        let free = |id: AnnotatorId| req.slots.get(&id).copied().unwrap_or(usize::MAX) > 0;
+        let free = |id: AnnotatorId| req.slots.get(id.index()).copied().unwrap_or(usize::MAX) > 0;
         let active_profiles: Vec<AnnotatorProfile> = all_profiles
             .iter()
             .filter(|p| !self.quarantine.is_quarantined(p.id.index()) && free(p.id))

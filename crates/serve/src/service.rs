@@ -62,11 +62,9 @@ use crate::shard::{Shard, ShardBatch, ShardEvent};
 use crowdrl_linalg::pool as tpool;
 use crowdrl_obs as obs;
 use crowdrl_sim::{AnnotatorDynamics, AnnotatorPool, FaultInjector, FaultRecord};
-use crowdrl_types::{
-    AnnotatorId, Answer, AnswerSet, AssignmentId, Error, ObjectId, Result, SimTime,
-};
+use crowdrl_types::{Answer, AnswerSet, AssignmentId, Error, ObjectId, Result, SimTime};
 use rand::Rng;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -974,13 +972,13 @@ impl<'a> Engine<'a> {
         // One shared snapshot of the pool's free concurrency slots for
         // the whole round: the cores skip exhausted annotators during
         // selection and spread a batch across annotators that can
-        // actually take it. The map is read before any of this round's
-        // grants, which keeps it identical for every due project
+        // actually take it. The snapshot is read before any of this
+        // round's grants, which keeps it identical for every due project
         // regardless of handling order; the broker still arbitrates at
         // grant time, so the snapshot being optimistic across projects
         // costs at most a skipped grant, never an overcommit.
-        let slots: HashMap<AnnotatorId, usize> = (0..self.broker.annotators())
-            .map(|a| (AnnotatorId(a), self.broker.free_slots(a)))
+        let slots: Arc<[usize]> = (0..self.broker.annotators())
+            .map(|a| self.broker.free_slots(a))
             .collect();
         let mut requests = Vec::with_capacity(due.len());
         for &i in due {
@@ -994,7 +992,7 @@ impl<'a> Engine<'a> {
                     reserved: self.accounts.reserved(i),
                 },
                 blocked: p.blocked(now),
-                slots: slots.clone(),
+                slots: Arc::clone(&slots),
                 now,
                 answers_since: p.answers_since,
             });
@@ -1310,6 +1308,8 @@ impl<'a> Engine<'a> {
         let cfg = self.cfg;
         let specs = self.specs;
         let pool = self.pool;
+        let next_uid = self.next_uid;
+        let mut uids = HashSet::new();
         for (i, pc) in cp.projects.into_iter().enumerate() {
             let admitted = self.projects[i].is_some();
             match pc {
@@ -1358,6 +1358,23 @@ impl<'a> Engine<'a> {
                             r.annotator,
                             r.object,
                             pool.len()
+                        ))
+                        .into());
+                    }
+                    // A uid names one assignment service-wide (the trace
+                    // id and the sampling stream): a repeated one, or one
+                    // not issued yet, would report two assignments under
+                    // one id.
+                    for &uid in state.shards.iter().flat_map(|s| &s.uids) {
+                        let fault = if uid >= next_uid {
+                            "not issued yet"
+                        } else if !uids.insert(uid) {
+                            "held twice"
+                        } else {
+                            continue;
+                        };
+                        return Err(ServiceError::CorruptCheckpoint(format!(
+                            "project {i} assignment uid {uid} is {fault} (next uid {next_uid})"
                         ))
                         .into());
                     }

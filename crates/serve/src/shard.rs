@@ -21,6 +21,7 @@
 
 use crate::checkpoint::ShardState;
 use crate::clock::EventQueue;
+use crate::error::ServiceError;
 use crate::event::EventKind;
 use crate::ledger::{AssignmentLedger, AssignmentStatus, Delivery, Expiry};
 use crowdrl_types::{AnnotatorId, AssignmentId, ClassId, ObjectId, Result, SimTime};
@@ -284,8 +285,21 @@ impl Shard {
         }
     }
 
-    /// Rebuild a shard from an [`export`](Self::export) snapshot.
+    /// Rebuild a shard from an [`export`](Self::export) snapshot. A
+    /// pending event must name an assignment the snapshot's ledger
+    /// issued; one that does not would fail the resumed run mid-way.
     pub fn restore(state: ShardState) -> Result<Self> {
+        let issued = state.records.len();
+        if let Some(event) = state.events.iter().find(|e| {
+            let (EventKind::Deliver(id) | EventKind::Expire(id)) = e.kind;
+            id.0 >= issued as u64
+        }) {
+            return Err(ServiceError::CorruptCheckpoint(format!(
+                "shard event {:?} names an assignment its ledger of {issued} never issued",
+                event.kind
+            ))
+            .into());
+        }
         let queue = EventQueue::restore(state.now, state.next_seq, state.events)?;
         let ledger = AssignmentLedger::restore(state.records)?;
         if state.uids.len() != ledger.len() || state.labels.len() != ledger.len() {

@@ -47,21 +47,33 @@ impl ConfusionMatrix {
     /// classes. This is the one-parameter annotator model many truth
     /// inference papers use and the shape our simulator samples around.
     pub fn with_accuracy(k: usize, acc: f64) -> Result<Self> {
-        Self::check_k(k)?;
+        let mut m = Self::uniform(k)?;
+        m.set_accuracy(acc)?;
+        Ok(m)
+    }
+
+    /// Overwrite the matrix in place with the
+    /// [`with_accuracy`](ConfusionMatrix::with_accuracy) shape: `acc` on
+    /// the diagonal, `1 - acc` spread uniformly over each row's other
+    /// classes (a one-class matrix stays the identity). The one-coin
+    /// M-step rewrites every annotator's matrix this way without
+    /// allocating.
+    pub fn set_accuracy(&mut self, acc: f64) -> Result<()> {
         if !(0.0..=1.0).contains(&acc) {
             return Err(Error::InvalidParameter(format!(
                 "accuracy must be in [0,1], got {acc}"
             )));
         }
+        let k = self.k;
         if k == 1 {
-            return Self::identity(1);
+            self.p[0] = 1.0;
+            return Ok(());
         }
-        let off = (1.0 - acc) / (k - 1) as f64;
-        let mut p = vec![off; k * k];
+        self.p.fill((1.0 - acc) / (k - 1) as f64);
         for c in 0..k {
-            p[c * k + c] = acc;
+            self.p[c * k + c] = acc;
         }
-        Ok(Self { k, p })
+        Ok(())
     }
 
     /// Build from explicit rows, normalizing each row to sum to one.
@@ -310,6 +322,20 @@ mod tests {
     fn single_class_is_always_identity() {
         let m = ConfusionMatrix::with_accuracy(1, 0.3).unwrap();
         assert_eq!(m.quality(), 1.0);
+    }
+
+    #[test]
+    fn set_accuracy_overwrites_any_matrix_with_the_accuracy_shape() {
+        let mut m = ConfusionMatrix::from_rows(&[
+            vec![0.1, 0.2, 0.7],
+            vec![0.3, 0.3, 0.4],
+            vec![0.5, 0.25, 0.25],
+        ])
+        .unwrap();
+        m.set_accuracy(0.8).unwrap();
+        assert_eq!(m, ConfusionMatrix::with_accuracy(3, 0.8).unwrap());
+        assert!(m.set_accuracy(f64::NAN).is_err());
+        assert!(m.set_accuracy(1.5).is_err());
     }
 
     #[test]

@@ -27,6 +27,11 @@ timed() {
 echo "== cargo build --release =="
 timed "build" cargo build --release --offline
 
+echo "== perf_pairs.sh syntax =="
+# The paired-timing script builds and runs a second tree, minutes of
+# work, so CI only parses it.
+timed "perf_pairs syntax" bash -n scripts/perf_pairs.sh
+
 echo "== perfbench check (locked) =="
 # The benchmark package builds the workspace crates by path under its
 # own committed perfbench/Cargo.lock, which records every crate's

@@ -8,8 +8,9 @@
 //! either a checkpoint or the typed corrupt-checkpoint error, never
 //! panic. A checkpoint that decodes but does not fit the run it resumes
 //! (a vector or replay embedding of the wrong length, an object or
-//! annotator id or replay head out of range) must likewise fail to
-//! restore with a typed error.
+//! annotator id or replay head out of range, a pending event for an
+//! assignment its ledger never issued, a service-wide assignment id held
+//! twice) must likewise fail to restore with a typed error.
 //!
 //! Each DQN replay writes every distinct successor-candidate set once
 //! and each transition refers to its set by index: a bad index is a
@@ -20,12 +21,12 @@ use crowdrl::obs::json::{parse, Value};
 use crowdrl::prelude::*;
 use crowdrl::rl::DqnConfig;
 use crowdrl::serve::{
-    ActiveProjectState, AssignmentRecord, AssignmentStatus, AsyncRuntime, ProjectCheckpoint,
-    RunControl, RunOutcome, SupervisorConfig,
+    ActiveProjectState, AssignmentRecord, AssignmentStatus, AsyncRuntime, EventKind,
+    ProjectCheckpoint, RunControl, RunOutcome, SupervisorConfig,
 };
 use crowdrl::sim::FaultPlan;
 use crowdrl::types::rng::seeded;
-use crowdrl::types::Error;
+use crowdrl::types::{AssignmentId, Error};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
@@ -228,7 +229,7 @@ fn restoring_a_checkpoint_that_does_not_fit_the_run_fails_typed() {
     let (dataset, pool, config, serve) = one_project_run();
     let n = dataset.len();
     type Mutation = fn(&mut ActiveProjectState, usize);
-    let cases: [(&str, Mutation); 11] = [
+    let cases: [(&str, Mutation); 14] = [
         ("truncated confidences", |p, _| {
             p.core.run.prev_confidence.truncate(1)
         }),
@@ -266,6 +267,21 @@ fn restoring_a_checkpoint_that_does_not_fit_the_run_fails_typed() {
             "in-flight ledger record for an object outside the dataset",
             |p, n| in_flight_record(p).object = ObjectId(n),
         ),
+        (
+            "pending event for an assignment the ledger never issued",
+            |p, _| {
+                let shard = p.shards.iter_mut().find(|s| !s.events.is_empty()).unwrap();
+                shard.events[0].kind = EventKind::Deliver(AssignmentId(9999))
+            },
+        ),
+        ("one service-wide assignment id on two records", |p, _| {
+            let shard = p.shards.iter_mut().find(|s| s.uids.len() > 1).unwrap();
+            shard.uids[1] = shard.uids[0]
+        }),
+        ("an assignment id the service has not issued yet", |p, _| {
+            let shard = p.shards.iter_mut().find(|s| !s.uids.is_empty()).unwrap();
+            shard.uids[0] = u64::MAX
+        }),
     ];
     for (what, mutate) in cases {
         let mut checkpoint = RunCheckpoint::decode(&checkpoints()[0]).unwrap();

@@ -2,7 +2,8 @@
 //! answer deliveries must agree with one cold inference over the final
 //! answer set — same labels (≥99%), same accuracy (within 0.01) — and the
 //! dirty-set E-step must reproduce the full sweep bit-for-bit on the
-//! objects it touches.
+//! objects it touches. Annotators who never answer change no bit of cold
+//! or warm inference.
 
 use crowdrl::inference::{
     DawidSkene, EngineConfig, EngineSnapshot, InferenceEngine, InferenceResult, JointConfig,
@@ -520,4 +521,140 @@ fn restore_rejects_snapshots_that_do_not_fit_the_dataset() {
     }
     let mut fresh = InferenceEngine::joint(JointInference::default(), EngineConfig::default());
     fresh.restore_state(snap, &dataset).unwrap();
+}
+
+/// Every bit of a result, for exact comparison.
+fn result_bits(r: &InferenceResult) -> (Vec<Option<Vec<u64>>>, Vec<u64>, u64, usize) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    (
+        r.posteriors
+            .iter()
+            .map(|p| p.as_deref().map(bits))
+            .collect(),
+        bits(&r.class_prior),
+        r.log_likelihood.to_bits(),
+        r.iterations,
+    )
+}
+
+#[test]
+fn silent_annotators_change_no_bit_of_inference() {
+    // Padding a pool with annotators who never answer must change no bit
+    // of inference: the E-step reads the log-confusion rows of answering
+    // annotators only, and the one-coin M-step merges each object
+    // chunk's statistics only for the annotators that chunk touched.
+    // 520 objects span three 256-object chunks.
+    const SILENT: usize = 500;
+    let k = 3;
+    let mut rng = seeded(61);
+    let dataset = DatasetSpec::gaussian("silent", 520, 4, k)
+        .with_separation(2.5)
+        .generate(&mut rng)
+        .unwrap();
+    let pool = PoolSpec::new(4, 1).generate(k, &mut rng).unwrap();
+    let answering = pool.len();
+    let mut padded = pool.profiles().to_vec();
+    for j in answering..answering + SILENT {
+        // Every tenth silent annotator is an expert, so silent experts
+        // meet the joint model's expert bounding.
+        let (kind, cost) = if j % 10 == 0 {
+            (AnnotatorKind::Expert, 8.0)
+        } else {
+            (AnnotatorKind::Worker, 1.0)
+        };
+        padded.push(AnnotatorProfile::new(AnnotatorId(j), kind, cost).unwrap());
+    }
+    // The answer set after each of four delivery stages.
+    let mut platform = Platform::new(&dataset, &pool, Budget::new(1e6).unwrap());
+    let mut ask_rng = seeded(62);
+    let stages: Vec<AnswerSet> = (0..4)
+        .map(|s| {
+            ask_stage(&mut platform, &pool, s * 130..(s + 1) * 130, &mut ask_rng);
+            platform.answers().clone()
+        })
+        .collect();
+
+    let joint = JointInference::default();
+    let ds = DawidSkene::default();
+    // Cold joint and Dawid–Skene over the final answers, then one warm
+    // engine sequence per model, each result labelled with whether the
+    // joint model's expert bounding shaped it.
+    let run = |profiles: &[AnnotatorProfile]| {
+        let mut out = vec![(
+            "cold joint",
+            true,
+            joint
+                .infer(
+                    &dataset,
+                    &stages[3],
+                    profiles,
+                    &mut fresh_classifier(dataset.dim(), k, 63),
+                    &mut seeded(64),
+                )
+                .unwrap(),
+        )];
+        out.push((
+            "cold dawid-skene",
+            false,
+            ds.infer(&stages[3], k, profiles.len()).unwrap(),
+        ));
+        let engines = [
+            (
+                "joint engine",
+                true,
+                InferenceEngine::joint(joint.clone(), EngineConfig::default()),
+            ),
+            (
+                "dawid-skene engine",
+                false,
+                InferenceEngine::dawid_skene(ds.clone(), EngineConfig::default()),
+            ),
+        ];
+        for (what, bounded, mut engine) in engines {
+            let mut classifier = fresh_classifier(dataset.dim(), k, 65);
+            let mut rng = seeded(66);
+            for answers in &stages {
+                let r = engine
+                    .infer(&dataset, answers, profiles, &mut classifier, &mut rng)
+                    .unwrap();
+                out.push((what, bounded, r));
+            }
+        }
+        out
+    };
+
+    let epsilon = joint.config.expert_epsilon;
+    for threads in [1, 4] {
+        crowdrl::linalg::pool::with_threads(threads, || {
+            for ((what, bounded, plain), (_, _, wide)) in
+                run(pool.profiles()).iter().zip(&run(&padded))
+            {
+                assert_eq!(
+                    result_bits(plain),
+                    result_bits(wide),
+                    "{what} at {threads} threads"
+                );
+                assert_eq!(wide.confusions.len(), answering + SILENT);
+                for (j, (m, profile)) in wide.confusions.iter().zip(&padded).enumerate() {
+                    let want = if j < answering {
+                        plain.confusions[j].clone()
+                    } else {
+                        let mut prior = ConfusionMatrix::with_accuracy(k, 0.7).unwrap();
+                        if *bounded && profile.is_expert() {
+                            prior.bound_diagonal(epsilon).unwrap();
+                        }
+                        prior
+                    };
+                    assert_eq!(
+                        m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        want.as_slice()
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .collect::<Vec<_>>(),
+                        "{what} at {threads} threads: annotator {j}"
+                    );
+                }
+            }
+        });
+    }
 }

@@ -8,8 +8,6 @@
 //! stale profile or weights, or any class that groups annotators it
 //! should not, shows up as a divergent panel or RNG stream.
 
-use std::collections::HashMap;
-
 use crowdrl::core::agent::SelectionAgent;
 use crowdrl::core::features::{StateSnapshot, FEATURE_DIM};
 use crowdrl::core::{Ablation, DecideMode, Exploration};
@@ -50,7 +48,8 @@ fn twin(seed: u64, mode: DecideMode) -> SelectionAgent {
 struct World {
     profiles: Vec<AnnotatorProfile>,
     quarantined: Vec<bool>,
-    slots: HashMap<AnnotatorId, usize>,
+    /// Free slots by annotator index (`usize::MAX` = unbounded).
+    slots: Vec<usize>,
     answers: AnswerSet,
     qualities: Vec<f64>,
     loads: Vec<usize>,
@@ -76,7 +75,7 @@ impl World {
         Self {
             profiles,
             quarantined: vec![false; POOL],
-            slots: HashMap::new(),
+            slots: vec![usize::MAX; POOL],
             answers: AnswerSet::new(OBJECTS),
             // A few quality tiers, like a pool where the inference
             // engine has profiled some annotators and left the rest at
@@ -130,9 +129,7 @@ fn apply(world: &mut World, op: u8, target: usize, value: u16) {
         // has now — a pre-quarantine activation must not be used.
         3 => world.quarantined[j] = false,
         // Slot exhaustion / partial refill on the shared pool.
-        4 => {
-            world.slots.insert(AnnotatorId(j), (value % 3) as usize);
-        }
+        4 => world.slots[j] = (value % 3) as usize,
         // Answer arrival: flips the pair mask for (object, j).
         _ => {
             let object = ObjectId(target % OBJECTS);
