@@ -28,6 +28,7 @@ use crowdrl_types::{
 use rand::Rng;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A decided batch awaiting reward credit, with what the agent believed
 /// about its objects before their answers arrived.
@@ -318,18 +319,19 @@ impl<'a> RunState<'a> {
 
     /// Truth inference over `answers`, through the warm engine when one
     /// exists. The joint model also retrains the classifier; the others
-    /// ignore the features.
+    /// ignore the features. The warm engine shares the result it keeps
+    /// (see [`InferenceEngine::infer`]): drop it before the next call.
     pub fn infer<R: Rng + ?Sized>(
         &mut self,
         answers: &AnswerSet,
         rng: &mut R,
-    ) -> Result<InferenceResult> {
+    ) -> Result<Arc<InferenceResult>> {
         let profiles = self.pool.profiles();
         if let Some(engine) = &mut self.engine {
             return engine.infer(self.dataset, answers, profiles, &mut self.classifier, rng);
         }
         let (k, w) = (self.dataset.num_classes(), self.pool.len());
-        match &self.config.inference {
+        let result = match &self.config.inference {
             InferenceModel::Joint(config) => JointInference {
                 config: config.clone(),
             }
@@ -337,7 +339,8 @@ impl<'a> RunState<'a> {
             InferenceModel::Pm => Pm::default().infer(answers, k, w),
             InferenceModel::DawidSkene => DawidSkene::default().infer(answers, k, w),
             InferenceModel::MajorityVote => MajorityVote.infer(answers, k, w),
-        }
+        };
+        result.map(Arc::new)
     }
 
     /// Write inferred labels into the labelled set and refresh the quality

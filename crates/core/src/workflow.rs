@@ -198,7 +198,8 @@ impl CrowdRl {
 
         // --- Close: with a warm engine the final inference reuses the last
         // iteration's result when no answers arrived since (the common
-        // case), so it costs one clone instead of one full EM run. ---
+        // case), so it costs a reference count instead of one full EM
+        // run. ---
         let finalize_span = obs::span("workflow.finalize");
         let final_result = if state.labelled().all_labelled() {
             None
@@ -206,7 +207,7 @@ impl CrowdRl {
             Some(state.infer(platform.answers(), rng)?)
         };
         let outcome = state.finish(
-            final_result.as_ref(),
+            final_result.as_deref(),
             platform.budget().spent(),
             platform.answers().total_answers(),
             rng,

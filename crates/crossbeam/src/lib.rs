@@ -68,7 +68,9 @@ pub mod channel {
             }
             state.queue.push_back(msg);
             drop(state);
-            self.shared.signal.notify_all();
+            // One message needs one receiver; a receiver that finds the
+            // queue empty after a wake-up just waits again.
+            self.shared.signal.notify_one();
             Ok(())
         }
     }

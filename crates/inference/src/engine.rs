@@ -48,6 +48,7 @@ use crowdrl_obs as obs;
 use crowdrl_types::prob;
 use crowdrl_types::{AnnotatorProfile, AnswerSet, Dataset, Error, ObjectId, Result};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Row sentinel for objects that have no feature row yet.
 const NO_ROW: usize = usize::MAX;
@@ -126,8 +127,10 @@ enum EngineModel {
 struct EngineState {
     /// The previous call's full result (posteriors, confusions, prior) —
     /// both the warm seed for the next call and the cached reply when no
-    /// answers arrived in between (the finalize path).
-    last: InferenceResult,
+    /// answers arrived in between (the finalize path). Shared with the
+    /// caller, who gets it back from the call; once the caller has dropped
+    /// its handle, the next warm call rewrites it in place.
+    last: Arc<InferenceResult>,
     /// Per-object answer counts at the last call; a count increase marks
     /// the object dirty.
     answer_counts: Vec<usize>,
@@ -225,7 +228,7 @@ impl InferenceEngine {
     /// `None` is simply a fresh engine, which is already equivalent.
     pub fn export_state(&self) -> Option<EngineSnapshot> {
         self.state.as_ref().map(|s| EngineSnapshot {
-            last: s.last.clone(),
+            last: InferenceResult::clone(&s.last),
             answer_counts: s.answer_counts.clone(),
             total_answers: s.total_answers,
             moved: s.moved.clone(),
@@ -301,7 +304,7 @@ impl InferenceEngine {
         }
         self.calls = snap.calls;
         self.state = Some(EngineState {
-            last: snap.last,
+            last: Arc::new(snap.last),
             answer_counts: snap.answer_counts,
             total_answers: snap.total_answers,
             moved: snap.moved,
@@ -319,6 +322,10 @@ impl InferenceEngine {
     /// majority-vote-seeded, and the E-step restricted to the active set
     /// on incremental calls. When no answers arrived since the previous
     /// call, the cached result is returned without touching the RNG.
+    ///
+    /// The result is shared with the engine, which warms the next call
+    /// from it: drop it before that call and the engine reuses it in place
+    /// instead of copying every posterior and confusion matrix.
     pub fn infer<R: Rng + ?Sized>(
         &mut self,
         dataset: &Dataset,
@@ -326,7 +333,7 @@ impl InferenceEngine {
         profiles: &[AnnotatorProfile],
         classifier: &mut SoftmaxClassifier,
         rng: &mut R,
-    ) -> Result<InferenceResult> {
+    ) -> Result<Arc<InferenceResult>> {
         self.config.validate()?;
         let n = dataset.len();
         let reusable = self.config.warm_start
@@ -348,12 +355,9 @@ impl InferenceEngine {
         // The finalize paths hit this when the last loop iteration already
         // inferred over every purchased answer.
         if self.state.as_ref().map(|s| s.total_answers) == Some(answers.total_answers()) {
-            return Ok(self
-                .state
-                .as_ref()
-                .expect("state checked above")
-                .last
-                .clone());
+            return Ok(Arc::clone(
+                &self.state.as_ref().expect("state checked above").last,
+            ));
         }
         self.warm_call(dataset, answers, profiles, classifier, rng)
     }
@@ -367,14 +371,14 @@ impl InferenceEngine {
         profiles: &[AnnotatorProfile],
         classifier: &mut SoftmaxClassifier,
         rng: &mut R,
-    ) -> Result<InferenceResult> {
+    ) -> Result<Arc<InferenceResult>> {
         self.calls += 1;
-        let result = match &self.model {
+        let result = Arc::new(match &self.model {
             EngineModel::Joint(m) => m.infer(dataset, answers, profiles, classifier, rng)?,
             EngineModel::DawidSkene(m) => {
                 m.infer(answers, dataset.num_classes(), profiles.len())?
             }
-        };
+        });
         let n = dataset.len();
         let answered: Vec<usize> = (0..n)
             .filter(|&i| !answers.answers_for(ObjectId(i)).is_empty())
@@ -405,7 +409,7 @@ impl InferenceEngine {
             moved[i] = true;
         }
         self.state = Some(EngineState {
-            last: result.clone(),
+            last: Arc::clone(&result),
             answer_counts: (0..n)
                 .map(|i| answers.answers_for(ObjectId(i)).len())
                 .collect(),
@@ -428,7 +432,7 @@ impl InferenceEngine {
         profiles: &[AnnotatorProfile],
         classifier: &mut SoftmaxClassifier,
         rng: &mut R,
-    ) -> Result<InferenceResult> {
+    ) -> Result<Arc<InferenceResult>> {
         let _span = obs::span("em.engine.warm");
         // The joint E-step reads one carried confusion per annotator; a
         // restored snapshot from a different pool must fail here, before
@@ -485,7 +489,10 @@ impl InferenceEngine {
             (0..n).filter(|&i| is_active[i]).collect()
         };
 
-        let mut posteriors = std::mem::take(&mut state.last.posteriors);
+        // Unshared once the caller dropped the previous call's result, so
+        // the carried result is reused in place; copied only if it is not.
+        let last = Arc::make_mut(&mut state.last);
+        let mut posteriors = std::mem::take(&mut last.posteriors);
         if posteriors.len() != n {
             return Err(Error::DimensionMismatch {
                 expected: n,
@@ -493,9 +500,9 @@ impl InferenceEngine {
                 context: "engine carried posteriors".into(),
             });
         }
-        let mut confusions = std::mem::take(&mut state.last.confusions);
+        let mut confusions = std::mem::take(&mut last.confusions);
         let mut iterations = 0;
-        let mut log_likelihood = state.last.log_likelihood;
+        let mut log_likelihood = last.log_likelihood;
 
         match &self.model {
             EngineModel::Joint(model) => {
@@ -635,7 +642,7 @@ impl InferenceEngine {
                 if model.max_iters == 0 {
                     return Err(Error::InvalidParameter("max_iters must be positive".into()));
                 }
-                let mut class_prior = std::mem::take(&mut state.last.class_prior);
+                let mut class_prior = std::mem::take(&mut last.class_prior);
                 let answering = crate::par::answering_annotators(
                     answers,
                     active.iter().copied(),
@@ -718,7 +725,7 @@ impl InferenceEngine {
                 // Final M-step so reported confusions match the final
                 // posteriors (mirrors the cold DS path).
                 model.m_step(answers, &posteriors, k, num_annotators, &mut confusions)?;
-                state.last.class_prior = class_prior;
+                last.class_prior = class_prior;
                 if obs::enabled() {
                     let denom = state.answered.len().max(1) as f64;
                     obs::gauge_step("em.ds.dirty_fraction", call, active.len() as f64 / denom);
@@ -739,17 +746,16 @@ impl InferenceEngine {
                 prob::normalize(&mut prior);
                 prior
             }
-            EngineModel::DawidSkene(_) => state.last.class_prior.clone(),
+            EngineModel::DawidSkene(_) => std::mem::take(&mut last.class_prior),
         };
 
-        let result = InferenceResult {
+        *last = InferenceResult {
             posteriors,
             confusions,
             class_prior,
             iterations,
             log_likelihood,
         };
-        state.last = result.clone();
-        Ok(result)
+        Ok(Arc::clone(&state.last))
     }
 }

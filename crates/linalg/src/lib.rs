@@ -12,9 +12,10 @@
 //! whose fixed chunk boundaries and fixed-order reductions make every
 //! result **bit-identical for any thread count** (see DESIGN.md §9); small
 //! products stay on the single-threaded kernels the dispatch shares with
-//! the parallel path. The one explicit-SIMD kernel, the optimizer's AVX2
-//! Adam update in [`simd`], is bit-identical to its scalar loop, so every
-//! run has one numeric result (DESIGN.md §14).
+//! the parallel path. The explicit-SIMD kernels — AVX2 tile kernels for
+//! the three products and the optimizer's AVX2 Adam update in [`simd`] —
+//! are bit-identical to the portable loops, so every run has one numeric
+//! result (DESIGN.md §14).
 
 pub mod matrix;
 pub mod ops;

@@ -6,6 +6,8 @@
 //! to recover from, and panicking keeps the hot-path signatures clean.
 
 use crate::pool;
+#[cfg(target_arch = "x86_64")]
+use crate::simd;
 
 /// Row chunk used by the dispatching matmul entries when they go parallel.
 /// Fixed — never derived from the thread count — so the decomposition (and
@@ -72,11 +74,27 @@ macro_rules! by_shape {
     };
 }
 
+/// Row bands `(first_row, rows)` covering `rows` output rows: bands of
+/// `TILE_ROWS` rows, then the rows below the last full band in bands of
+/// 2 and 1.
+fn bands(rows: usize) -> impl Iterator<Item = (usize, usize)> {
+    let (mut r0, mut h) = (0, TILE_ROWS);
+    std::iter::from_fn(move || {
+        if r0 >= rows {
+            return None;
+        }
+        while r0 + h > rows {
+            h /= 2;
+        }
+        r0 += h;
+        Some((r0 - h, h))
+    })
+}
+
 /// Cover the row-major `out` block (`width` columns) with register tiles:
-/// bands of `TILE_ROWS` rows, the rows below the last full band in bands
-/// of 2 and 1, each band cut into panels of up to `cols_per_tile`
-/// columns. Calls `tile(first_row, rows, j0, cols, band)`, with
-/// `first_row` counted from the start of `out` and `band` the band's
+/// the [`bands`] of its rows, each cut into panels of up to
+/// `cols_per_tile` columns. Calls `tile(first_row, rows, j0, cols, band)`,
+/// with `first_row` counted from the start of `out` and `band` the band's
 /// slice of `out`. Each output element's value is fixed by its own
 /// accumulation sequence, so which tile covers it cannot change a bit.
 fn for_each_tile(
@@ -88,17 +106,11 @@ fn for_each_tile(
     if width == 0 {
         return;
     }
-    let rows = out.len() / width;
-    let (mut r0, mut h) = (0, TILE_ROWS);
-    while r0 < rows {
-        while r0 + h > rows {
-            h /= 2;
-        }
+    for (r0, h) in bands(out.len() / width) {
         let band = &mut out[r0 * width..(r0 + h) * width];
         for j0 in (0..width).step_by(cols_per_tile) {
             tile(r0, h, j0, (width - j0).min(cols_per_tile), band);
         }
-        r0 += h;
     }
 }
 
@@ -379,20 +391,32 @@ impl Matrix {
         out
     }
 
-    /// Register-tiled kernel for output rows `rows`, writing into `out`
-    /// (the row-major slice for exactly those rows): tiles of
-    /// `TILE_ROWS` rows by up to `TILE_COLS` columns, each a full k sweep
-    /// with its outputs held in local accumulators.
+    /// Kernel for output rows `rows`, writing into `out` (the row-major
+    /// slice for exactly those rows): the AVX2 kernel when the CPU has
+    /// AVX2 and `other` is finite, else the portable tiles. Both compute
+    /// the same bits.
     fn matmul_rows_into(&self, other: &Matrix, rows: std::ops::Range<usize>, out: &mut [f32]) {
         debug_assert_eq!(out.len(), rows.len() * other.cols);
         let skip = zero_skip_needed(other);
+        #[cfg(target_arch = "x86_64")]
+        if !skip && simd::simd_available() {
+            // SAFETY: the CPU has AVX2.
+            unsafe { avx2::matmul_rows(self, other, rows.start, out) };
+            return;
+        }
+        self.matmul_rows_portable(other, rows.start, skip, out);
+    }
+
+    /// Portable register tiles for the output rows from `first_row` on:
+    /// tiles of `TILE_ROWS` rows by up to `TILE_COLS` columns, each a full
+    /// k sweep with its outputs held in local accumulators.
+    fn matmul_rows_portable(&self, other: &Matrix, first_row: usize, skip: bool, out: &mut [f32]) {
         for_each_tile(out, other.cols, TILE_COLS, |r, h, j0, w, band| {
-            let i0 = rows.start + r;
             by_shape!(
                 [4, 2, 1] x [1, 2, 3, 4, 5, 6, 7, 8],
                 h,
                 w,
-                matmul_tile(self, other, i0, j0, skip, band)
+                matmul_tile(self, other, first_row + r, j0, skip, band)
             )
         });
     }
@@ -437,17 +461,29 @@ impl Matrix {
         out
     }
 
-    /// Register-tiled kernel for `matmul_nt` over output rows `rows`:
-    /// tiles of `TILE_ROWS` x `NT_TILE_COLS` dot products.
+    /// Kernel for `matmul_nt` over output rows `rows`: the AVX2 kernel
+    /// when the CPU has AVX2, else the portable tiles. Both compute the
+    /// same bits.
     fn matmul_nt_rows_into(&self, other: &Matrix, rows: std::ops::Range<usize>, out: &mut [f32]) {
         debug_assert_eq!(out.len(), rows.len() * other.rows);
+        #[cfg(target_arch = "x86_64")]
+        if simd::simd_available() {
+            // SAFETY: the CPU has AVX2.
+            unsafe { avx2::matmul_nt_rows(self, other, rows.start, out) };
+            return;
+        }
+        self.matmul_nt_rows_portable(other, rows.start, out);
+    }
+
+    /// Portable register tiles for `matmul_nt` over the output rows from
+    /// `first_row` on: tiles of `TILE_ROWS` x `NT_TILE_COLS` dot products.
+    fn matmul_nt_rows_portable(&self, other: &Matrix, first_row: usize, out: &mut [f32]) {
         for_each_tile(out, other.rows, NT_TILE_COLS, |r, h, j0, w, band| {
-            let i0 = rows.start + r;
             by_shape!(
                 [4, 2, 1] x [1, 2, 3, 4],
                 h,
                 w,
-                matmul_nt_tile(self, other, i0, j0, band)
+                matmul_nt_tile(self, other, first_row + r, j0, band)
             )
         });
     }
@@ -492,19 +528,37 @@ impl Matrix {
         out
     }
 
-    /// Register-tiled kernel for `matmul_tn` over output rows `cols`
-    /// (columns of `self`): tiles of `TILE_ROWS` output rows by up to
-    /// `TILE_COLS` columns, each streaming both operands once over m.
+    /// Kernel for `matmul_tn` over output rows `cols` (columns of
+    /// `self`): the AVX2 kernel when the CPU has AVX2 and `other` is
+    /// finite, else the portable tiles. Both compute the same bits.
     fn matmul_tn_cols_into(&self, other: &Matrix, cols: std::ops::Range<usize>, out: &mut [f32]) {
         debug_assert_eq!(out.len(), cols.len() * other.cols);
         let skip = zero_skip_needed(other);
+        #[cfg(target_arch = "x86_64")]
+        if !skip && simd::simd_available() {
+            // SAFETY: the CPU has AVX2.
+            unsafe { avx2::matmul_tn_cols(self, other, cols.start, out) };
+            return;
+        }
+        self.matmul_tn_cols_portable(other, cols.start, skip, out);
+    }
+
+    /// Portable register tiles for `matmul_tn` over the output rows from
+    /// `first_col` on: tiles of `TILE_ROWS` output rows by up to
+    /// `TILE_COLS` columns, each streaming both operands once over m.
+    fn matmul_tn_cols_portable(
+        &self,
+        other: &Matrix,
+        first_col: usize,
+        skip: bool,
+        out: &mut [f32],
+    ) {
         for_each_tile(out, other.cols, TILE_COLS, |r, h, j0, w, band| {
-            let k0 = cols.start + r;
             by_shape!(
                 [4, 2, 1] x [1, 2, 3, 4, 5, 6, 7, 8],
                 h,
                 w,
-                matmul_tn_tile(self, other, k0, j0, skip, band)
+                matmul_tn_tile(self, other, first_col + r, j0, skip, band)
             )
         });
     }
@@ -614,6 +668,277 @@ impl Matrix {
             }
         }
         out
+    }
+}
+
+/// AVX2 kernels for the three products. Each covers its output with
+/// tiles of 4 rows (row tails of 2 and 1, the portable `bands`) by 16
+/// columns in two 8-lane vectors, then one 8-column panel, and leaves the
+/// last columns (fewer than 8) to the portable tiles.
+///
+/// A lane runs exactly the portable element's sequence: it starts at
+/// +0.0 and, for each term in ascending k, adds `_mm256_mul_ps(x, y)` with
+/// `_mm256_add_ps` — two roundings, never an FMA (only `avx2` is enabled,
+/// and rustc does not contract separate intrinsics) — so every output bit
+/// is the portable tiles'. The `matmul` and `matmul_tn` kernels skip no
+/// term, which is what the zero-skip amounts to over a finite B
+/// (`zero_skip_needed`); their dispatchers run the portable tiles when
+/// B holds a non-finite value. `matmul_nt` skips nothing anyway.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{bands, matmul_nt_tile, matmul_tile, matmul_tn_tile, Matrix, NT_TILE_COLS};
+    use std::arch::x86_64::*;
+
+    /// `f32` lanes per vector.
+    const LANES: usize = 8;
+
+    /// Widest tile, in columns.
+    const PANEL: usize = 2 * LANES;
+
+    /// Terms per stack block of a transposed `matmul_nt` panel.
+    const NT_BLOCK: usize = 64;
+
+    /// One input of a tile, as strides into a row-major buffer: the term
+    /// `s` factor of tile row `r` (A side) or the first of term `s`'s
+    /// columns (B side, `row` unused) is `data[at + r * row + s * step]`.
+    #[derive(Clone, Copy)]
+    struct Operand<'a> {
+        data: &'a [f32],
+        at: usize,
+        row: usize,
+        step: usize,
+    }
+
+    /// `R` output rows by `P` vectors of 8 columns, stored at
+    /// `out[at + r * row..]`: lane c of row r adds `a(r, s) * b(s, c)` for
+    /// `s` in `0..terms`, in order, to +0.0 — or, with `resume`, to the
+    /// value already in `out`, which a store and a load leave exact.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Every offset is bounds-checked here.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile<const R: usize, const P: usize>(
+        a: Operand,
+        b: Operand,
+        terms: usize,
+        out: &mut [f32],
+        (at, row): (usize, usize),
+        resume: bool,
+    ) {
+        if terms > 0 {
+            assert!(a.at + (R - 1) * a.row + (terms - 1) * a.step < a.data.len());
+            assert!(b.at + (terms - 1) * b.step + P * LANES <= b.data.len());
+        }
+        assert!(at + (R - 1) * row + P * LANES <= out.len());
+        let mut acc = [[_mm256_setzero_ps(); P]; R];
+        if resume {
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                for (p, v) in acc_row.iter_mut().enumerate() {
+                    *v = _mm256_loadu_ps(out.as_ptr().add(at + r * row + p * LANES));
+                }
+            }
+        }
+        let (ap, bp) = (a.data.as_ptr(), b.data.as_ptr());
+        for s in 0..terms {
+            // SAFETY (for the reads below): the asserts above bound every
+            // offset `s < terms` reaches.
+            let mut y = [_mm256_setzero_ps(); P];
+            for (p, y) in y.iter_mut().enumerate() {
+                *y = _mm256_loadu_ps(bp.add(b.at + s * b.step + p * LANES));
+            }
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let x = _mm256_set1_ps(*ap.add(a.at + r * a.row + s * a.step));
+                for (v, &y) in acc_row.iter_mut().zip(&y) {
+                    *v = _mm256_add_ps(*v, _mm256_mul_ps(x, y));
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            for (p, &v) in acc_row.iter().enumerate() {
+                _mm256_storeu_ps(out.as_mut_ptr().add(at + r * row + p * LANES), v);
+            }
+        }
+    }
+
+    /// Cover `width` columns of one band with 16- and 8-column vector
+    /// tiles over `terms` terms, B's columns `j0..` starting at
+    /// `b.at + j0`; returns the first column left for the portable tiles.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn vector_panels(
+        h: usize,
+        a: Operand,
+        b: Operand,
+        terms: usize,
+        band: &mut [f32],
+        width: usize,
+    ) -> usize {
+        let mut j0 = 0;
+        while j0 + PANEL <= width {
+            let b = Operand { at: b.at + j0, ..b };
+            by_shape!([4, 2, 1] x [2], h, 2, tile(a, b, terms, band, (j0, width), false));
+            j0 += PANEL;
+        }
+        if j0 + LANES <= width {
+            let b = Operand { at: b.at + j0, ..b };
+            by_shape!([4, 2, 1] x [1], h, 1, tile(a, b, terms, band, (j0, width), false));
+            j0 += LANES;
+        }
+        j0
+    }
+
+    /// `a · b` for the output rows from `first_row` on, into `out`, over a
+    /// finite `b`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn matmul_rows(a: &Matrix, b: &Matrix, first_row: usize, out: &mut [f32]) {
+        let (k, n) = (a.cols, b.cols);
+        if n == 0 {
+            return;
+        }
+        let b_op = Operand {
+            data: &b.data,
+            at: 0,
+            row: 0,
+            step: n,
+        };
+        for (r0, h) in bands(out.len() / n) {
+            let band = &mut out[r0 * n..(r0 + h) * n];
+            let i0 = first_row + r0;
+            let a_op = Operand {
+                data: &a.data,
+                at: i0 * k,
+                row: k,
+                step: 1,
+            };
+            let j0 = vector_panels(h, a_op, b_op, k, band, n);
+            if j0 < n {
+                by_shape!(
+                    [4, 2, 1] x [1, 2, 3, 4, 5, 6, 7],
+                    h,
+                    n - j0,
+                    matmul_tile(a, b, i0, j0, false, band)
+                );
+            }
+        }
+    }
+
+    /// `aᵀ · b` for the output rows (columns of `a`) from `first_col` on,
+    /// into `out`, over a finite `b`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn matmul_tn_cols(a: &Matrix, b: &Matrix, first_col: usize, out: &mut [f32]) {
+        let n = b.cols;
+        if n == 0 {
+            return;
+        }
+        let b_op = Operand {
+            data: &b.data,
+            at: 0,
+            row: 0,
+            step: n,
+        };
+        for (r0, h) in bands(out.len() / n) {
+            let band = &mut out[r0 * n..(r0 + h) * n];
+            let k0 = first_col + r0;
+            let a_op = Operand {
+                data: &a.data,
+                at: k0,
+                row: 1,
+                step: a.cols,
+            };
+            let j0 = vector_panels(h, a_op, b_op, a.rows, band, n);
+            if j0 < n {
+                by_shape!(
+                    [4, 2, 1] x [1, 2, 3, 4, 5, 6, 7],
+                    h,
+                    n - j0,
+                    matmul_tn_tile(a, b, k0, j0, false, band)
+                );
+            }
+        }
+    }
+
+    /// `a · bᵀ` for the output rows from `first_row` on, into `out`. Each
+    /// panel of up to 16 rows of `b` is transposed onto the stack in
+    /// blocks of `NT_BLOCK` terms, so the tiles read it like `matmul`'s
+    /// B; a tile resumes from the partial sums the previous block stored.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn matmul_nt_rows(a: &Matrix, b: &Matrix, first_row: usize, out: &mut [f32]) {
+        let (k, n) = (a.cols, b.rows);
+        if n == 0 {
+            return;
+        }
+        let rows = out.len() / n;
+        let mut panel = [0.0f32; NT_BLOCK * PANEL];
+        let mut j0 = 0;
+        while j0 + LANES <= n {
+            let p = if j0 + PANEL <= n { 2 } else { 1 };
+            // One pass with no terms when k == 0 stores the zeros.
+            let mut kb = 0;
+            loop {
+                let terms = (k - kb).min(NT_BLOCK);
+                for c in 0..p * LANES {
+                    let b_row = &b.data[(j0 + c) * k + kb..][..terms];
+                    for (s, &v) in b_row.iter().enumerate() {
+                        panel[s * PANEL + c] = v;
+                    }
+                }
+                let b_op = Operand {
+                    data: &panel,
+                    at: 0,
+                    row: 0,
+                    step: PANEL,
+                };
+                for (r0, h) in bands(rows) {
+                    let band = &mut out[r0 * n..(r0 + h) * n];
+                    let a_op = Operand {
+                        data: &a.data,
+                        at: (first_row + r0) * k + kb,
+                        row: k,
+                        step: 1,
+                    };
+                    by_shape!(
+                        [4, 2, 1] x [1, 2],
+                        h,
+                        p,
+                        tile(a_op, b_op, terms, band, (j0, n), kb > 0)
+                    );
+                }
+                kb += terms;
+                if kb >= k {
+                    break;
+                }
+            }
+            j0 += p * LANES;
+        }
+        for (r0, h) in bands(rows) {
+            let band = &mut out[r0 * n..(r0 + h) * n];
+            for j in (j0..n).step_by(NT_TILE_COLS) {
+                by_shape!(
+                    [4, 2, 1] x [1, 2, 3, 4],
+                    h,
+                    (n - j).min(NT_TILE_COLS),
+                    matmul_nt_tile(a, b, first_row + r0, j, band)
+                );
+            }
+        }
     }
 }
 
@@ -743,6 +1068,121 @@ mod tests {
     fn frobenius_norm_known_value() {
         let m = Matrix::from_rows(&[&[3.0, 4.0]]);
         assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
+    }
+
+    /// Full-mantissa entries, about a quarter of them ±0.0.
+    fn tile_operand(r: usize, c: usize, seed: u64) -> Matrix {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let data = (0..r * c)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                match s % 8 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => ((s >> 40) as f32 / (1u64 << 24) as f32) * 8.0 - 4.0,
+                }
+            })
+            .collect();
+        Matrix::from_vec(r, c, data)
+    }
+
+    /// Put ±inf into every third entry of `b`.
+    fn with_infinities(mut b: Matrix) -> Matrix {
+        for (e, v) in b.as_mut_slice().iter_mut().enumerate() {
+            match e % 6 {
+                1 => *v = f32::INFINITY,
+                4 => *v = f32::NEG_INFINITY,
+                _ => {}
+            }
+        }
+        b
+    }
+
+    fn assert_same_bits(label: &str, want: &[f32], got: &[f32]) {
+        assert_eq!(want.len(), got.len(), "{label}: length");
+        for (e, (w, g)) in want.iter().zip(got).enumerate() {
+            assert_eq!(
+                w.to_bits(),
+                g.to_bits(),
+                "{label}: element {e} is {g}, portable {w}"
+            );
+        }
+    }
+
+    /// `(m, k, n)` for the AVX2 pins: every band and panel mix up to
+    /// 33 columns, the workloads' decide-forward and DQN-layer shapes, and
+    /// reductions longer than one `matmul_nt` stack block of terms.
+    fn tile_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        for m in 0..=9 {
+            for k in 0..=9 {
+                for n in 0..=33 {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        shapes.extend([(3200, 64, 32), (32, 15, 64), (11, 200, 27), (9, 65, 8)]);
+        shapes
+    }
+
+    /// The AVX2 kernels against the portable tiles, `to_bits` exact, on
+    /// finite operands with ±0.0 in A and on a B holding ±inf, from the
+    /// first output row and from the second, as a pool chunk passes
+    /// rows. The portable tiles are the bit reference; `kernel_bits.rs`
+    /// pins them to scalar oracles.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_kernels_match_the_portable_tiles_bit_for_bit() {
+        if !crate::simd::simd_available() {
+            eprintln!("skipped: this CPU has no AVX2, so only the portable tiles run");
+            return;
+        }
+        for (m, k, n) in tile_shapes() {
+            let seed = (m * 4096 + k * 64 + n) as u64;
+            for (first, inf) in [(0, false), (0, true), (m.min(1), false)] {
+                let label = format!("{m}x{k}x{n} from row {first}, inf {inf}");
+                let finish = |b: Matrix| if inf { with_infinities(b) } else { b };
+                let run = |f: &dyn Fn(&mut [f32])| {
+                    let mut out = vec![f32::NAN; (m - first) * n];
+                    f(&mut out);
+                    out
+                };
+
+                // matmul: [m x k] · [k x n].
+                let (a, b) = (tile_operand(m, k, seed), finish(tile_operand(k, n, !seed)));
+                let want = run(&|o| a.matmul_rows_portable(&b, first, inf, o));
+                if !inf {
+                    // Over a finite B the zero-skip changes no bit.
+                    let skipped = run(&|o| a.matmul_rows_portable(&b, first, true, o));
+                    assert_same_bits(&format!("matmul skip {label}"), &want, &skipped);
+                    // SAFETY: the CPU has AVX2.
+                    let got = run(&|o| unsafe { avx2::matmul_rows(&a, &b, first, o) });
+                    assert_same_bits(&format!("matmul {label}"), &want, &got);
+                }
+                let got = run(&|o| a.matmul_rows_into(&b, first..m, o));
+                assert_same_bits(&format!("matmul dispatch {label}"), &want, &got);
+
+                // matmul_tn: ([k x m])^T · [k x n].
+                let (a, b) = (tile_operand(k, m, seed), finish(tile_operand(k, n, !seed)));
+                let want = run(&|o| a.matmul_tn_cols_portable(&b, first, inf, o));
+                if !inf {
+                    // SAFETY: the CPU has AVX2.
+                    let got = run(&|o| unsafe { avx2::matmul_tn_cols(&a, &b, first, o) });
+                    assert_same_bits(&format!("matmul_tn {label}"), &want, &got);
+                }
+                let got = run(&|o| a.matmul_tn_cols_into(&b, first..m, o));
+                assert_same_bits(&format!("matmul_tn dispatch {label}"), &want, &got);
+
+                // matmul_nt: [m x k] · ([n x k])^T, ±inf included.
+                let (a, b) = (tile_operand(m, k, seed), finish(tile_operand(n, k, !seed)));
+                let want = run(&|o| a.matmul_nt_rows_portable(&b, first, o));
+                // SAFETY: the CPU has AVX2.
+                let got = run(&|o| unsafe { avx2::matmul_nt_rows(&a, &b, first, o) });
+                assert_same_bits(&format!("matmul_nt {label}"), &want, &got);
+            }
+        }
     }
 
     proptest! {

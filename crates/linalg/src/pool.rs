@@ -17,15 +17,17 @@
 //!
 //! The pool itself is a small set of long-lived OS threads parked on a
 //! shared job channel. Callers always drive chunks themselves and merely
-//! *share* leftover chunks with idle workers, so a busy or starved queue
-//! can never stall a caller, and workers never block on another caller's
-//! work — safe under concurrent `run_chunks` calls from many test threads.
+//! *share* leftover chunks with idle workers. A caller waits only for
+//! chunks a worker actually claimed, never for a worker to start, so a
+//! busy or starved queue can never stall a caller, and workers never block
+//! on another caller's work — safe under concurrent `run_chunks` calls
+//! from many test threads.
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crowdrl_obs as obs;
@@ -181,16 +183,29 @@ fn queue() -> &'static crossbeam::channel::Sender<Job> {
     })
 }
 
+/// The caller's chunk closure with its lifetime erased, so that queued
+/// helper jobs can carry it. It is a raw pointer because it may dangle: a
+/// job that starts after its caller returned still holds it, and never
+/// dereferences it (see [`Shared::drain`]).
+struct ChunkFn(*const (dyn Fn(usize) + Sync));
+
+// SAFETY: the pointee is `Sync`, so sharing or moving the pointer between
+// threads only lets them call `Fn` through `&`, which `Sync` permits; when
+// the pointer may be dereferenced at all is `Shared::drain`'s claim rule.
+unsafe impl Send for ChunkFn {}
+// SAFETY: as for `Send` above.
+unsafe impl Sync for ChunkFn {}
+
 /// State shared between the caller and its helper jobs for one
-/// `run_chunks` call. Lives on the caller's stack; helpers borrow it via a
-/// lifetime-erased reference (see the safety argument in `run_chunks`).
-struct Shared<'a> {
+/// `run_chunks` call. Reference-counted, so a helper job that a worker
+/// only picks up after the caller returned still has it to look at.
+struct Shared {
     /// Next unclaimed chunk index (work-claiming counter).
     next: AtomicUsize,
     n_chunks: usize,
-    f: &'a (dyn Fn(usize) + Sync),
-    /// Helper jobs that have not finished yet; guarded by `done`.
-    pending: Mutex<usize>,
+    f: ChunkFn,
+    /// Chunks that have run to completion; guarded by `done`.
+    finished: Mutex<usize>,
     done: Condvar,
     /// First panic payload raised by any chunk.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -198,17 +213,30 @@ struct Shared<'a> {
     obs: Option<ObsCtx>,
 }
 
-impl Shared<'_> {
-    /// Claim and execute chunks until none remain. Chunk panics are caught
-    /// and stashed so sibling chunks still run and the caller can re-raise.
-    fn drain(&self) {
+impl Shared {
+    /// Claim and execute chunks until none remain, and return how many
+    /// this thread ran. Chunk panics are caught and stashed so sibling
+    /// chunks still run and the caller can re-raise. A helper records its
+    /// queue wait when it claims its first chunk; one that claims none
+    /// records nothing.
+    fn drain(&self, helper: bool) -> usize {
+        let mut ran = 0;
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= self.n_chunks {
-                return;
+                return ran;
             }
+            if let (true, 0, Some(ctx)) = (helper, ran, &self.obs) {
+                // Time from enqueue to a worker actually starting work —
+                // the queue-wait component of pool latency.
+                obs::histogram_seconds(&ctx.queue_name, ctx.enqueued.elapsed());
+            }
+            // SAFETY: chunk `i` is claimed and has not finished, and the
+            // caller returns only once every chunk has finished, so the
+            // closure `f` points to is still alive in the caller's frame.
+            let f = unsafe { &*self.f.0 };
             let t0 = self.obs.as_ref().map(|_| Instant::now());
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.f)(i))) {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i))) {
                 let mut slot = self.panic.lock().expect("pool panic slot");
                 if slot.is_none() {
                     *slot = Some(payload);
@@ -217,15 +245,20 @@ impl Shared<'_> {
             if let (Some(ctx), Some(t0)) = (&self.obs, t0) {
                 obs::histogram_seconds(&ctx.execute_name, t0.elapsed());
             }
+            ran += 1;
         }
     }
 
-    fn finish_helper(&self) {
-        let mut pending = self.pending.lock().expect("pool pending");
-        *pending -= 1;
-        if *pending == 0 {
-            self.done.notify_all();
+    /// Count `ran` more chunks as finished, waking the caller on the last.
+    /// The lock orders every write those chunks made before the caller's
+    /// return.
+    fn finish(&self, ran: usize) -> MutexGuard<'_, usize> {
+        let mut finished = self.finished.lock().expect("pool finished count");
+        *finished += ran;
+        if *finished == self.n_chunks {
+            self.done.notify_one();
         }
+        finished
     }
 }
 
@@ -271,7 +304,10 @@ fn run_inline(n_chunks: usize, mut f: impl FnMut(usize)) {
 ///
 /// With a thread cap of 1 — or when called from inside a pool chunk — all
 /// chunks run inline on the caller in index order; this is the same
-/// algorithm, so results are identical by construction.
+/// algorithm, so results are identical by construction. Otherwise the
+/// caller queues helper jobs, drains chunks itself and then waits only
+/// for chunks a helper claimed: a helper that has not started by then
+/// finds nothing left to claim whenever a worker picks it up.
 pub fn run_chunks<F: Fn(usize) + Sync>(n_chunks: usize, f: F) {
     let threads = width_for(n_chunks);
     if threads <= 1 {
@@ -279,33 +315,30 @@ pub fn run_chunks<F: Fn(usize) + Sync>(n_chunks: usize, f: F) {
         return;
     }
 
-    let shared = Shared {
+    let f: &(dyn Fn(usize) + Sync + '_) = &f;
+    // SAFETY: only the lifetime is erased (the pointer types differ in
+    // nothing else); `Shared::drain` dereferences the result only while
+    // this call is still waiting for the chunk it claimed.
+    let f = ChunkFn(unsafe {
+        std::mem::transmute::<*const (dyn Fn(usize) + Sync + '_), *const (dyn Fn(usize) + Sync)>(f)
+    });
+    let shared = Arc::new(Shared {
         next: AtomicUsize::new(0),
         n_chunks,
-        f: &f,
-        pending: Mutex::new(threads - 1),
+        f,
+        finished: Mutex::new(0),
         done: Condvar::new(),
         panic: Mutex::new(None),
         obs: ObsCtx::capture(),
-    };
-    // SAFETY: helper jobs only touch `shared` before their `finish_helper`
-    // decrement, and the caller blocks below until `pending` reaches zero —
-    // i.e. until every helper job has run to completion — so the erased
-    // reference never outlives the stack frame it points into. Jobs sitting
-    // in the queue are guaranteed to run: workers loop forever and execute
-    // every queued job, even if only to find the chunk counter exhausted.
-    let erased: &'static Shared<'static> =
-        unsafe { std::mem::transmute::<&Shared<'_>, &'static Shared<'static>>(&shared) };
+    });
     let tx = queue();
     for _ in 0..threads - 1 {
+        let shared = Arc::clone(&shared);
         let job: Job = Box::new(move || {
-            if let Some(ctx) = &erased.obs {
-                // Time from enqueue to a worker actually picking the job
-                // up — the queue-wait component of pool latency.
-                obs::histogram_seconds(&ctx.queue_name, ctx.enqueued.elapsed());
+            let ran = shared.drain(true);
+            if ran > 0 {
+                drop(shared.finish(ran));
             }
-            erased.drain();
-            erased.finish_helper();
         });
         if tx.send(job).is_err() {
             unreachable!("pool queue disconnected: workers never drop their receiver");
@@ -316,14 +349,16 @@ pub fn run_chunks<F: Fn(usize) + Sync>(n_chunks: usize, f: F) {
     // so a busy pool can never stall this call. Mark the thread as inside
     // the pool so nested parallel kernels run inline.
     IN_POOL.with(|c| c.set(true));
-    shared.drain();
+    let ran = shared.drain(false);
     IN_POOL.with(|c| c.set(false));
 
-    let mut pending = shared.pending.lock().expect("pool pending");
-    while *pending > 0 {
-        pending = shared.done.wait(pending).expect("pool pending");
+    // Every chunk is claimed now, so only helpers that claimed one can
+    // still be running a chunk; wait for those.
+    let mut finished = shared.finish(ran);
+    while *finished < n_chunks {
+        finished = shared.done.wait(finished).expect("pool finished count");
     }
-    drop(pending);
+    drop(finished);
 
     let payload = shared.panic.lock().expect("pool panic slot").take();
     if let Some(payload) = payload {
@@ -536,6 +571,67 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn a_call_returns_while_every_worker_is_busy() {
+        use std::sync::{mpsc, Barrier};
+        use std::time::Duration;
+
+        let _cap = hold_cap();
+        set_threads(2);
+        let workers = MAX_THREADS - 1;
+        // Park every worker in a job that holds it until `release`.
+        let release = Arc::new(Barrier::new(workers + 1));
+        let (started_tx, started_rx) = mpsc::channel();
+        for _ in 0..workers {
+            let (release, started) = (Arc::clone(&release), started_tx.clone());
+            let job: Job = Box::new(move || {
+                started.send(()).expect("the test is listening");
+                release.wait();
+            });
+            assert!(queue().send(job).is_ok(), "pool queue is connected");
+        }
+        for _ in 0..workers {
+            started_rx.recv().expect("a worker started its held job");
+        }
+
+        // A width-2 call now queues a helper no worker can pick up.
+        let (done_tx, done_rx) = mpsc::channel();
+        let calling_thread = std::thread::spawn(move || {
+            let ran_on: Vec<Mutex<Vec<std::thread::ThreadId>>> =
+                (0..6).map(|_| Mutex::new(Vec::new())).collect();
+            run_chunks(ran_on.len(), |i| {
+                ran_on[i].lock().unwrap().push(std::thread::current().id());
+            });
+            let ran_on: Vec<_> = ran_on
+                .into_iter()
+                .map(|m| m.into_inner().unwrap())
+                .collect();
+            done_tx.send((std::thread::current().id(), ran_on)).unwrap();
+        });
+        let returned = done_rx.recv_timeout(Duration::from_secs(60));
+        release.wait();
+        calling_thread
+            .join()
+            .expect("the calling thread did not panic");
+        let (caller, ran_on) = returned.expect("run_chunks waited for a worker that never started");
+
+        // Every job queued before these has finished once the workers all
+        // hold one of them, the late helper included.
+        let drained = Arc::new(Barrier::new(workers + 1));
+        for _ in 0..workers {
+            let drained = Arc::clone(&drained);
+            let job: Job = Box::new(move || {
+                drained.wait();
+            });
+            assert!(queue().send(job).is_ok(), "pool queue is connected");
+        }
+        drained.wait();
+        set_threads(0);
+        for (i, threads) in ran_on.iter().enumerate() {
+            assert_eq!(threads, &vec![caller], "chunk {i} ran once, on the caller");
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! The one explicit-SIMD kernel: an AVX2 Adam update that is
+//! Runtime AVX2 detection, and the AVX2 Adam update that is
 //! bit-identical to the scalar loop it replaces.
 //!
 //! Every matmul runs the register-tiled kernels in [`crate::matrix`],
 //! whose exact per-element f32 operation order keeps parallel
-//! decomposition, caching and checkpoint/resume bit-identical. The Adam
-//! update keeps that contract too: it is purely elementwise, so an 8-lane
+//! decomposition, caching and checkpoint/resume bit-identical. The
+//! explicit-SIMD kernels keep that contract: the matrix module's AVX2
+//! tile kernels give each output lane the portable element's own
+//! sequence, and the Adam update is purely elementwise, so an 8-lane
 //! kernel that performs the scalar expression's operations in the scalar
 //! expression's order (no FMA, no reassociation) computes the same bits.
-//! It is picked once by runtime detection; [`simd_available`] and
+//! Both are picked once by runtime detection; [`simd_available`] and
 //! [`kernel_name`] report which path runs, for trace annotations.
 
 /// The numeric mode of a run. `Reference`, the bit-pinned kernels, is the
@@ -22,7 +24,8 @@ pub enum NumericMode {
     Reference,
 }
 
-/// True when the running CPU supports the AVX2 Adam kernel.
+/// True when the running CPU supports AVX2, and with it the AVX2 Adam
+/// update and matmul tile kernels.
 pub fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -36,8 +39,9 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// Name of the Adam kernel this CPU runs, for trace annotations
-/// (`simd.kernel`): `avx2` or `scalar`.
+/// Name of the kernels this CPU runs — the Adam update and the matmul
+/// tile kernels — for trace annotations (`simd.kernel`): `avx2` or
+/// `scalar`.
 pub fn kernel_name() -> &'static str {
     if simd_available() {
         "avx2"

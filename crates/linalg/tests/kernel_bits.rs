@@ -10,10 +10,14 @@
 //!   sign), so a zero A entry never meets an infinite B entry;
 //! * `matmul_nt` skips nothing.
 //!
-//! Shapes run m 0..=9, k 0..=9 and n 0..=17, across the kernels' 4-row
-//! tile bands with their 2- and 1-row tails and their 4- and 8-column
-//! panels, through the serial entry, the dispatching entry and the
-//! pool-chunked entry at several chunk sizes.
+//! Shapes run m 0..=9, k 0..=9 and n 0..=33, across the kernels' 4-row
+//! tile bands with their 2- and 1-row tails, the portable tiles' 4- and
+//! 8-column panels and the AVX2 kernels' 16- and 8-column vector panels
+//! with every tail of fewer than 8 columns, through the serial entry,
+//! the dispatching entry and the pool-chunked entry at several chunk
+//! sizes. On a CPU with AVX2 the entries run the AVX2 kernels (and the
+//! portable tiles where `matmul` or `matmul_tn` meets ±inf in B), so one
+//! oracle pins both.
 
 use crowdrl_linalg::Matrix;
 
@@ -132,7 +136,7 @@ fn assert_bits(label: &str, want: &Matrix, got: &Matrix) {
 fn for_each_shape(mut check: impl FnMut(&Matrix, &Matrix)) {
     for m in 0..=9 {
         for k in 0..=9 {
-            for n in 0..=17 {
+            for n in 0..=33 {
                 for inf in [false, true] {
                     let seed = (m * 400 + k * 20 + n) as u64 * 2 + inf as u64;
                     let (a, b) = operands(m, k, n, seed, inf);

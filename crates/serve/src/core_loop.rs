@@ -248,7 +248,7 @@ impl<'a> AgentCore<'a> {
     }
 
     /// Truth inference over `answers` minus quarantined votes.
-    fn infer(&mut self, answers: &AnswerSet) -> Result<InferenceResult> {
+    fn infer(&mut self, answers: &AnswerSet) -> Result<Arc<InferenceResult>> {
         let trusted = self.trusted_answers(answers)?;
         self.state
             .infer(trusted.as_ref().unwrap_or(answers), &mut self.rng)
@@ -299,7 +299,7 @@ impl<'a> AgentCore<'a> {
         // guesses; (c) retrain (non-joint models, once answers exist) and
         // enrich behind the gates.
         let guesses = self.outstanding.iter().flat_map(|b| &b.phi_guesses);
-        self.state.update_trust(result.as_ref(), guesses);
+        self.state.update_trust(result.as_deref(), guesses);
         if result.is_some() {
             self.state.retrain(&mut self.rng)?;
         }
@@ -324,7 +324,7 @@ impl<'a> AgentCore<'a> {
             let next = successor.as_ref().map(|s| (&*req.answers, s));
             let rewards = (self.state).credit(
                 &batch,
-                result.as_ref(),
+                result.as_deref(),
                 enriched,
                 unlabelled,
                 next,
@@ -412,7 +412,7 @@ impl<'a> AgentCore<'a> {
     /// Close the run with the batch workflow's closing sequence, so
     /// outcomes are comparable. The final inference runs only when
     /// answers exist; a warm engine reuses the last refresh's result when
-    /// no new answers arrived since, so it then costs one clone.
+    /// no new answers arrived since, so it then costs a reference count.
     pub fn finalize(&mut self, req: &FinalizeRequest) -> Result<LabellingOutcome> {
         let final_result =
             if !self.state.labelled().all_labelled() && req.answers.total_answers() > 0 {
@@ -421,7 +421,7 @@ impl<'a> AgentCore<'a> {
                 None
             };
         self.state.finish(
-            final_result.as_ref(),
+            final_result.as_deref(),
             req.budget_spent,
             req.answers.total_answers(),
             &mut self.rng,

@@ -123,7 +123,8 @@ impl AsyncRuntime {
         obs::init_from_env();
         let run_span = obs::span("serve.run");
         if obs::enabled() {
-            // Which Adam kernel this host runs (bit-identical either way).
+            // Which kernels this host runs: the AVX2 Adam update and matmul
+            // tiles, or the portable ones (bit-identical either way).
             obs::annotate("simd.kernel", crowdrl_linalg::simd::kernel_name());
         }
         let outcome = drive(

@@ -101,6 +101,26 @@ echo "== cargo test (release: linalg + nn) =="
 # equivalence suites and the network tests run again on optimized code.
 timed "tests release linalg+nn" cargo test -q --release --offline -p crowdrl-linalg -p crowdrl-nn
 
+echo "== pool stress (release, 50 passes) =="
+# A pooled call returns once every chunk a helper claimed has finished,
+# so a helper job can start after its caller returned. Whether such a
+# late helper stays away from the caller's closure depends on timing one
+# pass rarely reaches, so the pool's unit tests run 50 times at 8 test
+# threads.
+pool_stress() {
+  local pass out
+  for ((pass = 1; pass <= 50; pass++)); do
+    if ! out=$(cargo test -q --release --offline -p crowdrl-linalg --lib pool:: -- \
+      --test-threads 8 2>&1); then
+      echo "pool tests failed on pass $pass:" >&2
+      echo "$out" >&2
+      return 1
+    fi
+  done
+  echo "pool tests passed $((pass - 1)) times"
+}
+timed "pool stress" pool_stress
+
 echo "== traced run + crowdrl-trace smoke test =="
 # The observability layer must produce a trace the analyzer can profile:
 # run a small traced experiment and assert the phase profile is non-empty.

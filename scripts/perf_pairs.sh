@@ -10,7 +10,9 @@
 # runs both sides on seed first-seed + i with --seconds <seconds>
 # --trace 0, the parent first on even pairs and the change first on odd
 # ones. A run that fails, or whose last line is not "correct": true,
-# stops the script.
+# stops the script. The summary opens with each side's perfbench header
+# from its first run (exec width, simd.kernel, nproc), so a report shows
+# which kernels each side ran.
 #
 # For every end-to-end metric in BENCHMARK.json the summary prints each
 # side's median and first/third quartiles (the exclusive method of
@@ -60,6 +62,7 @@ declare -A binary=(
 )
 
 results="$work/results.jsonl"
+declare -A header=()
 run() { # <side> <pair> <seed>
   local out last
   out="$work/$1-$2.log"
@@ -68,6 +71,10 @@ run() { # <side> <pair> <seed>
     echo "$1 run of pair $2 (seed $3) exited non-zero; its output: $out" >&2
     trap - EXIT
     exit 1
+  fi
+  if [[ -z ${header[$1]:-} ]]; then
+    header[$1]=$(grep -m 1 'simd.kernel' "$out" |
+      sed -E 's/^seed [0-9]+ +seconds [0-9]+ +trace [01] +//')
   fi
   last=$(tail -n 1 "$out")
   if [[ $(jq -r '.correct' <<<"$last") != true ]]; then
@@ -94,7 +101,8 @@ done
 
 echo "perfbench $workload: $pairs alternating pairs, --seconds $seconds, seeds" \
   "$first_seed..$((first_seed + pairs - 1)), nproc $(nproc)"
-echo "parent ${parent_sha:0:12}   change $change_label"
+echo "parent ${parent_sha:0:12}: ${header[parent]}"
+echo "change $change_label: ${header[change]}"
 jq -rn --slurpfile runs "$results" --slurpfile bench BENCHMARK.json '
   # Python statistics.quantiles(xs, n=4), method "exclusive".
   def quartile($i):

@@ -617,7 +617,7 @@ fn silent_annotators_change_no_bit_of_inference() {
                 let r = engine
                     .infer(&dataset, answers, profiles, &mut classifier, &mut rng)
                     .unwrap();
-                out.push((what, bounded, r));
+                out.push((what, bounded, (*r).clone()));
             }
         }
         out
