@@ -3,7 +3,8 @@
 //! answer set — same labels (≥99%), same accuracy (within 0.01) — and the
 //! dirty-set E-step must reproduce the full sweep bit-for-bit on the
 //! objects it touches. Annotators who never answer change no bit of cold
-//! or warm inference.
+//! or warm inference. Runs spanning several 256-object chunks keep every
+//! bit of their E-steps, M-steps and priors.
 
 use crowdrl::inference::{
     DawidSkene, EngineConfig, EngineSnapshot, InferenceEngine, InferenceResult, JointConfig,
@@ -656,5 +657,189 @@ fn silent_annotators_change_no_bit_of_inference() {
                 }
             }
         });
+    }
+}
+
+/// FNV-1a digest of every bit of a result: posteriors (with their
+/// absence), confusions, class prior, log-likelihood and iteration count.
+fn result_digest(r: &InferenceResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for byte in w.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for p in &r.posteriors {
+        match p {
+            None => word(u64::MAX),
+            Some(q) => {
+                word(q.len() as u64);
+                q.iter().for_each(|x| word(x.to_bits()));
+            }
+        }
+    }
+    for m in &r.confusions {
+        m.as_slice().iter().for_each(|x| word(x.to_bits()));
+    }
+    r.class_prior.iter().for_each(|x| word(x.to_bits()));
+    word(r.log_likelihood.to_bits());
+    word(r.iterations as u64);
+    h
+}
+
+/// Digests of [`em_runs_spanning_several_chunks`], captured with
+/// `GOLDEN_CAPTURE=1`. They pin the chunk-order merges of every E-step,
+/// M-step and prior, which runs of one 256-object chunk cannot.
+const GOLDEN_MULTI_CHUNK_EM: &[(&str, u64)] = &[
+    ("cold joint one-coin", 0x2b05c8a623985916),
+    ("cold joint full-matrix", 0x6d52a7581ca0c4f2),
+    ("cold dawid-skene one-coin", 0x875dd99a449a6dd3),
+    ("cold dawid-skene full-matrix", 0x05d5a8a1867e2a28),
+    ("joint engine one-coin", 0x5ccfa14e4e0564e8),
+    ("joint engine full-matrix", 0xd2626459c210e29d),
+    ("dawid-skene engine one-coin", 0x5b7f06cf57e503ee),
+    ("dawid-skene engine full-matrix", 0xd460b62d81436eed),
+];
+
+/// Cold joint and Dawid–Skene runs, one-coin and full-matrix, and warm
+/// engines of both over six deliveries, on 900 objects of which every
+/// fourth is never asked. The unasked objects make chunks of object
+/// indices differ from chunks of the answered list. Each engine entry
+/// folds the digests of its six results in order.
+fn em_runs_spanning_several_chunks() -> Vec<(&'static str, u64)> {
+    const N: usize = 900;
+    let k = 3;
+    let mut rng = seeded(81);
+    let dataset = DatasetSpec::gaussian("chunks", N, 4, k)
+        .with_separation(2.0)
+        .generate(&mut rng)
+        .unwrap();
+    let pool = PoolSpec::new(6, 1).generate(k, &mut rng).unwrap();
+    let asked = |i: &usize| i % 4 != 3;
+    let ask = |platform: &mut Platform<'_>, i: usize, panel: usize, rng: &mut _| {
+        let panel: Vec<_> = sample_indices(rng, pool.len(), panel)
+            .into_iter()
+            .map(|j| pool.profiles()[j].id)
+            .collect();
+        platform.ask_many(ObjectId(i), &panel, rng);
+    };
+    // The first delivery covers objects 0..400, each later one the next
+    // 100 objects plus one more answer on every fifth object of the
+    // delivery before it, so warm calls see both new and dirty objects.
+    let mut platform = Platform::new(&dataset, &pool, Budget::new(1e6).unwrap());
+    let mut ask_rng = seeded(82);
+    let bounds = [0, 400, 500, 600, 700, 800, 900];
+    let stages: Vec<AnswerSet> = (0..6)
+        .map(|s| {
+            for i in (bounds[s]..bounds[s + 1]).filter(asked) {
+                ask(&mut platform, i, 3, &mut ask_rng);
+            }
+            if s > 0 {
+                for i in (bounds[s - 1]..bounds[s]).filter(asked).step_by(5) {
+                    ask(&mut platform, i, 1, &mut ask_rng);
+                }
+            }
+            platform.answers().clone()
+        })
+        .collect();
+    let answers = &stages[5];
+
+    let one_coin = JointInference::default();
+    let full_matrix = JointInference {
+        config: JointConfig {
+            one_coin: false,
+            smoothing: 0.5,
+            ..JointConfig::default()
+        },
+    };
+    let ds_one_coin = DawidSkene::default();
+    let ds_full_matrix = DawidSkene {
+        one_coin: false,
+        estimate_prior: true,
+        ..DawidSkene::default()
+    };
+    let cold_joint = |model: &JointInference| {
+        let mut classifier = fresh_classifier(dataset.dim(), k, 83);
+        model
+            .infer(
+                &dataset,
+                answers,
+                pool.profiles(),
+                &mut classifier,
+                &mut seeded(84),
+            )
+            .unwrap()
+    };
+    let mut out = vec![
+        ("cold joint one-coin", result_digest(&cold_joint(&one_coin))),
+        (
+            "cold joint full-matrix",
+            result_digest(&cold_joint(&full_matrix)),
+        ),
+        (
+            "cold dawid-skene one-coin",
+            result_digest(&ds_one_coin.infer(answers, k, pool.len()).unwrap()),
+        ),
+        (
+            "cold dawid-skene full-matrix",
+            result_digest(&ds_full_matrix.infer(answers, k, pool.len()).unwrap()),
+        ),
+    ];
+    // Every third warm call sweeps all answered objects; the others sweep
+    // the dirty and moving ones.
+    let config = EngineConfig {
+        full_sweep_every: 3,
+        ..EngineConfig::default()
+    };
+    let engines = [
+        (
+            "joint engine one-coin",
+            InferenceEngine::joint(one_coin, config.clone()),
+        ),
+        (
+            "joint engine full-matrix",
+            InferenceEngine::joint(full_matrix, config.clone()),
+        ),
+        (
+            "dawid-skene engine one-coin",
+            InferenceEngine::dawid_skene(ds_one_coin, config.clone()),
+        ),
+        (
+            "dawid-skene engine full-matrix",
+            InferenceEngine::dawid_skene(ds_full_matrix, config),
+        ),
+    ];
+    for (what, mut engine) in engines {
+        let mut classifier = fresh_classifier(dataset.dim(), k, 85);
+        let mut rng = seeded(86);
+        let mut h = 0u64;
+        for stage in &stages {
+            let r = engine
+                .infer(&dataset, stage, pool.profiles(), &mut classifier, &mut rng)
+                .unwrap();
+            h = h.rotate_left(7) ^ result_digest(&r);
+        }
+        out.push((what, h));
+    }
+    out
+}
+
+#[test]
+fn em_bits_hold_across_several_chunks() {
+    for threads in [1, 4] {
+        let got = crowdrl::linalg::pool::with_threads(threads, em_runs_spanning_several_chunks);
+        if std::env::var("GOLDEN_CAPTURE").is_ok() {
+            println!("GOLDEN_MULTI_CHUNK_EM at {threads} threads:");
+            for (what, d) in &got {
+                println!("    (\"{what}\", {d:#018x}),");
+            }
+            continue;
+        }
+        assert_eq!(got.len(), GOLDEN_MULTI_CHUNK_EM.len());
+        for ((what, d), (want_what, want)) in got.iter().zip(GOLDEN_MULTI_CHUNK_EM) {
+            assert_eq!(what, want_what);
+            assert_eq!(d, want, "{what} drifted at {threads} threads");
+        }
     }
 }
