@@ -96,11 +96,6 @@ impl SelectionAgent {
         &self.dqn
     }
 
-    /// The decide-path scoring strategy in effect.
-    pub fn decide_mode(&self) -> DecideMode {
-        self.decide
-    }
-
     /// Cumulative decide-path counters (monotone; snapshot and
     /// [`DecideStats::delta_since`] to scope them to one call).
     pub fn decide_stats(&self) -> DecideStats {

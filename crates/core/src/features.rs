@@ -13,7 +13,7 @@
 use crowdrl_linalg::Matrix;
 use crowdrl_nn::SoftmaxClassifier;
 use crowdrl_types::prob;
-use crowdrl_types::{AnnotatorId, AnnotatorProfile, AnswerSet, Dataset, LabelledSet, ObjectId};
+use crowdrl_types::{AnnotatorProfile, AnswerSet, Dataset, LabelledSet, ObjectId};
 
 /// Width of the state-action embedding fed to the Q-network.
 pub const FEATURE_DIM: usize = 15;
@@ -399,16 +399,10 @@ impl FeatureCache {
     }
 }
 
-/// Pack an (object, annotator) pair into the `u64` key the UCB explorer
-/// tracks.
-pub fn action_key(object: ObjectId, annotator: AnnotatorId) -> u64 {
-    ((object.index() as u64) << 24) | (annotator.index() as u64 & 0xFF_FFFF)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdrl_types::{AnnotatorKind, Answer, ClassId, LabelState};
+    use crowdrl_types::{AnnotatorId, AnnotatorKind, Answer, ClassId, LabelState};
 
     fn snapshot() -> StateSnapshot {
         StateSnapshot {
@@ -616,16 +610,6 @@ mod tests {
                 FEATURE_DIM - OBJECT_PART_DIM,
                 "blocks must tile the suffix exactly"
             );
-        }
-    }
-
-    #[test]
-    fn action_keys_are_unique_for_realistic_sizes() {
-        let mut seen = std::collections::HashSet::new();
-        for o in 0..100 {
-            for a in 0..20 {
-                assert!(seen.insert(action_key(ObjectId(o), AnnotatorId(a))));
-            }
         }
     }
 

@@ -10,13 +10,17 @@
 //! until the posteriors stop moving or `max_iters` is reached. This is the
 //! inference engine the DLTA and IDLE baselines use, and the
 //! annotators-only special case of CrowdRL's joint model (drop the
-//! classifier term from the E-step and you get exactly this).
+//! classifier term from the E-step and you get exactly this): the
+//! E-step is the shared `par::e_step` seeded with the log
+//! class prior. One iteration is `DawidSkene::sweep`; the cold
+//! [`DawidSkene::infer`] runs it over every object from majority vote,
+//! and the incremental [`engine`](crate::engine) runs it over its active
+//! objects from the carried state.
 
 use crate::mv::{estimate_confusions, MajorityVote};
 use crate::result::InferenceResult;
 use crowdrl_linalg::pool;
 use crowdrl_obs as obs;
-use crowdrl_types::prob;
 use crowdrl_types::{AnswerSet, ConfusionMatrix, Error, ObjectId, Result};
 
 /// Configuration and entry point for Dawid–Skene EM.
@@ -72,98 +76,26 @@ impl DawidSkene {
         let _span = obs::span("em.ds.infer");
         // Initialize with majority vote.
         let mut state = MajorityVote.infer(answers, num_classes, num_annotators)?;
-        let mut iterations = 0;
-        let mut log_likelihood = f64::NEG_INFINITY;
-        // Every sweep covers every object, so it reads the log-confusion
-        // rows of every annotator with an answer, and of no one else.
+        // Every sweep covers every object index (skipping the unanswered
+        // ones), so it reads the log-confusion rows of every annotator
+        // with an answer, and of no one else.
+        let objects: Vec<usize> = (0..answers.num_objects()).collect();
         let answering =
-            crate::par::answering_annotators(answers, 0..answers.num_objects(), num_annotators);
-        for _ in 0..self.max_iters {
+            crate::par::answering_annotators(answers, objects.iter().copied(), num_annotators);
+        let mut iterations = 0;
+        for iter in 0..self.max_iters {
             iterations += 1;
-            // M-step: confusions and prior from current posteriors.
-            self.m_step(
+            let (ll, max_delta) = self.sweep(
                 answers,
-                &state.posteriors,
-                num_classes,
+                &objects,
+                &answering,
                 num_annotators,
-                &mut state.confusions,
+                &mut state,
+                |_, _| {},
             )?;
-            if self.estimate_prior {
-                let mut prior = vec![1e-9f64; num_classes]; // tiny floor
-                for post in state.posteriors.iter().flatten() {
-                    for (pr, &q) in prior.iter_mut().zip(post) {
-                        *pr += q;
-                    }
-                }
-                prob::normalize(&mut prior);
-                state.class_prior = prior;
-            } else {
-                state.class_prior = vec![1.0 / num_classes as f64; num_classes];
-            }
-
-            // E-step in log space for stability. Chunked over fixed object
-            // ranges; per-chunk posteriors and log-likelihood/max-delta
-            // partials are merged in chunk-index order, so the result is
-            // bit-identical at every thread count (DESIGN.md §9). The
-            // answering annotators' log-confusion tables are computed once
-            // per iteration instead of once per (answer, class) pair.
-            let log_prior: Vec<f64> = state
-                .class_prior
-                .iter()
-                .map(|&p| p.max(1e-12).ln())
-                .collect();
-            let log_conf =
-                crate::par::log_confusion_tables(&state.confusions, num_classes, &answering);
-            let k = num_classes;
-            let posteriors = &state.posteriors;
-            let _kind = pool::task_kind("em_estep");
-            let chunks =
-                pool::map_chunks(answers.num_objects(), crate::par::OBJECT_CHUNK, |range| {
-                    let mut posts: Vec<(usize, Vec<f64>)> = Vec::new();
-                    let mut ll = 0.0f64;
-                    let mut max_delta = 0.0f64;
-                    let mut logp = vec![0.0f64; k];
-                    for i in range {
-                        let votes = answers.answers_for(ObjectId(i));
-                        if votes.is_empty() {
-                            continue;
-                        }
-                        logp.copy_from_slice(&log_prior);
-                        for &(a, label) in votes {
-                            let table = &log_conf[a.index() * k * k..(a.index() + 1) * k * k];
-                            for (c, lp) in logp.iter_mut().enumerate() {
-                                *lp += table[c * k + label.index()];
-                            }
-                        }
-                        let mut q = Vec::with_capacity(k);
-                        let lse = prob::softmax_from_logs(&logp, &mut q);
-                        ll += lse;
-                        if let Some(old) = &posteriors[i] {
-                            for (o, n) in old.iter().zip(&q) {
-                                max_delta = max_delta.max((o - n).abs());
-                            }
-                        }
-                        posts.push((i, q));
-                    }
-                    (posts, ll, max_delta)
-                });
-            let mut max_delta = 0.0f64;
-            let mut ll = 0.0f64;
-            for (posts, ll_part, delta_part) in chunks {
-                ll += ll_part;
-                max_delta = max_delta.max(delta_part);
-                for (i, q) in posts {
-                    state.posteriors[i] = Some(q);
-                }
-            }
-            log_likelihood = ll;
-            if !log_likelihood.is_finite() {
-                return Err(Error::NumericalFailure("DS likelihood diverged".into()));
-            }
-            if obs::enabled() {
-                obs::gauge_step("em.ds.ll", (iterations - 1) as f64, ll);
-                obs::gauge_step("em.ds.delta", (iterations - 1) as f64, max_delta);
-            }
+            state.log_likelihood = ll;
+            obs::gauge_step("em.ds.ll", iter as f64, ll);
+            obs::gauge_step("em.ds.delta", iter as f64, max_delta);
             if max_delta < self.tol {
                 break;
             }
@@ -179,14 +111,61 @@ impl DawidSkene {
         obs::counter_add("em.ds.runs", 1);
         obs::histogram("em.ds.iters", iterations as f64);
         state.iterations = iterations;
-        state.log_likelihood = log_likelihood;
         Ok(state)
     }
 
-    /// M-step dispatch: one-coin or full-matrix, with the diagonal floor,
-    /// overwriting `confusions`. Shared with the incremental
-    /// [`engine`](crate::engine), whose warm M-step re-estimates
-    /// confusions over *all* carried posteriors.
+    /// One EM iteration from `state`, shared with the incremental
+    /// [`engine`](crate::engine)'s warm calls: the M-step and class prior
+    /// over *every* posterior, then the E-step over `objects`, whose
+    /// answers come from the `answering` annotators. The class count is
+    /// `state.class_prior.len()`. `changed` hears each swept object's
+    /// largest posterior change; returns the swept log-likelihood and the
+    /// largest change.
+    pub(crate) fn sweep(
+        &self,
+        answers: &AnswerSet,
+        objects: &[usize],
+        answering: &[usize],
+        num_annotators: usize,
+        state: &mut InferenceResult,
+        changed: impl FnMut(usize, f64),
+    ) -> Result<(f64, f64)> {
+        let k = state.class_prior.len();
+        self.m_step(
+            answers,
+            &state.posteriors,
+            k,
+            num_annotators,
+            &mut state.confusions,
+        )?;
+        state.class_prior = if self.estimate_prior {
+            crate::par::posterior_mass_prior(&state.posteriors, k)
+        } else {
+            vec![1.0 / k as f64; k]
+        };
+        let log_prior: Vec<f64> = state
+            .class_prior
+            .iter()
+            .map(|&p| p.max(1e-12).ln())
+            .collect();
+        let log_conf = crate::par::log_confusion_tables(&state.confusions, k, answering);
+        let (ll, max_delta) = crate::par::e_step(
+            answers,
+            objects,
+            &log_conf,
+            k,
+            &mut state.posteriors,
+            |_, logp| logp.copy_from_slice(&log_prior),
+            changed,
+        );
+        if !ll.is_finite() {
+            return Err(Error::NumericalFailure("DS likelihood diverged".into()));
+        }
+        Ok((ll, max_delta))
+    }
+
+    /// M-step: one-coin or full-matrix, with the diagonal floor,
+    /// overwriting `confusions`.
     pub(crate) fn m_step(
         &self,
         answers: &AnswerSet,
@@ -198,7 +177,8 @@ impl DawidSkene {
         if self.one_coin {
             estimate_one_coin(answers, posteriors, num_classes, num_annotators, confusions)?;
         } else {
-            *confusions = estimate_confusions(answers, posteriors, num_classes, num_annotators)?;
+            *confusions =
+                estimate_confusions(answers, posteriors, num_classes, num_annotators, 1.0)?;
         }
         if let Some(floor) = self.min_diagonal {
             for m in confusions.iter_mut() {

@@ -28,24 +28,32 @@
 //!   current weights (and persistent Adam state) with `warm_epochs`
 //!   epochs; the cold path keeps the configured epoch count.
 //!
-//! Determinism contract (DESIGN.md §9 and §11): warm sweeps chunk the
-//! *active* object list over fixed 256-object ranges and merge partials in
-//! chunk-index order, exactly like the cold E-steps, so a warm-started run
-//! is bit-identical run-to-run for a fixed seed and at every worker-pool
-//! width. The engine falls back to a cold start whenever its carried state
-//! cannot be trusted: first call, a differently-shaped answer set, or an
-//! answer count that *decreased* (a different run's answers).
+//! The engine owns only what it carries between calls: the answer counts
+//! that mark objects dirty, the moved flags and active set, the feature
+//! rows, and the snapshot/restore image of all of it. The EM formulas stay
+//! in each model's file: a warm joint call runs the shared E-step
+//! (`par::e_step`) with [`JointInference`]'s classifier seed
+//! and M-step, and a warm Dawid–Skene call runs [`DawidSkene`]'s own
+//! sweep, each over the active list instead of every answered object.
+//!
+//! Determinism contract (DESIGN.md §9 and §11): the shared E-step chunks
+//! the *active* object list over fixed 256-object ranges and merges
+//! partials in chunk-index order, so a warm-started run is bit-identical
+//! run-to-run for a fixed seed and at every worker-pool width. The engine
+//! falls back to a cold start whenever its carried state cannot be
+//! trusted: first call, a differently-shaped answer set, an answer count
+//! that *decreased* (a different run's answers), or a warm call that
+//! failed.
 //!
 //! The `em.joint.dirty_fraction` / `em.joint.warm_iters` gauges (and their
 //! `em.ds.*` twins) expose the dirty-set win to `crowdrl-trace`.
 
-use crate::dawid_skene::{estimate_one_coin, DawidSkene};
+use crate::dawid_skene::DawidSkene;
 use crate::joint::{soft_targets, JointInference};
 use crate::result::InferenceResult;
-use crowdrl_linalg::{pool, Matrix};
+use crowdrl_linalg::Matrix;
 use crowdrl_nn::SoftmaxClassifier;
 use crowdrl_obs as obs;
-use crowdrl_types::prob;
 use crowdrl_types::{AnnotatorProfile, AnswerSet, Dataset, Error, ObjectId, Result};
 use rand::Rng;
 use std::sync::Arc;
@@ -295,13 +303,7 @@ impl InferenceEngine {
         }
         let with_answers = snap.answer_counts.iter().filter(|&&c| c > 0).count();
         expect(snap.answered.len(), with_answers, "answered objects")?;
-        let mut x = Matrix::zeros(0, dataset.dim());
-        if matches!(self.model, EngineModel::Joint(_)) {
-            x = Matrix::zeros(snap.answered.len(), dataset.dim());
-            for (r, &i) in snap.answered.iter().enumerate() {
-                x.row_mut(r).copy_from_slice(dataset.features(i));
-            }
-        }
+        let x = self.gather_features(&snap.answered, dataset);
         self.calls = snap.calls;
         self.state = Some(EngineState {
             last: Arc::new(snap.last),
@@ -314,6 +316,20 @@ impl InferenceEngine {
             warm_calls_since_full: snap.warm_calls_since_full,
         });
         Ok(())
+    }
+
+    /// The feature rows of `answered`, in order: the joint model's
+    /// carried `x`. Empty for Dawid–Skene, which never reads features.
+    fn gather_features(&self, answered: &[usize], dataset: &Dataset) -> Matrix {
+        let rows = match self.model {
+            EngineModel::Joint(_) => answered,
+            EngineModel::DawidSkene(_) => &[],
+        };
+        let mut x = Matrix::zeros(rows.len(), dataset.dim());
+        for (r, &i) in rows.iter().enumerate() {
+            x.row_mut(r).copy_from_slice(dataset.features(i));
+        }
+        x
     }
 
     /// Run one inference over `answers`, reusing the carried state when
@@ -359,7 +375,13 @@ impl InferenceEngine {
                 &self.state.as_ref().expect("state checked above").last,
             ));
         }
-        self.warm_call(dataset, answers, profiles, classifier, rng)
+        let result = self.warm_call(dataset, answers, profiles, classifier, rng);
+        if result.is_err() {
+            // A failed warm call may have advanced the answer counts and
+            // half-updated the carried result; neither may seed a call.
+            self.state = None;
+        }
+        result
     }
 
     /// Cold path: delegate to the wrapped model's full inference, then
@@ -389,17 +411,8 @@ impl InferenceEngine {
             return Ok(result);
         }
         let mut row_of = vec![NO_ROW; n];
-        let mut x = Matrix::zeros(0, dataset.dim());
-        if matches!(self.model, EngineModel::Joint(_)) {
-            x = Matrix::zeros(answered.len(), dataset.dim());
-            for (r, &i) in answered.iter().enumerate() {
-                x.row_mut(r).copy_from_slice(dataset.features(i));
-                row_of[i] = r;
-            }
-        } else {
-            for (r, &i) in answered.iter().enumerate() {
-                row_of[i] = r;
-            }
+        for (r, &i) in answered.iter().enumerate() {
+            row_of[i] = r;
         }
         // A cold EM may have stopped at max_iters with posteriors still in
         // motion, so every answered object starts "moved": the first warm
@@ -415,7 +428,7 @@ impl InferenceEngine {
                 .collect(),
             total_answers: answers.total_answers(),
             moved,
-            x,
+            x: self.gather_features(&answered, dataset),
             answered,
             row_of,
             warm_calls_since_full: 0,
@@ -435,8 +448,8 @@ impl InferenceEngine {
     ) -> Result<Arc<InferenceResult>> {
         let _span = obs::span("em.engine.warm");
         // The joint E-step reads one carried confusion per annotator; a
-        // restored snapshot from a different pool must fail here, before
-        // any state is touched, rather than index past the tables.
+        // restored snapshot from a different pool must fail here rather
+        // than index past the tables.
         let carried = self.state.as_ref().map_or(0, |s| s.last.confusions.len());
         if matches!(self.model, EngineModel::Joint(_)) && carried != profiles.len() {
             return Err(Error::DimensionMismatch {
@@ -492,18 +505,20 @@ impl InferenceEngine {
         // Unshared once the caller dropped the previous call's result, so
         // the carried result is reused in place; copied only if it is not.
         let last = Arc::make_mut(&mut state.last);
-        let mut posteriors = std::mem::take(&mut last.posteriors);
-        if posteriors.len() != n {
+        if last.posteriors.len() != n {
             return Err(Error::DimensionMismatch {
                 expected: n,
-                actual: posteriors.len(),
+                actual: last.posteriors.len(),
                 context: "engine carried posteriors".into(),
             });
         }
-        let mut confusions = std::mem::take(&mut last.confusions);
+        let answering =
+            crate::par::answering_annotators(answers, active.iter().copied(), num_annotators);
+        let moved = &mut state.moved;
         let mut iterations = 0;
-        let mut log_likelihood = last.log_likelihood;
 
+        // Each model's own EM steps over the active set, warm-seeded from
+        // `last`; the M-steps always read *all* posteriors.
         match &self.model {
             EngineModel::Joint(model) => {
                 let cfg = &model.config;
@@ -512,83 +527,33 @@ impl InferenceEngine {
                         "engine warm call requires a trained classifier of matching width".into(),
                     ));
                 }
-                // Gather the active rows of the carried feature matrix
-                // once; φ is re-evaluated on them each sweep (the
-                // classifier retrains in the M-step).
-                let mut ax = Matrix::zeros(active.len(), dataset.dim());
-                for (r, &i) in active.iter().enumerate() {
-                    ax.row_mut(r).copy_from_slice(state.x.row(state.row_of[i]));
-                }
-                let lo = cfg.phi_clamp.max(1e-12);
-                let hi = 1.0 - cfg.phi_clamp;
-                let cw = cfg.classifier_weight;
-                // φ is evaluated once per call: the warm retrain runs once,
+                // φ is evaluated once per call, on the active rows of the
+                // carried feature matrix: the warm retrain runs once,
                 // *after* the sweeps, so within a call the classifier term
                 // is fixed. Keeping φ stable across the sweeps also keeps
                 // the `moved` flags meaningful — they measure EM settling,
                 // not classifier drift, so the active set actually shrinks
                 // between calls (the retrained φ reaches every posterior on
                 // the periodic full sweeps).
+                let mut ax = Matrix::zeros(active.len(), dataset.dim());
+                for (r, &i) in active.iter().enumerate() {
+                    ax.row_mut(r).copy_from_slice(state.x.row(state.row_of[i]));
+                }
                 let phi = classifier.predict_proba(&ax);
-                let answering = crate::par::answering_annotators(
-                    answers,
-                    active.iter().copied(),
-                    num_annotators,
-                );
+                let seed = model.classifier_seed(&phi);
                 for _ in 0..self.config.warm_max_iters {
                     iterations += 1;
-                    // E-step over the active set only — same formula as the
-                    // cold joint E-step, chunked with partials merged in
-                    // chunk-index order (bit-identical at any pool width).
-                    let log_conf = crate::par::log_confusion_tables(&confusions, k, &answering);
-                    let active_ref = &active;
-                    let posts_ref = &posteriors;
-                    let _kind = pool::task_kind("em_estep");
-                    let chunks =
-                        pool::map_chunks(active_ref.len(), crate::par::OBJECT_CHUNK, |range| {
-                            let mut out: Vec<(Vec<f64>, f64)> = Vec::with_capacity(range.len());
-                            let mut ll = 0.0f64;
-                            let mut logp = vec![0.0f64; k];
-                            for r in range {
-                                let i = active_ref[r];
-                                for (c, lp) in logp.iter_mut().enumerate() {
-                                    *lp = cw * (phi.get(r, c) as f64).clamp(lo, hi).ln();
-                                }
-                                for &(a, label) in answers.answers_for(ObjectId(i)) {
-                                    let table =
-                                        &log_conf[a.index() * k * k..(a.index() + 1) * k * k];
-                                    for (c, lp) in logp.iter_mut().enumerate() {
-                                        *lp += table[c * k + label.index()];
-                                    }
-                                }
-                                let mut q = Vec::with_capacity(k);
-                                let lse = prob::softmax_from_logs(&logp, &mut q);
-                                ll += lse;
-                                let delta = match &posts_ref[i] {
-                                    Some(old) => old
-                                        .iter()
-                                        .zip(&q)
-                                        .map(|(o, n)| (o - n).abs())
-                                        .fold(0.0f64, f64::max),
-                                    // First posterior for a new object.
-                                    None => 1.0,
-                                };
-                                out.push((q, delta));
-                            }
-                            (out, ll)
-                        });
-                    let mut max_delta = 0.0f64;
-                    let mut ll = 0.0f64;
-                    for (ci, (out, ll_part)) in chunks.into_iter().enumerate() {
-                        ll += ll_part;
-                        let range = pool::chunk_range(active.len(), crate::par::OBJECT_CHUNK, ci);
-                        for (offset, (q, delta)) in out.into_iter().enumerate() {
-                            let i = active[range.start + offset];
-                            max_delta = max_delta.max(delta);
-                            state.moved[i] = delta >= MOVED_TOL_FACTOR * cfg.tol;
-                            posteriors[i] = Some(q);
-                        }
-                    }
+                    let log_conf =
+                        crate::par::log_confusion_tables(&last.confusions, k, &answering);
+                    let (ll, max_delta) = crate::par::e_step(
+                        answers,
+                        &active,
+                        &log_conf,
+                        k,
+                        &mut last.posteriors,
+                        &seed,
+                        |i, delta| moved[i] = delta >= MOVED_TOL_FACTOR * cfg.tol,
+                    );
                     if !ll.is_finite() {
                         return Err(Error::NumericalFailure(
                             "joint warm likelihood diverged".into(),
@@ -597,25 +562,8 @@ impl InferenceEngine {
                     // The warm log-likelihood covers the swept set only —
                     // a per-call progress signal, not comparable across
                     // calls with different active sets.
-                    log_likelihood = ll;
-
-                    // M-step over *all* posteriors, exactly as the cold
-                    // path: confusions, expert bounding, classifier
-                    // retrain (short warm epoch budget, continuing from
-                    // the current weights and Adam state).
-                    if cfg.one_coin {
-                        estimate_one_coin(
-                            answers,
-                            &posteriors,
-                            k,
-                            num_annotators,
-                            &mut confusions,
-                        )?;
-                    } else {
-                        confusions =
-                            model.soft_confusions(answers, &posteriors, k, num_annotators)?;
-                    }
-                    model.bound_experts(&mut confusions, profiles)?;
+                    last.log_likelihood = ll;
+                    model.m_step(answers, &last.posteriors, k, profiles, &mut last.confusions)?;
                     if max_delta < cfg.tol {
                         break;
                     }
@@ -624,7 +572,7 @@ impl InferenceEngine {
                 // weights and Adam state with the short epoch budget; the
                 // next call's E-step picks up the refreshed φ.
                 let (targets, weights) =
-                    soft_targets(cfg.hard_labels, k, &state.answered, &posteriors)?;
+                    soft_targets(cfg.hard_labels, k, &state.answered, &last.posteriors)?;
                 classifier.fit_with_epochs(
                     &state.x,
                     &targets,
@@ -632,6 +580,8 @@ impl InferenceEngine {
                     self.config.warm_epochs,
                     rng,
                 )?;
+                // Joint reports the posterior-mass prior, like its cold path.
+                last.class_prior = crate::par::posterior_mass_prior(&last.posteriors, k);
                 if obs::enabled() {
                     let denom = state.answered.len().max(1) as f64;
                     obs::gauge_step("em.joint.dirty_fraction", call, active.len() as f64 / denom);
@@ -642,90 +592,30 @@ impl InferenceEngine {
                 if model.max_iters == 0 {
                     return Err(Error::InvalidParameter("max_iters must be positive".into()));
                 }
-                let mut class_prior = std::mem::take(&mut last.class_prior);
-                let answering = crate::par::answering_annotators(
-                    answers,
-                    active.iter().copied(),
-                    num_annotators,
-                );
                 for _ in 0..self.config.warm_max_iters {
                     iterations += 1;
-                    // M-step first, over all posteriors — DS order.
-                    model.m_step(answers, &posteriors, k, num_annotators, &mut confusions)?;
-                    if model.estimate_prior {
-                        let mut prior = vec![1e-9f64; k];
-                        for post in posteriors.iter().flatten() {
-                            for (pr, &q) in prior.iter_mut().zip(post) {
-                                *pr += q;
-                            }
-                        }
-                        prob::normalize(&mut prior);
-                        class_prior = prior;
-                    } else {
-                        class_prior = vec![1.0 / k as f64; k];
-                    }
-                    let log_prior: Vec<f64> =
-                        class_prior.iter().map(|&p| p.max(1e-12).ln()).collect();
-                    let log_conf = crate::par::log_confusion_tables(&confusions, k, &answering);
-                    let active_ref = &active;
-                    let posts_ref = &posteriors;
-                    let _kind = pool::task_kind("em_estep");
-                    let chunks =
-                        pool::map_chunks(active_ref.len(), crate::par::OBJECT_CHUNK, |range| {
-                            let mut out: Vec<(Vec<f64>, f64)> = Vec::with_capacity(range.len());
-                            let mut ll = 0.0f64;
-                            let mut logp = vec![0.0f64; k];
-                            for r in range {
-                                let i = active_ref[r];
-                                logp.copy_from_slice(&log_prior);
-                                for &(a, label) in answers.answers_for(ObjectId(i)) {
-                                    let table =
-                                        &log_conf[a.index() * k * k..(a.index() + 1) * k * k];
-                                    for (c, lp) in logp.iter_mut().enumerate() {
-                                        *lp += table[c * k + label.index()];
-                                    }
-                                }
-                                let mut q = Vec::with_capacity(k);
-                                let lse = prob::softmax_from_logs(&logp, &mut q);
-                                ll += lse;
-                                let delta = match &posts_ref[i] {
-                                    Some(old) => old
-                                        .iter()
-                                        .zip(&q)
-                                        .map(|(o, n)| (o - n).abs())
-                                        .fold(0.0f64, f64::max),
-                                    None => 1.0,
-                                };
-                                out.push((q, delta));
-                            }
-                            (out, ll)
-                        });
-                    let mut max_delta = 0.0f64;
-                    let mut ll = 0.0f64;
-                    for (ci, (out, ll_part)) in chunks.into_iter().enumerate() {
-                        ll += ll_part;
-                        let range = pool::chunk_range(active.len(), crate::par::OBJECT_CHUNK, ci);
-                        for (offset, (q, delta)) in out.into_iter().enumerate() {
-                            let i = active[range.start + offset];
-                            max_delta = max_delta.max(delta);
-                            state.moved[i] = delta >= MOVED_TOL_FACTOR * model.tol;
-                            posteriors[i] = Some(q);
-                        }
-                    }
-                    if !ll.is_finite() {
-                        return Err(Error::NumericalFailure(
-                            "DS warm likelihood diverged".into(),
-                        ));
-                    }
-                    log_likelihood = ll;
+                    let (ll, max_delta) = model.sweep(
+                        answers,
+                        &active,
+                        &answering,
+                        num_annotators,
+                        last,
+                        |i, delta| moved[i] = delta >= MOVED_TOL_FACTOR * model.tol,
+                    )?;
+                    last.log_likelihood = ll;
                     if max_delta < model.tol {
                         break;
                     }
                 }
                 // Final M-step so reported confusions match the final
                 // posteriors (mirrors the cold DS path).
-                model.m_step(answers, &posteriors, k, num_annotators, &mut confusions)?;
-                last.class_prior = class_prior;
+                model.m_step(
+                    answers,
+                    &last.posteriors,
+                    k,
+                    num_annotators,
+                    &mut last.confusions,
+                )?;
                 if obs::enabled() {
                     let denom = state.answered.len().max(1) as f64;
                     obs::gauge_step("em.ds.dirty_fraction", call, active.len() as f64 / denom);
@@ -733,29 +623,7 @@ impl InferenceEngine {
                 }
             }
         }
-
-        let class_prior = match &self.model {
-            // Joint reports the posterior-mass prior, like its cold path.
-            EngineModel::Joint(_) => {
-                let mut prior = vec![1e-9f64; k];
-                for p in posteriors.iter().flatten() {
-                    for (pr, &q) in prior.iter_mut().zip(p) {
-                        *pr += q;
-                    }
-                }
-                prob::normalize(&mut prior);
-                prior
-            }
-            EngineModel::DawidSkene(_) => std::mem::take(&mut last.class_prior),
-        };
-
-        *last = InferenceResult {
-            posteriors,
-            confusions,
-            class_prior,
-            iterations,
-            log_likelihood,
-        };
+        last.iterations = iterations;
         Ok(Arc::clone(&state.last))
     }
 }

@@ -23,14 +23,21 @@
 //!   posteriors as *soft* targets.
 //!
 //! Convergence is declared when the posteriors stop moving.
+//!
+//! The E-step is the crate's one chunked `par::e_step`,
+//! seeded with `JointInference::classifier_seed`; the incremental
+//! [`engine`](crate::engine) runs the same seed and
+//! `JointInference::m_step` over its active objects.
 
+use crate::dawid_skene::estimate_one_coin;
 use crate::mv::{estimate_confusions, MajorityVote};
 use crate::result::InferenceResult;
-use crowdrl_linalg::{pool, Matrix};
+use crowdrl_linalg::Matrix;
 use crowdrl_nn::SoftmaxClassifier;
 use crowdrl_obs as obs;
-use crowdrl_types::prob;
-use crowdrl_types::{AnnotatorProfile, AnswerSet, Dataset, Error, ObjectId, Result};
+use crowdrl_types::{
+    AnnotatorProfile, AnswerSet, ConfusionMatrix, Dataset, Error, ObjectId, Result,
+};
 use rand::Rng;
 
 /// Hyperparameters of the joint EM.
@@ -181,7 +188,7 @@ impl JointInference {
             // Nothing to infer; report empty result with uniform artifacts.
             return Ok(InferenceResult {
                 posteriors: vec![None; dataset.len()],
-                confusions: vec![crowdrl_types::ConfusionMatrix::uniform(k)?; num_annotators],
+                confusions: vec![ConfusionMatrix::uniform(k)?; num_annotators],
                 class_prior: vec![1.0 / k as f64; k],
                 iterations: 0,
                 log_likelihood: f64::NAN,
@@ -214,79 +221,29 @@ impl JointInference {
         for iter in 0..self.config.max_iters {
             iterations += 1;
 
-            // E-step: classifier prior x annotator likelihoods, in logs.
-            // Chunked over answered objects with fixed boundaries; each
-            // chunk returns its new posteriors plus log-likelihood and
-            // max-delta partials, merged below in chunk-index order so the
-            // result is bit-identical at every thread count (DESIGN.md §9).
+            // E-step: classifier prior x annotator likelihoods, in logs,
+            // over the answered objects.
             let phi = classifier.predict_proba(&x); // [answered x k]
             let log_conf = crate::par::log_confusion_tables(&confusions, k, &answering);
-            let lo = self.config.phi_clamp.max(1e-12);
-            let hi = 1.0 - self.config.phi_clamp;
-            let cw = self.config.classifier_weight;
-            let _kind = pool::task_kind("em_estep");
-            let chunks = pool::map_chunks(answered.len(), crate::par::OBJECT_CHUNK, |range| {
-                let mut posts: Vec<Vec<f64>> = Vec::with_capacity(range.len());
-                let mut ll = 0.0f64;
-                let mut max_delta = 0.0f64;
-                let mut logp = vec![0.0f64; k];
-                for r in range {
-                    let i = answered[r];
-                    for (c, lp) in logp.iter_mut().enumerate() {
-                        *lp = cw * (phi.get(r, c) as f64).clamp(lo, hi).ln();
-                    }
-                    for &(a, label) in answers.answers_for(ObjectId(i)) {
-                        let table = &log_conf[a.index() * k * k..(a.index() + 1) * k * k];
-                        for (c, lp) in logp.iter_mut().enumerate() {
-                            *lp += table[c * k + label.index()];
-                        }
-                    }
-                    let mut q = Vec::with_capacity(k);
-                    let lse = prob::softmax_from_logs(&logp, &mut q);
-                    ll += lse;
-                    if let Some(old) = &posteriors[i] {
-                        for (o, n) in old.iter().zip(&q) {
-                            max_delta = max_delta.max((o - n).abs());
-                        }
-                    }
-                    posts.push(q);
-                }
-                (posts, ll, max_delta)
-            });
-            let mut max_delta = 0.0f64;
-            let mut ll = 0.0f64;
-            for (ci, (posts, ll_part, delta_part)) in chunks.into_iter().enumerate() {
-                ll += ll_part;
-                max_delta = max_delta.max(delta_part);
-                let range = pool::chunk_range(answered.len(), crate::par::OBJECT_CHUNK, ci);
-                for (offset, q) in posts.into_iter().enumerate() {
-                    posteriors[answered[range.start + offset]] = Some(q);
-                }
-            }
+            let (ll, max_delta) = crate::par::e_step(
+                answers,
+                &answered,
+                &log_conf,
+                k,
+                &mut posteriors,
+                self.classifier_seed(&phi),
+                |_, _| {},
+            );
             if !ll.is_finite() {
                 return Err(Error::NumericalFailure("joint likelihood diverged".into()));
             }
             log_likelihood = ll;
-            if obs::enabled() {
-                obs::gauge_step("em.joint.ll", iter as f64, ll);
-                obs::gauge_step("em.joint.delta", iter as f64, max_delta);
-            }
+            obs::gauge_step("em.joint.ll", iter as f64, ll);
+            obs::gauge_step("em.joint.delta", iter as f64, max_delta);
 
-            // M-step (a): confusion matrices from soft counts.
-            if self.config.one_coin {
-                crate::dawid_skene::estimate_one_coin(
-                    answers,
-                    &posteriors,
-                    k,
-                    num_annotators,
-                    &mut confusions,
-                )?;
-            } else {
-                confusions = self.soft_confusions(answers, &posteriors, k, num_annotators)?;
-            }
-            // M-step (b): expert bounding.
-            self.bound_experts(&mut confusions, profiles)?;
-            // M-step (c): retrain classifier on soft targets.
+            // M-step (a)+(b): confusions and expert bounding; (c) retrain
+            // the classifier on soft targets.
+            self.m_step(answers, &posteriors, k, profiles, &mut confusions)?;
             if (iter + 1) % self.config.retrain_every == 0 {
                 self.retrain(classifier, &x, &answered, &posteriors, rng)?;
             }
@@ -298,53 +255,64 @@ impl JointInference {
         obs::counter_add("em.joint.runs", 1);
         obs::histogram("em.joint.iters", iterations as f64);
 
-        let mut class_prior = vec![1e-9f64; k];
-        for p in posteriors.iter().flatten() {
-            for (pr, &q) in class_prior.iter_mut().zip(p) {
-                *pr += q;
-            }
-        }
-        prob::normalize(&mut class_prior);
         Ok(InferenceResult {
+            class_prior: crate::par::posterior_mass_prior(&posteriors, k),
             posteriors,
             confusions,
-            class_prior,
             iterations,
             log_likelihood,
         })
     }
 
-    /// Soft-count confusion estimation with configured smoothing. The soft
-    /// counts are accumulated per object chunk and merged in chunk-index
-    /// order, exactly like [`estimate_confusions`]. Shared with the
-    /// incremental [`engine`](crate::engine), whose warm M-step is this
-    /// exact computation over the carried posteriors.
-    pub(crate) fn soft_confusions(
+    /// The joint E-step's seed: the log classifier term
+    /// `classifier_weight · ln clamp(φ_c)` of the object at list position
+    /// `r`, read from row `r` of `phi`. Shared with the incremental
+    /// [`engine`](crate::engine), whose `phi` rows are its active objects.
+    pub(crate) fn classifier_seed<'a>(
+        &self,
+        phi: &'a Matrix,
+    ) -> impl Fn(usize, &mut [f64]) + Sync + 'a {
+        let lo = self.config.phi_clamp.max(1e-12);
+        let hi = 1.0 - self.config.phi_clamp;
+        let cw = self.config.classifier_weight;
+        move |r, logp| {
+            for (c, lp) in logp.iter_mut().enumerate() {
+                *lp = cw * (phi.get(r, c) as f64).clamp(lo, hi).ln();
+            }
+        }
+    }
+
+    /// M-step (a) and (b) over every posterior: one-coin or full-matrix
+    /// confusions with the configured smoothing, then expert bounding.
+    /// Shared with the incremental [`engine`](crate::engine).
+    pub(crate) fn m_step(
         &self,
         answers: &AnswerSet,
         posteriors: &[Option<Vec<f64>>],
         k: usize,
-        num_annotators: usize,
-    ) -> Result<Vec<crowdrl_types::ConfusionMatrix>> {
-        if (self.config.smoothing - 1.0).abs() < f64::EPSILON {
-            return estimate_confusions(answers, posteriors, k, num_annotators);
+        profiles: &[AnnotatorProfile],
+        confusions: &mut Vec<ConfusionMatrix>,
+    ) -> Result<()> {
+        let num_annotators = profiles.len();
+        if self.config.one_coin {
+            estimate_one_coin(answers, posteriors, k, num_annotators, confusions)?;
+        } else {
+            *confusions = estimate_confusions(
+                answers,
+                posteriors,
+                k,
+                num_annotators,
+                self.config.smoothing,
+            )?;
         }
-        let counts = crate::mv::soft_count_grids(answers, posteriors, k, num_annotators)?;
-        let mut out = Vec::with_capacity(num_annotators);
-        for grid in counts.chunks_exact(k * k) {
-            let mut m = crowdrl_types::ConfusionMatrix::uniform(k)?;
-            m.set_from_counts(grid, self.config.smoothing.max(1e-9))?;
-            out.push(m);
-        }
-        Ok(out)
+        self.bound_experts(confusions, profiles)
     }
 
     /// Clamp expert confusion diagonals to at least `1 - ε`, and every
-    /// annotator's diagonal to the non-adversarial floor. Shared with the
-    /// incremental [`engine`](crate::engine).
-    pub(crate) fn bound_experts(
+    /// annotator's diagonal to the non-adversarial floor.
+    fn bound_experts(
         &self,
-        confusions: &mut [crowdrl_types::ConfusionMatrix],
+        confusions: &mut [ConfusionMatrix],
         profiles: &[AnnotatorProfile],
     ) -> Result<()> {
         for (m, p) in confusions.iter_mut().zip(profiles) {

@@ -53,7 +53,8 @@ impl MajorityVote {
             posteriors[i] = Some(p);
         }
         prob::normalize(&mut class_prior);
-        let confusions = estimate_confusions(answers, &posteriors, num_classes, num_annotators)?;
+        let confusions =
+            estimate_confusions(answers, &posteriors, num_classes, num_annotators, 1.0)?;
         Ok(InferenceResult {
             posteriors,
             confusions,
@@ -65,14 +66,14 @@ impl MajorityVote {
 }
 
 /// Soft confusion counts `[annotator][truth * k + label]` (flat, length
-/// `num_annotators * k²`): the M-step sufficient statistics shared by MV
-/// initialization and the EM algorithms.
+/// `num_annotators * k²`): the sufficient statistics of
+/// [`estimate_confusions`].
 ///
 /// The per-object loop is chunked over fixed object ranges on the worker
 /// pool; each chunk accumulates its own partial grid and the partials are
 /// summed in chunk-index order, so the counts are bit-identical for any
 /// thread count (DESIGN.md §9).
-pub(crate) fn soft_count_grids(
+fn soft_count_grids(
     answers: &AnswerSet,
     posteriors: &[Option<Vec<f64>>],
     num_classes: usize,
@@ -114,19 +115,21 @@ pub(crate) fn soft_count_grids(
     Ok(counts)
 }
 
-/// Estimate confusion matrices from soft labels: the M-step shared by MV
-/// initialization and the EM algorithms. `smoothing = 1` (Laplace).
+/// Estimate confusion matrices from soft labels with `smoothing`
+/// pseudo-counts per cell (1 is Laplace; floored at 1e-9): the
+/// full-matrix M-step shared by MV initialization and the EM algorithms.
 pub(crate) fn estimate_confusions(
     answers: &AnswerSet,
     posteriors: &[Option<Vec<f64>>],
     num_classes: usize,
     num_annotators: usize,
+    smoothing: f64,
 ) -> Result<Vec<ConfusionMatrix>> {
     let counts = soft_count_grids(answers, posteriors, num_classes, num_annotators)?;
     let mut confusions = Vec::with_capacity(num_annotators);
     for grid in counts.chunks_exact(num_classes * num_classes) {
         let mut m = ConfusionMatrix::uniform(num_classes)?;
-        m.set_from_counts(grid, 1.0)?;
+        m.set_from_counts(grid, smoothing.max(1e-9))?;
         confusions.push(m);
     }
     Ok(confusions)

@@ -119,7 +119,8 @@ impl Pm {
                 break;
             }
         }
-        let confusions = estimate_confusions(answers, &posteriors, num_classes, num_annotators)?;
+        let confusions =
+            estimate_confusions(answers, &posteriors, num_classes, num_annotators, 1.0)?;
         let mut class_prior = vec![0.0f64; num_classes];
         for p in posteriors.iter().flatten() {
             for (pr, &q) in class_prior.iter_mut().zip(p) {

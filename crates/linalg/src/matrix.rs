@@ -613,18 +613,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise product `self *= other` (Hadamard).
-    pub fn hadamard_assign(&mut self, other: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "hadamard shape mismatch"
-        );
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a *= b;
-        }
-    }
-
     /// Column sums as a length-`cols` vector (used for bias gradients).
     pub fn col_sums(&self) -> Vec<f32> {
         let mut sums = vec![0.0f32; self.cols];
@@ -1052,8 +1040,6 @@ mod tests {
         assert_eq!(a.as_slice(), &[4.0, 8.0]);
         a.map_inplace(|x| x - 4.0);
         assert_eq!(a.as_slice(), &[0.0, 4.0]);
-        a.hadamard_assign(&b);
-        assert_eq!(a.as_slice(), &[0.0, 80.0]);
     }
 
     #[test]

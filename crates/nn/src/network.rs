@@ -178,17 +178,6 @@ impl Network {
         }
     }
 
-    /// Soft target update: `θ_self = (1 - tau) θ_self + tau θ_other`.
-    pub fn blend_params_from(&mut self, other: &Network, tau: f32) {
-        assert!((0.0..=1.0).contains(&tau), "tau must be in [0,1]");
-        let theirs = other.flatten_params();
-        let mut ours = self.flatten_params();
-        for (o, t) in ours.iter_mut().zip(&theirs) {
-            *o = (1.0 - tau) * *o + tau * t;
-        }
-        self.load_params(&ours);
-    }
-
     /// Total parameter count.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(Dense::param_count).sum()
@@ -326,20 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn copy_and_blend_params() {
+    fn copy_params() {
         let mut rng = seeded(4);
         let src = Network::mlp(&[2, 3, 1], Activation::Relu, &mut rng);
         let mut dst = Network::mlp(&[2, 3, 1], Activation::Relu, &mut rng);
         dst.copy_params_from(&src);
         assert_eq!(src.flatten_params(), dst.flatten_params());
-
-        let mut half = Network::mlp(&[2, 3, 1], Activation::Relu, &mut rng);
-        let before = half.flatten_params();
-        half.blend_params_from(&src, 0.5);
-        let after = half.flatten_params();
-        for ((b, a), s) in before.iter().zip(&after).zip(src.flatten_params()) {
-            assert!((a - 0.5 * (b + s)).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::config::{AdmissionPolicy, ProjectSpec, ServiceConfig};
 use crate::core_loop::{AgentCore, BudgetView, FinalizeRequest, RefreshReply, RefreshRequest};
 use crate::error::ServiceError;
 use crate::event::TraceEvent;
-use crate::ledger::AccountBook;
+use crate::ledger::{AccountBook, AssignmentStatus};
 use crate::metrics::{
     AggregateMetrics, MetricsCollector, ProjectReport, ServiceMetrics, ServiceOutcome,
 };
@@ -1305,6 +1305,7 @@ impl<'a> Engine<'a> {
             cp.broker_load,
             cp.broker_evidence,
         )?;
+        self.check_books(&cp.projects)?;
         let cfg = self.cfg;
         let specs = self.specs;
         let pool = self.pool;
@@ -1434,6 +1435,55 @@ impl<'a> Engine<'a> {
                     p.metrics = Some(metrics);
                     self.errors[i] = Some(ServiceError::ProjectFailed { project: i, reason });
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Check that a restored checkpoint's money and slots add up, as they
+    /// do at every cut: each annotator's broker load is its in-flight
+    /// assignments across the active projects' ledgers, and each account
+    /// reserves its project's in-flight cost (to within the drift of
+    /// summing floats in another order) and no more than its total leaves
+    /// after spending. A load that does not add up underflows a slot on
+    /// release; a reservation that does not is never released.
+    fn check_books(&self, projects: &[ProjectCheckpoint]) -> Result<()> {
+        const TOLERANCE: f64 = 1e-6;
+        let mut load = vec![0usize; self.pool.len()];
+        let mut in_flight = vec![0.0f64; projects.len()];
+        for (i, pc) in projects.iter().enumerate() {
+            let ProjectCheckpoint::Active(state) = pc else {
+                continue;
+            };
+            let records = state.shards.iter().flat_map(|s| &s.records);
+            for r in records.filter(|r| r.status == AssignmentStatus::InFlight) {
+                // An annotator outside the pool fails the ledger check.
+                if let Some(l) = load.get_mut(r.annotator.index()) {
+                    *l += 1;
+                }
+                in_flight[i] += r.cost;
+            }
+        }
+        let corrupt = |what: String| -> Error { ServiceError::CorruptCheckpoint(what).into() };
+        if let Some(a) = (0..load.len()).find(|&a| self.broker.load(a) != load[a]) {
+            return Err(corrupt(format!(
+                "annotator {a} holds {} broker slots for {} in-flight assignments",
+                self.broker.load(a),
+                load[a]
+            )));
+        }
+        for (i, &cost) in in_flight.iter().enumerate() {
+            let reserved = self.accounts.reserved(i);
+            let (spent, total) = (self.accounts.spent(i), self.accounts.total(i));
+            if (reserved - cost).abs() > TOLERANCE {
+                return Err(corrupt(format!(
+                    "account {i} reserves {reserved} for {cost} of in-flight cost"
+                )));
+            }
+            if spent + reserved > total + TOLERANCE {
+                return Err(corrupt(format!(
+                    "account {i} spends {spent} and reserves {reserved} of its {total}"
+                )));
             }
         }
         Ok(())

@@ -23,16 +23,15 @@ use rand::Rng;
 /// Each class `c` gets a centroid placed deterministically on an
 /// axis-aligned lattice scaled by `separation`; objects sample their class
 /// from `class_balance`, then features `x = centroid_c + N(0, 1)` per
-/// informative dimension, plus `noise_dims` pure-noise dimensions.
-/// `label_noise` flips the stored ground truth of that fraction of objects
-/// to a uniformly random *other* class, modelling irreducible task
-/// ambiguity (the videos human graders genuinely disagree on).
+/// dimension. `label_noise` flips the stored ground truth of that
+/// fraction of objects to a uniformly random *other* class, modelling
+/// irreducible task ambiguity (the videos human graders genuinely
+/// disagree on).
 #[derive(Debug, Clone)]
 pub struct DatasetSpec {
     name: String,
     num_objects: usize,
     informative_dims: usize,
-    noise_dims: usize,
     num_classes: usize,
     separation: f64,
     label_noise: f64,
@@ -53,7 +52,6 @@ impl DatasetSpec {
             name: name.into(),
             num_objects,
             informative_dims: dim,
-            noise_dims: 0,
             num_classes,
             separation: 2.0,
             label_noise: 0.0,
@@ -75,12 +73,6 @@ impl DatasetSpec {
         self
     }
 
-    /// Append `dims` pure-noise feature columns.
-    pub fn with_noise_dims(mut self, dims: usize) -> Self {
-        self.noise_dims = dims;
-        self
-    }
-
     /// Class prior (normalized internally).
     pub fn with_class_balance(mut self, balance: Vec<f64>) -> Self {
         self.class_balance = balance;
@@ -92,9 +84,9 @@ impl DatasetSpec {
         self.num_objects
     }
 
-    /// Total feature dimensionality (informative + noise).
+    /// Feature dimensionality.
     pub fn dim(&self) -> usize {
-        self.informative_dims + self.noise_dims
+        self.informative_dims
     }
 
     fn validate(&self) -> Result<()> {
@@ -179,9 +171,6 @@ impl DatasetSpec {
                 .ok_or_else(|| Error::NumericalFailure("class sampling failed".into()))?;
             for d in 0..self.informative_dims {
                 features.push(normal(rng, self.centroid(class, d), 1.0) as f32);
-            }
-            for _ in 0..self.noise_dims {
-                features.push(normal(rng, 0.0, 1.0) as f32);
             }
             // Irreducible ambiguity: flip a fraction of ground truths.
             let final_class = if self.label_noise > 0.0 && rng.random::<f64>() < self.label_noise {

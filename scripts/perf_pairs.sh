@@ -18,10 +18,15 @@
 # side's median and first/third quartiles (the exclusive method of
 # Python's statistics.quantiles, as in perfbench/WORKLOADS.md), the
 # change in the median, how many pairs the change won (strictly better
-# in the metric's direction), and whether the rule for claiming a gain
-# holds: the change wins at least nine pairs in ten, and its median is
+# in the metric's direction), whether the rule for claiming a gain
+# holds (the change wins at least nine pairs in ten, and its median is
 # better than the parent's by more than the parent's interquartile
-# range. Needs cargo, git and jq; run from anywhere.
+# range), and the no-regression verdict against the metric's `bound` in
+# BENCHMARK.json, a share of the parent's median: "worse" when the
+# change's median is worse than the parent's by more than the bound,
+# else "unresolved" when the parent's interquartile range is wider than
+# the bound and not every change run beats every parent run, else "ok".
+# Needs cargo, git and jq; run from anywhere.
 set -euo pipefail
 
 usage="usage: $0 <parent-rev> <workload> [pairs=10] [seconds=30] [first-seed=1]"
@@ -119,7 +124,7 @@ jq -rn --slurpfile runs "$results" --slurpfile bench BENCHMARK.json '
   def side($s): [$runs[] | select(.side == $s)] | sort_by(.pair);
   side("parent") as $p | side("change") as $c | ($p | length) as $n
   | ["metric", "better", "parent median [q1, q3]", "change median [q1, q3]",
-     "median", "wins", "gain rule"],
+     "median", "wins", "gain rule", "no regression"],
     ($bench[0].end_to_end[] | .name as $m | .better as $dir
      | ($p | map(.metrics[$m])) as $pv | ($c | map(.metrics[$m])) as $cv
      | ($pv | median) as $pm | ($cv | median) as $cm
@@ -127,12 +132,18 @@ jq -rn --slurpfile runs "$results" --slurpfile bench BENCHMARK.json '
      | ([range($n) | select(if $dir == "lower" then $cv[.] < $pv[.]
                             else $cv[.] > $pv[.] end)] | length) as $wins
      | (if $dir == "lower" then $pm - $cm else $cm - $pm end) as $gain
+     | (.bound * ($pm | fabs)) as $bound
+     | (if $dir == "lower" then ($cv | max) < ($pv | min)
+        else ($cv | min) > ($pv | max) end) as $all_beat
      | [$m, $dir,
         "\($pm | fmt) [\($pv | quartile(1) | fmt), \($pv | quartile(3) | fmt)]",
         "\($cm | fmt) [\($cv | quartile(1) | fmt), \($cv | quartile(3) | fmt)]",
         (if $pm == 0 then "-" else "\(($cm - $pm) / $pm * 1000 | round / 10)%" end),
         "\($wins)/\($n)",
-        (if $wins * 10 >= 9 * $n and $gain > $iqr then "holds" else "no" end)])
+        (if $wins * 10 >= 9 * $n and $gain > $iqr then "holds" else "no" end),
+        (if -$gain > $bound then "worse"
+         elif $iqr > $bound and ($all_beat | not) then "unresolved"
+         else "ok" end)])
   | [.[0] | pad(16)] + [.[1] | pad(7)] + (.[2:4] | map(pad(32))) + [.[4] | pad(8)]
-    + [.[5] | pad(6)] + [.[6]]
+    + [.[5] | pad(6)] + [.[6] | pad(10)] + [.[7]]
   | join(" ")'

@@ -10,7 +10,9 @@
 //! (a vector or replay embedding of the wrong length, an object or
 //! annotator id or replay head out of range, a pending event for an
 //! assignment its ledger never issued, a service-wide assignment id held
-//! twice) must likewise fail to restore with a typed error.
+//! twice, broker load or a reservation that is not what the ledgers hold
+//! in flight, spend and reservations over an account's total) must
+//! likewise fail to restore with a typed error.
 //!
 //! Each DQN replay writes every distinct successor-candidate set once
 //! and each transition refers to its set by index: a bad index is a
@@ -84,7 +86,9 @@ fn one_project_checkpoint() -> RunCheckpoint {
     kept.expect("a checkpoint was cut")
 }
 
-fn service_checkpoint() -> RunCheckpoint {
+/// A short two-project service run over two shards, with a checkpoint
+/// every 2 rounds.
+fn service_run() -> (Vec<ProjectSpec>, AnnotatorPool, ServiceConfig) {
     let mut rng = seeded(0xC4ED);
     let pool = PoolSpec::new(6, 2).generate(2, &mut rng).unwrap();
     let specs: Vec<ProjectSpec> = (0..2)
@@ -104,6 +108,11 @@ fn service_checkpoint() -> RunCheckpoint {
         .with_shards(2)
         .with_watermarks(8, 20.0)
         .with_checkpoint_every(2);
+    (specs, pool, config)
+}
+
+fn service_checkpoint() -> RunCheckpoint {
+    let (specs, pool, config) = service_run();
     let mut kept = None;
     let outcome = Service::new(config)
         .unwrap()
@@ -306,6 +315,61 @@ fn restoring_a_checkpoint_that_does_not_fit_the_run_fails_typed() {
             }
             Err(Error::InvalidParameter(_)) => {}
             other => panic!("{what}: want a typed restore error, got {other:?}"),
+        }
+    }
+}
+
+/// The account with the largest reservation.
+fn busiest_account(checkpoint: &RunCheckpoint) -> usize {
+    let reserved = |a: &usize| checkpoint.accounts[*a].reserved;
+    (0..checkpoint.accounts.len())
+        .max_by(|a, b| reserved(a).total_cmp(&reserved(b)))
+        .expect("the cut has accounts")
+}
+
+#[test]
+fn restoring_money_or_slots_that_do_not_add_up_fails_typed() {
+    let (dataset, pool, config, serve) = one_project_run();
+    let (specs, service_pool, service_config) = service_run();
+    type Mutation = fn(&mut RunCheckpoint);
+    let cases: [(&str, Mutation); 3] = [
+        ("broker load that is not the in-flight assignments", |c| {
+            c.broker_load.iter_mut().for_each(|l| *l = 0)
+        }),
+        ("a reservation that is not the in-flight cost", |c| {
+            let a = busiest_account(c);
+            c.accounts[a].reserved = c.accounts[a].total
+        }),
+        ("spend and reservations over the total", |c| {
+            let a = busiest_account(c);
+            c.accounts[a].spent = c.accounts[a].total
+        }),
+    ];
+    for (what, mutate) in cases {
+        for (fixture, text) in checkpoints().iter().enumerate() {
+            let mut checkpoint = RunCheckpoint::decode(text).unwrap();
+            assert!(
+                checkpoint.accounts[busiest_account(&checkpoint)].reserved > 0.0,
+                "fixture {fixture} has money in flight"
+            );
+            mutate(&mut checkpoint);
+            let mut sink = |_| RunControl::Continue;
+            let resumed = if fixture == 0 {
+                AsyncRuntime::new(config.clone(), serve.clone())
+                    .resume(&dataset, &pool, &mut seeded(5), checkpoint, &mut sink)
+                    .map(drop)
+            } else {
+                Service::new(service_config.clone())
+                    .unwrap()
+                    .resume(&specs, &service_pool, &mut seeded(6), checkpoint, &mut sink)
+                    .map(drop)
+            };
+            match resumed {
+                Err(Error::InvalidParameter(msg)) if msg.contains("corrupt checkpoint") => {}
+                other => {
+                    panic!("{what} in fixture {fixture}: want a corrupt checkpoint, got {other:?}")
+                }
+            }
         }
     }
 }

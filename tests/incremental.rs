@@ -468,6 +468,51 @@ fn truncated_confusions_in_a_restored_snapshot_error_instead_of_panicking() {
     );
 }
 
+#[test]
+fn a_failed_warm_call_leaves_no_state_behind() {
+    // A warm call that fails (here: an untrained classifier) must not
+    // leave its half-updated answer counts behind: the next call over the
+    // same answers runs cold, exactly like a fresh inference, instead of
+    // replying from a gutted cache.
+    let (dataset, pool, mut engine, classifier, rng) = staged_joint_engine(51);
+    let mut platform = Platform::new(&dataset, &pool, Budget::new(1e6).unwrap());
+    let mut ask_rng = seeded(52);
+    ask_stage(&mut platform, &pool, 0..40, &mut ask_rng);
+    let mut untrained = fresh_classifier(dataset.dim(), dataset.num_classes(), 53);
+    assert!(engine
+        .infer(
+            &dataset,
+            platform.answers(),
+            pool.profiles(),
+            &mut untrained,
+            &mut rng.clone(),
+        )
+        .is_err());
+
+    let (mut retried_classifier, mut retried_rng) = (classifier.clone(), rng.clone());
+    let retried = engine
+        .infer(
+            &dataset,
+            platform.answers(),
+            pool.profiles(),
+            &mut retried_classifier,
+            &mut retried_rng,
+        )
+        .unwrap();
+    let (mut cold_classifier, mut cold_rng) = (classifier, rng);
+    let cold = JointInference::default()
+        .infer(
+            &dataset,
+            platform.answers(),
+            pool.profiles(),
+            &mut cold_classifier,
+            &mut cold_rng,
+        )
+        .unwrap();
+    assert_eq!(retried.inferred_objects().count(), 40);
+    assert_eq!(result_digest(&retried), result_digest(&cold));
+}
+
 /// Damage one field of a snapshot for a `k`-class dataset.
 type Corruption = fn(&mut EngineSnapshot, usize);
 
