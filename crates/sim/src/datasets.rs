@@ -31,7 +31,7 @@ use rand::Rng;
 pub struct DatasetSpec {
     name: String,
     num_objects: usize,
-    informative_dims: usize,
+    dim: usize,
     num_classes: usize,
     separation: f64,
     label_noise: f64,
@@ -51,7 +51,7 @@ impl DatasetSpec {
         Self {
             name: name.into(),
             num_objects,
-            informative_dims: dim,
+            dim,
             num_classes,
             separation: 2.0,
             label_noise: 0.0,
@@ -86,7 +86,7 @@ impl DatasetSpec {
 
     /// Feature dimensionality.
     pub fn dim(&self) -> usize {
-        self.informative_dims
+        self.dim
     }
 
     fn validate(&self) -> Result<()> {
@@ -95,7 +95,7 @@ impl DatasetSpec {
                 "num_objects must be positive".into(),
             ));
         }
-        if self.informative_dims == 0 {
+        if self.dim == 0 {
             return Err(Error::InvalidParameter(
                 "need at least one informative dim".into(),
             ));
@@ -152,7 +152,7 @@ impl DatasetSpec {
             let pattern = (class + 1).wrapping_mul(0x9E37);
             (pattern >> (dim % 16)) & 1
         };
-        let half = self.separation / (2.0 * (self.informative_dims as f64).sqrt());
+        let half = self.separation / (2.0 * (self.dim as f64).sqrt());
         if bit == 1 {
             half
         } else {
@@ -169,7 +169,7 @@ impl DatasetSpec {
         for _ in 0..self.num_objects {
             let class = sample_weighted(rng, &self.class_balance)
                 .ok_or_else(|| Error::NumericalFailure("class sampling failed".into()))?;
-            for d in 0..self.informative_dims {
+            for d in 0..self.dim {
                 features.push(normal(rng, self.centroid(class, d), 1.0) as f32);
             }
             // Irreducible ambiguity: flip a fraction of ground truths.
